@@ -46,23 +46,35 @@ def maxflow_unit(num_nodes, tails, heads, source, sink):
                     queue.append(v)
         return level[sink] >= 0
 
-    def dfs(u):
-        if u == sink:
-            return True
-        while it[u] < len(adj[u]):
-            e = adj[u][it[u]]
-            v = to[e]
-            if cap[e] > 0 and level[v] == level[u] + 1 and dfs(v):
-                cap[e] -= 1
-                cap[e ^ 1] += 1
-                return True
-            it[u] += 1
-        return False
+    def augment():
+        # Iterative DFS along the level graph, so that path length is not
+        # bounded by the interpreter's recursion limit. `path` holds the arcs
+        # from the source to u; a dead end advances its parent's arc pointer.
+        path = []
+        u = source
+        while u != sink:
+            while it[u] < len(adj[u]):
+                e = adj[u][it[u]]
+                if cap[e] > 0 and level[to[e]] == level[u] + 1:
+                    break
+                it[u] += 1
+            else:
+                if not path:
+                    return False
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+                continue
+            path.append(e)
+            u = to[e]
+        for e in path:
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+        return True
 
     while bfs():
         for i in range(num_nodes):
             it[i] = 0
-        while dfs(source):
+        while augment():
             flow += 1
     return flow
 

@@ -6,16 +6,16 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
+from . import _kernels
 from .errors import (
     InvalidArguments,
     SingularMatrix,
     SingularSubmatrix,
     TooFewInputs,
 )
-from .field import FieldModulus, Matrix, mat_inverse, mat_rank, mat_vec, submatrix
+from .field import FieldModulus, Matrix, mat_inverse, mat_vec, submatrix
 from .network import (
     DEFAULT_BUDGET,
     Network,
@@ -131,60 +131,111 @@ def transfer_matrix(circ: LinearCircuit) -> Matrix:
     return Matrix(n, ell, flat)
 
 
-def _rank_conditions_hold(M: Matrix, T, t: int, modulus: FieldModulus) -> bool:
-    ell = M.cols
-    r_cols = list(range(1, ell))
-    if len(T) == t:
-        M_T = submatrix(M, list(T), list(range(ell)))
-        if mat_rank(M_T, modulus) != t:
-            return False
-        M_TR = submatrix(M, list(T), r_cols)
-        return mat_rank(M_TR, modulus) == t - 1
-    # |T| = t-1: privacy needs full-rank randomness submatrix
-    M_TR = submatrix(M, list(T), r_cols)
-    return mat_rank(M_TR, modulus) == t - 1
+def _walk_coalitions(M: Matrix, t: int, p: int):
+    """The exhaustive sweep as one depth-first walk over the coalitions of
+    size <= t, in the lexicographic order of `combinations`.
+
+    Returns (recover_checks, privacy_checks, witness), witness None when every
+    coalition passes, equal to checking every size-t coalition and then every
+    size-(t-1) one in that order and stopping at the first failure.
+
+    Columns are reordered randomness first, secret last. A node T carries each
+    later row reduced against the echelon basis of M_T, so extending T by one
+    row costs one row reduction per later row and no elimination from scratch.
+    rank(M_T) is |T| while no row reduces to zero, and since a row pivots on
+    the secret column only when its randomness part is zero, rank(M_{T,R}) is
+    the number of pivots left of it: one elimination answers both conditions
+    for any ell >= t.
+    """
+    n, s = M.rows, M.cols - 1
+    recover_checks = privacy_checks = 0
+    leak = None  # first size-(t-1) coalition that fails privacy
+    # (T, later rows reduced against M_T or None when M_T is singular,
+    #  whether M_T has a pivot on the secret column)
+    stack = [((), [(j, M.row(j)[1:] + M.row(j)[:1]) for j in range(n)], False)]
+    while stack:
+        T, later, secret = stack.pop()
+        if later is None:
+            # M_T is singular, so every size-t coalition containing T fails
+            # recovery. The first one below T is the first failure of the
+            # walk; when T has none below it, one comes later in the walk.
+            last, d = T[-1], len(T)
+            if last + t - d < n:
+                return recover_checks + 1, 0, T + tuple(range(last + 1, last + 1 + t - d))
+            continue
+        if len(T) == t - 1:
+            if leak is None:
+                privacy_checks += 1
+                if secret:
+                    leak = T
+            for j, r in later:
+                recover_checks += 1
+                # The last row must add the one pivot M_T lacks: a randomness
+                # pivot when M_T has the secret pivot, else the secret pivot.
+                if not (any(r) if secret else r[s] and not any(r[:s])):
+                    return recover_checks, 0, T + (j,)
+            continue
+        # A child must leave room for the rest of a size-(t-1) coalition.
+        children = []
+        for pos, (i, r) in enumerate(later[: len(later) - (t - 2 - len(T))]):
+            c = next((k for k, x in enumerate(r) if x), None)
+            if c is None:
+                children.append((T + (i,), None, secret))
+                continue
+            inv = pow(r[c], p - 2, p)
+            tail = []
+            for j, q in later[pos + 1 :]:
+                if q[c]:
+                    f = q[c] * inv % p
+                    q = [(x - f * y) % p for x, y in zip(q, r)]
+                tail.append((j, q))
+            children.append((T + (i,), tail, secret or c == s))
+        stack.extend(reversed(children))
+    return recover_checks, privacy_checks, leak
+
+
+def _coalition_holds(rows, T, t: int, p: int) -> bool:
+    """Both rank conditions on one coalition, by the rank kernel on its rows."""
+    ell = len(rows[0])
+    if len(T) == t and _kernels.gf_rank(t, ell, [x for i in T for x in rows[i]], p) != t:
+        return False
+    r_part = [x for i in T for x in rows[i][1:]]
+    return _kernels.gf_rank(len(T), ell - 1, r_part, p) == t - 1
 
 
 def validate_scheme(
     circ: LinearCircuit, budget: int = DEFAULT_BUDGET, rng_seed: int = 0
 ) -> SchemeReport:
     """Sweep coalitions: every size-t subset T needs rank(M_T) = t and
-    rank(M_{T,R}) = t-1; every size-(t-1) subset needs rank(M_{T,R}) = t-1."""
+    rank(M_{T,R}) = t-1; every size-(t-1) subset needs rank(M_{T,R}) = t-1.
+
+    When all C(n,t) + C(n,t-1) coalitions fit in the budget the sweep is
+    exhaustive (one prefix-tree walk); otherwise budget // 2 coalitions of
+    each size are drawn from rng_seed."""
     M = transfer_matrix(circ)
     t = circ.threshold
     n = M.rows
-    total = comb(n, t) + comb(n, t - 1)
-    exhaustive = total <= budget
+    p = circ.modulus.p
+    if comb(n, t) + comb(n, t - 1) <= budget:
+        recover_checks, privacy_checks, witness = _walk_coalitions(M, t, p)
+        verdict = "proved" if witness is None else "refuted"
+        return SchemeReport(recover_checks, privacy_checks, "exhaustive", verdict, witness)
     rng = random.Random(rng_seed)
-    recover_checks = privacy_checks = 0
+    rows = [M.row(i) for i in range(n)]
     outputs = list(range(n))
+    recover_checks = privacy_checks = 0
     for size in (t, t - 1):
-        if exhaustive:
-            subsets = combinations(outputs, size)
-        else:
-            per_class = max(1, budget // 2)
-            subsets = (
-                tuple(sorted(rng.sample(outputs, size))) for _ in range(per_class)
-            )
-        for T in subsets:
+        for _ in range(max(1, budget // 2)):
+            T = tuple(sorted(rng.sample(outputs, size)))
             if size == t:
                 recover_checks += 1
             else:
                 privacy_checks += 1
-            if not _rank_conditions_hold(M, T, t, circ.modulus):
+            if not _coalition_holds(rows, T, t, p):
                 return SchemeReport(
-                    recover_checks,
-                    privacy_checks,
-                    "exhaustive" if exhaustive else "sampled",
-                    "refuted",
-                    witness=tuple(T),
+                    recover_checks, privacy_checks, "sampled", "refuted", witness=T
                 )
-    return SchemeReport(
-        recover_checks,
-        privacy_checks,
-        "exhaustive" if exhaustive else "sampled",
-        "proved" if exhaustive else "sampled_pass",
-    )
+    return SchemeReport(recover_checks, privacy_checks, "sampled", "sampled_pass")
 
 
 def share(circ: LinearCircuit, s: int, rng_seed: int = 0) -> ShareVector:

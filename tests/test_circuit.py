@@ -1,5 +1,7 @@
 import json
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from scipy.stats import chisquare
@@ -18,12 +20,13 @@ from sharecircuit.circuit import (
     write_circuit,
     write_shares,
 )
+from sharecircuit._kernels import _pure
 from sharecircuit.errors import (
     InvalidArguments,
     SingularSubmatrix,
     TooFewInputs,
 )
-from sharecircuit.field import FieldModulus
+from sharecircuit.field import FieldModulus, submatrix
 from sharecircuit.network import Network, complete_bipartite
 
 GF7 = FieldModulus(7)
@@ -166,6 +169,96 @@ def test_validate_scheme_refuted_with_witness():
     report = validate_scheme(bad)
     assert report.verdict == "refuted"
     assert report.witness is not None and 0 in report.witness
+
+
+def matrix_circuit(rows, p, t):
+    """Depth-1 circuit whose n x ell transfer matrix is `rows`."""
+    ell = len(rows[0])
+    net = complete_bipartite(ell, len(rows))
+    coeffs = tuple(rows[v - ell][u] for u, v in net.edges)
+    return LinearCircuit(net, FieldModulus(p), coeffs, t)
+
+
+def coalition_by_coalition(circ, budget, rng_seed=0):
+    """Oracle for validate_scheme: every coalition checked on its own by
+    eliminations from scratch, all size-t coalitions before size t-1, with
+    the sampled mode's draws. Ranks come from the pure kernel, which is exact
+    for every modulus."""
+    M = transfer_matrix(circ)
+    t, n, ell, p = circ.threshold, M.rows, M.cols, circ.modulus.p
+
+    def rank(T, cols):
+        S = submatrix(M, list(T), list(cols))
+        return _pure.gf_rank(S.rows, S.cols, list(S.entries), p)
+
+    total = len(list(combinations(range(n), t))) + len(list(combinations(range(n), t - 1)))
+    exhaustive = total <= budget
+    rng = random.Random(rng_seed)
+    recover_checks = privacy_checks = 0
+    for size in (t, t - 1):
+        if exhaustive:
+            subsets = combinations(range(n), size)
+        else:
+            subsets = (tuple(sorted(rng.sample(range(n), size)))
+                       for _ in range(max(1, budget // 2)))
+        for T in subsets:
+            if size == t:
+                recover_checks += 1
+            else:
+                privacy_checks += 1
+            if (size == t and rank(T, range(ell)) != t) or rank(T, range(1, ell)) != t - 1:
+                return "refuted", tuple(T), recover_checks, privacy_checks
+    return ("proved" if exhaustive else "sampled_pass"), None, recover_checks, privacy_checks
+
+
+def drawn_rows(rng, p, t, ell, n):
+    """A random n x ell matrix with planted rows that break the rank
+    conditions: zero rows, secret-only rows and copies of earlier rows. With
+    ell > t, half of the draws keep the randomness part in a (t-1)-dimensional
+    space, so that they can pass."""
+    basis = [[rng.randrange(p) for _ in range(ell - 1)] for _ in range(t - 1)]
+    low_rank = ell > t and rng.random() < 0.5
+    rows = []
+    for i in range(n):
+        if low_rank:
+            a = [rng.randrange(p) for _ in range(t - 1)]
+            r = [sum(x * b[c] for x, b in zip(a, basis)) % p for c in range(ell - 1)]
+        else:
+            r = [rng.randrange(p) for _ in range(ell - 1)]
+        row = [rng.randrange(p)] + r
+        u = rng.random()
+        if u < 0.04:
+            row = [0] * ell
+        elif u < (0.6 if t == 1 else 0.1):
+            row = [rng.randrange(1, p)] + [0] * (ell - 1)
+        elif u < (0.6 if t == 1 else 0.1) + 0.05 and i:
+            row = list(rows[rng.randrange(i)])
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101, 2**61 - 1, 2**64 - 59])
+def test_validate_scheme_matches_coalition_oracle(p):
+    rng = random.Random(p)
+    outcomes = Counter()
+    for trial in range(200):
+        t = 1 + trial % 4
+        ell = t + trial // 4 % 2
+        n = rng.randrange(t, t + 5)
+        circ = matrix_circuit(drawn_rows(rng, p, t, ell, n), p, t)
+        for budget in (6, 10**6):
+            report = validate_scheme(circ, budget, rng_seed=trial)
+            got = (report.verdict, report.witness, report.recover_checks,
+                   report.privacy_checks)
+            assert got == coalition_by_coalition(circ, budget, rng_seed=trial)
+        stage = "privacy" if report.privacy_checks else "recovery"
+        outcomes[(t == 1, ell > t, report.verdict if report.ok else stage)] += 1
+    # Proofs at t = 1 (with its empty privacy coalition), at ell = t and at
+    # ell = t + 1; refutations at both stages.
+    assert outcomes[(True, False, "proved")] and outcomes[(True, True, "proved")]
+    assert outcomes[(False, False, "proved")] and outcomes[(False, True, "proved")]
+    assert outcomes[(False, False, "recovery")] and outcomes[(False, True, "recovery")]
+    assert outcomes[(False, False, "privacy")] and outcomes[(False, True, "privacy")]
 
 
 def test_share_reconstruct_worked_example():

@@ -49,6 +49,18 @@ def test_verify_graph_refuted_exit_code(capsys, tmp_path):
     assert "witness=" in out and "witness=none" not in out
 
 
+def test_verify_graph_path_longer_than_recursion_limit(capsys, tmp_path):
+    # The split graph of a 700-vertex path has one 1,401-arc augmenting path.
+    n = 700
+    path = tmp_path / "path.json"
+    doc = {"vertex_count": n, "inputs": [0], "outputs": [n - 1],
+           "edges": [[v, v + 1] for v in range(n - 1)]}
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify-graph", str(path), "--property", "sc")
+    assert code == 0
+    assert "RESULT verdict=proved" in out
+
+
 def test_gen_concentrator_roundtrip(capsys, tmp_path):
     path = tmp_path / "conc.json"
     code, out, _ = run(capsys, "gen-concentrator", "--m", "8", "--n", "6",
