@@ -140,12 +140,13 @@ def _walk_coalitions(M: Matrix, t: int, p: int):
     size-(t-1) one in that order and stopping at the first failure.
 
     Columns are reordered randomness first, secret last. A node T carries each
-    later row reduced against the echelon basis of M_T, so extending T by one
-    row costs one row reduction per later row and no elimination from scratch.
-    rank(M_T) is |T| while no row reduces to zero, and since a row pivots on
-    the secret column only when its randomness part is zero, rank(M_{T,R}) is
-    the number of pivots left of it: one elimination answers both conditions
-    for any ell >= t.
+    later row reduced against the echelon basis of M_T (up to a nonzero
+    scalar), so extending T by one row costs one row reduction per later row
+    and no elimination from scratch. rank(M_T) is |T| while no row reduces to
+    zero, and since a row pivots on the secret column only when its randomness
+    part is zero, rank(M_{T,R}) is the number of pivots left of it: one
+    elimination answers both conditions for any ell >= t. Plain integer
+    arithmetic mod p keeps this exact for every prime.
     """
     n, s = M.rows, M.cols - 1
     recover_checks = privacy_checks = 0
@@ -158,7 +159,8 @@ def _walk_coalitions(M: Matrix, t: int, p: int):
         if later is None:
             # M_T is singular, so every size-t coalition containing T fails
             # recovery. The first one below T is the first failure of the
-            # walk; when T has none below it, one comes later in the walk.
+            # walk. When T has none below it, one still comes later in the
+            # walk, since none before this node failed.
             last, d = T[-1], len(T)
             if last + t - d < n:
                 return recover_checks + 1, 0, T + tuple(range(last + 1, last + 1 + t - d))
@@ -182,12 +184,14 @@ def _walk_coalitions(M: Matrix, t: int, p: int):
             if c is None:
                 children.append((T + (i,), None, secret))
                 continue
-            inv = pow(r[c], p - 2, p)
+            # Fraction-free: r[c] * q - q[c] * r clears column c of q and is
+            # a nonzero multiple of the reduced row, with no field inverse.
+            a = r[c]
             tail = []
             for j, q in later[pos + 1 :]:
-                if q[c]:
-                    f = q[c] * inv % p
-                    q = [(x - f * y) % p for x, y in zip(q, r)]
+                b = q[c]
+                if b:
+                    q = [(a * x - b * y) % p for x, y in zip(q, r)]
                 tail.append((j, q))
             children.append((T + (i,), tail, secret or c == s))
         stack.extend(reversed(children))

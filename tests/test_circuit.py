@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 from scipy.stats import chisquare
@@ -191,8 +192,7 @@ def coalition_by_coalition(circ, budget, rng_seed=0):
         S = submatrix(M, list(T), list(cols))
         return _pure.gf_rank(S.rows, S.cols, list(S.entries), p)
 
-    total = len(list(combinations(range(n), t))) + len(list(combinations(range(n), t - 1)))
-    exhaustive = total <= budget
+    exhaustive = comb(n, t) + comb(n, t - 1) <= budget
     rng = random.Random(rng_seed)
     recover_checks = privacy_checks = 0
     for size in (t, t - 1):
@@ -218,6 +218,8 @@ def drawn_rows(rng, p, t, ell, n):
     space, so that they can pass."""
     basis = [[rng.randrange(p) for _ in range(ell - 1)] for _ in range(t - 1)]
     low_rank = ell > t and rng.random() < 0.5
+    # t = 1 passes only when every row is secret-only
+    secret_only = 0.6 if t == 1 else 0.1
     rows = []
     for i in range(n):
         if low_rank:
@@ -229,9 +231,9 @@ def drawn_rows(rng, p, t, ell, n):
         u = rng.random()
         if u < 0.04:
             row = [0] * ell
-        elif u < (0.6 if t == 1 else 0.1):
+        elif u < secret_only:
             row = [rng.randrange(1, p)] + [0] * (ell - 1)
-        elif u < (0.6 if t == 1 else 0.1) + 0.05 and i:
+        elif u < secret_only + 0.05 and i:
             row = list(rows[rng.randrange(i)])
         rows.append(row)
     return rows
