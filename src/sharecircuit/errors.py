@@ -9,10 +9,6 @@ class InvalidArguments(ShareCircuitError):
     pass
 
 
-class InverseOfZero(ShareCircuitError):
-    pass
-
-
 class SingularMatrix(ShareCircuitError):
     pass
 

@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 
 from . import _kernels
-from .errors import IndexOutOfRange, InvalidArguments, InverseOfZero, SingularMatrix
+from .errors import IndexOutOfRange, InvalidArguments, SingularMatrix
 
 # Word-size Mersenne prime; large enough for the synthesizer's
 # Schwartz-Zippel failure bound at any desk-scale (depth, n, t).
@@ -48,24 +48,6 @@ class FieldModulus:
             raise InvalidArguments(f"modulus {self.p} is not prime")
 
 
-def ff_add(a: int, b: int, modulus: FieldModulus) -> int:
-    return (a + b) % modulus.p
-
-
-def ff_sub(a: int, b: int, modulus: FieldModulus) -> int:
-    return (a - b) % modulus.p
-
-
-def ff_mul(a: int, b: int, modulus: FieldModulus) -> int:
-    return a * b % modulus.p
-
-
-def ff_inv(a: int, modulus: FieldModulus) -> int:
-    if a % modulus.p == 0:
-        raise InverseOfZero("inverse of zero requested")
-    return pow(a, modulus.p - 2, modulus.p)
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Dense row-major matrix with entries in [0, p)."""
@@ -98,10 +80,6 @@ class Matrix:
         if modulus is not None:
             flat = [x % modulus.p for x in flat]
         return Matrix(nrows, ncols, tuple(flat))
-
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix(n, n, tuple(1 if i % (n + 1) == 0 else 0 for i in range(n * n)))
 
 
 def mat_rank(m: Matrix, modulus: FieldModulus) -> int:
@@ -153,16 +131,3 @@ def mat_vec(m: Matrix, vec, modulus: FieldModulus) -> list:
     return [
         sum(m.at(r, c) * vec[c] for c in range(m.cols)) % p for r in range(m.rows)
     ]
-
-
-def mat_mul(a: Matrix, b: Matrix, modulus: FieldModulus) -> Matrix:
-    if a.cols != b.rows:
-        raise InvalidArguments("inner dimensions do not match")
-    p = modulus.p
-    flat = []
-    for r in range(a.rows):
-        for c in range(b.cols):
-            flat.append(
-                sum(a.at(r, k) * b.at(k, c) for k in range(a.cols)) % p
-            )
-    return Matrix(a.rows, b.cols, tuple(flat))

@@ -176,32 +176,53 @@ def _sample_subsets(rng, universe, size, count):
     return sorted(seen)
 
 
+def _sweep(net, name, lo, hi, slack, budget, rng_seed, all_outputs=False):
+    """The connectivity sweep behind every verifier. For each size k in
+    lo..hi, each k-subset X of the inputs, paired with each k-subset Y of
+    the outputs (or with all outputs when `all_outputs`), needs at least
+    k - slack vertex-disjoint paths. Exhaustive when the pairs fit the
+    budget; otherwise max(1, budget // number of sizes) seeded draws per
+    size, so a sampled sweep never passes without a check."""
+    validate(net)
+    xs, ys = sorted(net.inputs), sorted(net.outputs)
+    limit = len(xs) if all_outputs else min(len(xs), len(ys))
+    if not slack <= hi <= limit:
+        raise ArityMismatch(f"{name}: need slack {slack} <= size {hi} <= {limit}")
+    sizes = range(lo, hi + 1)
+    total = sum(comb(len(xs), k) * (1 if all_outputs else comb(len(ys), k))
+                for k in sizes)
+    exhaustive = total <= budget
+    rng = random.Random(rng_seed)
+
+    def pairs(k):
+        draws = max(1, budget // len(sizes))
+        if all_outputs:
+            subsets = (combinations(xs, k) if exhaustive
+                       else _sample_subsets(rng, xs, k, draws))
+            return ((X, net.outputs) for X in subsets)
+        if exhaustive:
+            return ((X, Y) for X in combinations(xs, k) for Y in combinations(ys, k))
+        return ((tuple(sorted(rng.sample(xs, k))), tuple(sorted(rng.sample(ys, k))))
+                for _ in range(draws))
+
+    checked, witness = 0, None
+    for k, X, Y in ((k, X, Y) for k in sizes for X, Y in pairs(k)):
+        checked += 1
+        if max_vertex_disjoint_paths(net, X, Y) < k - slack:
+            witness = (X,) if all_outputs else (X, Y)
+            break
+    verdict = "refuted" if witness else "proved" if exhaustive else "sampled_pass"
+    return VerificationReport(name, verdict, checked, witness,
+                              None if exhaustive else rng_seed)
+
+
 def verify_concentrator(
     net: Network, c: int, budget: int = DEFAULT_BUDGET, rng_seed: int = 0
 ) -> VerificationReport:
     """Check that every c-subset of inputs has c vertex-disjoint paths to
-    the outputs; exhaustive when the subset count fits the budget."""
-    validate(net)
-    m = len(net.inputs)
-    total = comb(m, c)
-    exhaustive = total <= budget
-    inputs_sorted = sorted(net.inputs)
-    if exhaustive:
-        subsets = combinations(inputs_sorted, c)
-        seed = None
-    else:
-        rng = random.Random(rng_seed)
-        subsets = _sample_subsets(rng, inputs_sorted, c, budget)
-        seed = rng_seed
-    checked = 0
-    for S in subsets:
-        checked += 1
-        if max_vertex_disjoint_paths(net, S, net.outputs) != c:
-            return VerificationReport(
-                f"concentrator({c})", "refuted", checked, witness=(tuple(S),), sample_seed=seed
-            )
-    verdict = "proved" if exhaustive else "sampled_pass"
-    return VerificationReport(f"concentrator({c})", verdict, checked, sample_seed=seed)
+    the outputs; exhaustive when the subset count fits the budget. Raises
+    ArityMismatch unless 0 <= c <= len(inputs)."""
+    return _sweep(net, f"concentrator({c})", c, c, 0, budget, rng_seed, all_outputs=True)
 
 
 def verify_superconcentrator(
@@ -209,81 +230,17 @@ def verify_superconcentrator(
 ) -> VerificationReport:
     """Check that every equal-size input/output subset pair is joined by
     that many vertex-disjoint paths."""
-    validate(net)
-    m, n = len(net.inputs), len(net.outputs)
-    kmax = min(m, n)
-    total = sum(comb(m, k) * comb(n, k) for k in range(1, kmax + 1))
-    exhaustive = total <= budget
-    inputs_sorted = sorted(net.inputs)
-    outputs_sorted = sorted(net.outputs)
-    checked = 0
-    seed = None if exhaustive else rng_seed
-    rng = random.Random(rng_seed)
-    for k in range(1, kmax + 1):
-        if exhaustive:
-            pairs = (
-                (X, Y)
-                for X in combinations(inputs_sorted, k)
-                for Y in combinations(outputs_sorted, k)
-            )
-        else:
-            per_size = max(1, budget // kmax)
-            pairs = (
-                (tuple(sorted(rng.sample(inputs_sorted, k))),
-                 tuple(sorted(rng.sample(outputs_sorted, k))))
-                for _ in range(per_size)
-            )
-        for X, Y in pairs:
-            checked += 1
-            if max_vertex_disjoint_paths(net, X, Y) != k:
-                return VerificationReport(
-                    "superconcentrator", "refuted", checked,
-                    witness=(tuple(X), tuple(Y)), sample_seed=seed,
-                )
-    verdict = "proved" if exhaustive else "sampled_pass"
-    return VerificationReport("superconcentrator", verdict, checked, sample_seed=seed)
+    kmax = min(len(net.inputs), len(net.outputs))
+    return _sweep(net, "superconcentrator", 1, kmax, 0, budget, rng_seed)
 
 
 def verify_partial_sc(
     net: Network, p: int, q: int, budget: int = DEFAULT_BUDGET, rng_seed: int = 0
 ) -> VerificationReport:
     """Check the (p, q)-partial superconcentrator property: equal-size
-    subset pairs with size k in [q, p] need at least k - q disjoint paths."""
-    validate(net)
-    m, n = len(net.inputs), len(net.outputs)
-    if not q <= p <= min(m, n):
-        raise ArityMismatch(f"need q <= p <= min(inputs, outputs), got p={p}, q={q}")
-    sizes = list(range(max(q, 1), p + 1))
-    total = sum(comb(m, k) * comb(n, k) for k in sizes)
-    exhaustive = total <= budget
-    inputs_sorted = sorted(net.inputs)
-    outputs_sorted = sorted(net.outputs)
-    checked = 0
-    seed = None if exhaustive else rng_seed
-    rng = random.Random(rng_seed)
-    for k in sizes:
-        if exhaustive:
-            pairs = (
-                (X, Y)
-                for X in combinations(inputs_sorted, k)
-                for Y in combinations(outputs_sorted, k)
-            )
-        else:
-            per_size = max(1, budget // len(sizes))
-            pairs = (
-                (tuple(sorted(rng.sample(inputs_sorted, k))),
-                 tuple(sorted(rng.sample(outputs_sorted, k))))
-                for _ in range(per_size)
-            )
-        for X, Y in pairs:
-            checked += 1
-            if max_vertex_disjoint_paths(net, X, Y) < k - q:
-                return VerificationReport(
-                    f"partial_sc({p},{q})", "refuted", checked,
-                    witness=(tuple(X), tuple(Y)), sample_seed=seed,
-                )
-    verdict = "proved" if exhaustive else "sampled_pass"
-    return VerificationReport(f"partial_sc({p},{q})", verdict, checked, sample_seed=seed)
+    subset pairs with size k in [q, p] need at least k - q disjoint paths.
+    Raises ArityMismatch unless q <= p <= min(len(inputs), len(outputs))."""
+    return _sweep(net, f"partial_sc({p},{q})", max(q, 1), p, q, budget, rng_seed)
 
 
 def serial_compose(top: Network, bottom: Network) -> Network:

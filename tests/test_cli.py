@@ -127,3 +127,7 @@ def test_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "verify-graph", str(graph),
                        "--property", "nonsense")
     assert code == 1 and "error:" in err
+    for k in ("-1", "3"):
+        code, _, err = run(capsys, "verify-graph", str(graph),
+                           "--property", f"concentrator:{k}")
+        assert code == 1 and "error:" in err and "Traceback" not in err

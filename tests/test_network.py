@@ -1,8 +1,13 @@
 import json
 import random
+from collections import Counter
+from dataclasses import astuple
+from itertools import combinations
+from math import comb
 
 import pytest
 
+from sharecircuit.concentrator import ConcentratorParams, build_depth1
 from sharecircuit.errors import (
     ArityMismatch,
     CyclicGraph,
@@ -11,7 +16,9 @@ from sharecircuit.errors import (
     TerminalNotInNetwork,
 )
 from sharecircuit.network import (
+    DEFAULT_BUDGET,
     Network,
+    VerificationReport,
     complete_bipartite,
     max_vertex_disjoint_paths,
     network_from_dict,
@@ -27,6 +34,7 @@ from sharecircuit.network import (
     verify_superconcentrator,
     write_network,
 )
+from sharecircuit.superconcentrator import build_partial_sc_depth2
 
 
 def brute_max_disjoint_paths(net, S, T):
@@ -79,6 +87,195 @@ def random_dag(rng, max_vertices=9):
     # drop edges into inputs so the network also validates
     edges = [(u, v) for u, v in edges if v not in set(inputs)]
     return Network(n, edges, inputs, outputs)
+
+
+# The three verifiers as they were before they shared one sweep, kept
+# verbatim (renamed) as the oracle for `_sweep`.
+
+
+def sample_subsets(rng, universe, size, count):
+    """Distinct uniformly-sampled `size`-subsets, at most `count` of them."""
+    total = comb(len(universe), size)
+    if total <= count:
+        return [tuple(c) for c in combinations(sorted(universe), size)]
+    seen = set()
+    attempts = 0
+    while len(seen) < count and attempts < 20 * count:
+        seen.add(tuple(sorted(rng.sample(universe, size))))
+        attempts += 1
+    return sorted(seen)
+
+
+def concentrator_oracle(
+    net: Network, c: int, budget: int = DEFAULT_BUDGET, rng_seed: int = 0
+) -> VerificationReport:
+    """Check that every c-subset of inputs has c vertex-disjoint paths to
+    the outputs; exhaustive when the subset count fits the budget."""
+    validate(net)
+    m = len(net.inputs)
+    total = comb(m, c)
+    exhaustive = total <= budget
+    inputs_sorted = sorted(net.inputs)
+    if exhaustive:
+        subsets = combinations(inputs_sorted, c)
+        seed = None
+    else:
+        rng = random.Random(rng_seed)
+        subsets = sample_subsets(rng, inputs_sorted, c, budget)
+        seed = rng_seed
+    checked = 0
+    for S in subsets:
+        checked += 1
+        if max_vertex_disjoint_paths(net, S, net.outputs) != c:
+            return VerificationReport(
+                f"concentrator({c})", "refuted", checked, witness=(tuple(S),), sample_seed=seed
+            )
+    verdict = "proved" if exhaustive else "sampled_pass"
+    return VerificationReport(f"concentrator({c})", verdict, checked, sample_seed=seed)
+
+
+def superconcentrator_oracle(
+    net: Network, budget: int = DEFAULT_BUDGET, rng_seed: int = 0
+) -> VerificationReport:
+    """Check that every equal-size input/output subset pair is joined by
+    that many vertex-disjoint paths."""
+    validate(net)
+    m, n = len(net.inputs), len(net.outputs)
+    kmax = min(m, n)
+    total = sum(comb(m, k) * comb(n, k) for k in range(1, kmax + 1))
+    exhaustive = total <= budget
+    inputs_sorted = sorted(net.inputs)
+    outputs_sorted = sorted(net.outputs)
+    checked = 0
+    seed = None if exhaustive else rng_seed
+    rng = random.Random(rng_seed)
+    for k in range(1, kmax + 1):
+        if exhaustive:
+            pairs = (
+                (X, Y)
+                for X in combinations(inputs_sorted, k)
+                for Y in combinations(outputs_sorted, k)
+            )
+        else:
+            per_size = max(1, budget // kmax)
+            pairs = (
+                (tuple(sorted(rng.sample(inputs_sorted, k))),
+                 tuple(sorted(rng.sample(outputs_sorted, k))))
+                for _ in range(per_size)
+            )
+        for X, Y in pairs:
+            checked += 1
+            if max_vertex_disjoint_paths(net, X, Y) != k:
+                return VerificationReport(
+                    "superconcentrator", "refuted", checked,
+                    witness=(tuple(X), tuple(Y)), sample_seed=seed,
+                )
+    verdict = "proved" if exhaustive else "sampled_pass"
+    return VerificationReport("superconcentrator", verdict, checked, sample_seed=seed)
+
+
+def partial_sc_oracle(
+    net: Network, p: int, q: int, budget: int = DEFAULT_BUDGET, rng_seed: int = 0
+) -> VerificationReport:
+    """Check the (p, q)-partial superconcentrator property: equal-size
+    subset pairs with size k in [q, p] need at least k - q disjoint paths."""
+    validate(net)
+    m, n = len(net.inputs), len(net.outputs)
+    if not q <= p <= min(m, n):
+        raise ArityMismatch(f"need q <= p <= min(inputs, outputs), got p={p}, q={q}")
+    sizes = list(range(max(q, 1), p + 1))
+    total = sum(comb(m, k) * comb(n, k) for k in sizes)
+    exhaustive = total <= budget
+    inputs_sorted = sorted(net.inputs)
+    outputs_sorted = sorted(net.outputs)
+    checked = 0
+    seed = None if exhaustive else rng_seed
+    rng = random.Random(rng_seed)
+    for k in sizes:
+        if exhaustive:
+            pairs = (
+                (X, Y)
+                for X in combinations(inputs_sorted, k)
+                for Y in combinations(outputs_sorted, k)
+            )
+        else:
+            per_size = max(1, budget // len(sizes))
+            pairs = (
+                (tuple(sorted(rng.sample(inputs_sorted, k))),
+                 tuple(sorted(rng.sample(outputs_sorted, k))))
+                for _ in range(per_size)
+            )
+        for X, Y in pairs:
+            checked += 1
+            if max_vertex_disjoint_paths(net, X, Y) < k - q:
+                return VerificationReport(
+                    f"partial_sc({p},{q})", "refuted", checked,
+                    witness=(tuple(X), tuple(Y)), sample_seed=seed,
+                )
+    verdict = "proved" if exhaustive else "sampled_pass"
+    return VerificationReport(f"partial_sc({p},{q})", verdict, checked, sample_seed=seed)
+
+
+def sweep_network(rng, i):
+    """Small networks of five kinds: complete bipartite graphs, matchings,
+    random two-layer graphs with one planted isolated output, builder
+    outputs and random DAGs."""
+    m, n = rng.randrange(1, 6), rng.randrange(1, 6)
+    kind = i % 5
+    if kind == 0:
+        return complete_bipartite(m, n)
+    if kind == 1:
+        return Network(m + n, [(j, m + j) for j in range(min(m, n))],
+                       range(m), range(m, m + n))
+    if kind == 2:
+        mid = rng.randrange(1, 5)
+        edges = [(u, v) for u in range(m) for v in range(m + n, m + n + mid)
+                 if rng.random() < 0.7]
+        edges += [(u, v) for u in range(m + n, m + n + mid) for v in range(m, m + n)
+                  if rng.random() < 0.7]
+        isolated = rng.randrange(m, m + n)
+        edges = [(u, v) for u, v in edges if v != isolated]
+        return Network(m + n + mid, edges, range(m), range(m, m + n))
+    if kind == 3:
+        if rng.random() < 0.5:
+            side = rng.randrange(3, 6)
+            return build_partial_sc_depth2(side, rng.randrange(side, 6), 1, rng_seed=i)
+        k = rng.randrange(0, min(m, n) + 1)
+        return build_depth1(ConcentratorParams(m, n, k, rng_seed=i))[0]
+    return random_dag(rng)
+
+
+def test_sweep_matches_the_three_verifier_oracle():
+    rng = random.Random(2024)
+    outcomes = Counter()
+    networks = 0
+    for i in range(400):
+        net = sweep_network(rng, i)
+        if net is None:
+            continue
+        networks += 1
+        m, n = len(net.inputs), len(net.outputs)
+        c = rng.randrange(0, m + 1)
+        p = rng.randrange(0, min(m, n) + 1)
+        q = rng.randrange(0, p + 1)
+        for budget in (DEFAULT_BUDGET, rng.randrange(1, 9)):
+            seed = rng.randrange(100)
+            runs = [
+                ("concentrator", verify_concentrator(net, c, budget, seed),
+                 concentrator_oracle(net, c, budget, seed)),
+                ("sc", verify_superconcentrator(net, budget, seed),
+                 superconcentrator_oracle(net, budget, seed)),
+                ("partial", verify_partial_sc(net, p, q, budget, seed),
+                 partial_sc_oracle(net, p, q, budget, seed)),
+            ]
+            for prop, got, want in runs:
+                assert astuple(got) == astuple(want), (i, prop, budget)
+                mode = "exhaustive" if got.sample_seed is None else "sampled"
+                outcomes[prop, mode, got.ok] += 1
+    assert networks >= 300
+    for prop in ("concentrator", "sc", "partial"):
+        for mode in ("exhaustive", "sampled"):
+            assert outcomes[prop, mode, True] and outcomes[prop, mode, False], (prop, mode)
 
 
 def test_topological_order_and_cycle():
@@ -169,6 +366,22 @@ def test_verify_concentrator_refuted_with_witness():
     assert not rep.ok
 
 
+def test_verify_concentrator_checks_at_least_one_subset():
+    edgeless = Network(5, [], (0, 1, 2), (3, 4))
+    rep = verify_concentrator(edgeless, 2, budget=0)
+    assert rep.verdict == "refuted" and rep.subsets_checked == 1
+
+
+def test_verify_concentrator_size_range():
+    net = complete_bipartite(3, 1)
+    for c in (-1, 4):
+        with pytest.raises(ArityMismatch):
+            verify_concentrator(net, c)
+    # more inputs than outputs is a refutation, not an error
+    rep = verify_concentrator(net, 2)
+    assert rep.verdict == "refuted" and rep.witness == ((0, 1),)
+
+
 def test_verify_superconcentrator_examples():
     rep = verify_superconcentrator(complete_bipartite(3, 3))
     assert rep.verdict == "proved"
@@ -200,8 +413,9 @@ def test_verify_partial_sc_examples():
     assert rep.verdict == "proved"
     rep = verify_partial_sc(empty, 2, 1)
     assert rep.verdict == "refuted"
-    with pytest.raises(ArityMismatch):
-        verify_partial_sc(net, 5, 1)
+    for p, q in ((5, 1), (1, 2)):
+        with pytest.raises(ArityMismatch):
+            verify_partial_sc(net, p, q)
 
 
 def test_serial_compose_identifies_boundary():
