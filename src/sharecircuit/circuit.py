@@ -4,7 +4,7 @@ the share / reconstruct protocol."""
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -15,30 +15,33 @@ from .errors import (
     SingularSubmatrix,
     TooFewInputs,
 )
-from .field import FieldModulus, Matrix, mat_inverse, mat_vec, submatrix
+from .field import FieldModulus, Matrix, check_indices, mat_inverse, mat_vec
 from .network import (
     DEFAULT_BUDGET,
     Network,
-    network_from_dict,
     network_to_dict,
     topological_order,
     validate,
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearCircuit:
     """A network with a field modulus and one coefficient per edge.
 
     Input 0 carries the secret; the remaining inputs carry randomness.
     Coefficients are parallel to net.edges.
+
+    Every non-input vertex is an addition gate. The gate schedule lists them
+    in topological order, each with its (predecessor, coefficient) pairs; it
+    is built once, and the circuit is frozen so that it never goes stale.
     """
 
     net: Network
     modulus: FieldModulus
     coefficients: tuple
     threshold: int
-    secret_input: int = 0
+    schedule: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coefficients) != len(self.net.edges):
@@ -49,6 +52,14 @@ class LinearCircuit:
             raise InvalidArguments(
                 f"need 1 <= t <= min(inputs, outputs), got t={self.threshold}"
             )
+        incoming = [[] for _ in range(self.net.vertex_count)]
+        for (u, v), c in zip(self.net.edges, self.coefficients):
+            incoming[v].append((u, c))
+        inputs = set(self.net.inputs)
+        schedule = tuple(
+            (v, tuple(incoming[v])) for v in topological_order(self.net) if v not in inputs
+        )
+        object.__setattr__(self, "schedule", schedule)
 
 
 @dataclass
@@ -72,10 +83,6 @@ class SchemeReport:
         return self.verdict in ("proved", "sampled_pass")
 
 
-def _sorted_net(net: Network) -> Network:
-    return Network(net.vertex_count, sorted(net.edges), net.inputs, net.outputs)
-
-
 def synthesize(
     net: Network, t: int, modulus: FieldModulus, rng_seed: int = 0
 ) -> LinearCircuit:
@@ -87,48 +94,61 @@ def synthesize(
     validate(net)
     if len(net.inputs) < t:
         raise TooFewInputs(f"network has {len(net.inputs)} inputs, need >= {t}")
-    net = _sorted_net(net)
+    net = Network(net.vertex_count, sorted(net.edges), net.inputs, net.outputs)
     rng = random.Random(rng_seed)
     coeffs = tuple(rng.randrange(modulus.p) for _ in net.edges)
     return LinearCircuit(net, modulus, coeffs, t)
 
 
 def evaluate(circ: LinearCircuit, x) -> list:
-    """Run the circuit on input vector x by one topological forward pass.
-
-    Every non-input vertex is an addition gate: its value is the
-    coefficient-weighted sum over incoming edges.
-    """
+    """Run the circuit on input vector x by one pass over its gate schedule:
+    each gate's value is the coefficient-weighted sum over incoming edges."""
     net = circ.net
     p = circ.modulus.p
     if len(x) != len(net.inputs):
         raise InvalidArguments("input vector length mismatch")
-    incoming = [[] for _ in range(net.vertex_count)]
-    for idx, (u, v) in enumerate(net.edges):
-        incoming[v].append((u, circ.coefficients[idx]))
     values = [0] * net.vertex_count
     for j, v in enumerate(net.inputs):
         values[v] = x[j] % p
-    input_set = set(net.inputs)
-    for v in topological_order(net):
-        if v in input_set:
-            continue
-        values[v] = sum(c * values[u] for u, c in incoming[v]) % p
+    for v, preds in circ.schedule:
+        values[v] = sum(c * values[u] for u, c in preds) % p
     return [values[v] for v in net.outputs]
 
 
-def transfer_matrix(circ: LinearCircuit) -> Matrix:
-    """The n x ell matrix of the circuit's linear map, one forward pass per
-    input with indicator loading (equal to the sum over all paths of the
-    edge-coefficient products)."""
-    ell = len(circ.net.inputs)
-    n = len(circ.net.outputs)
-    cols = []
-    for j in range(ell):
-        indicator = [1 if i == j else 0 for i in range(ell)]
-        cols.append(evaluate(circ, indicator))
-    flat = tuple(cols[j][i] for i in range(n) for j in range(ell))
-    return Matrix(n, ell, flat)
+def transfer_matrix(circ: LinearCircuit, rows=None) -> Matrix:
+    """The n x ell matrix of the circuit's linear map (entry (i, j) is the sum
+    over all input-j to output-i paths of the edge-coefficient products), by
+    one pass over the gate schedule in which every vertex carries its ell
+    coefficients: input j carries the j-th unit vector.
+
+    Given `rows`, a strictly increasing sequence of output indices, returns
+    only those rows, and the pass visits only the ancestors of those outputs.
+    """
+    net = circ.net
+    p = circ.modulus.p
+    ell = len(net.inputs)
+    gates = circ.schedule
+    if rows is None:
+        rows = range(len(net.outputs))
+    else:
+        rows = list(rows)
+        check_indices("row", rows, len(net.outputs))
+        needed = {net.outputs[i] for i in rows}
+        for v, preds in reversed(gates):
+            if v in needed:
+                needed.update(u for u, _ in preds)
+        gates = [gate for gate in gates if gate[0] in needed]
+    coeffs = [None] * net.vertex_count
+    for j, v in enumerate(net.inputs):
+        coeffs[v] = [0] * ell
+        coeffs[v][j] = 1
+    for v, preds in gates:
+        acc = [0] * ell
+        for u, c in preds:
+            acc = [a + c * b for a, b in zip(acc, coeffs[u])]
+        coeffs[v] = [a % p for a in acc]
+    flat = tuple(x for i in rows for x in coeffs[net.outputs[i]])
+    return Matrix(len(rows), ell, flat)
 
 
 def _walk_coalitions(M: Matrix, t: int, p: int):
@@ -243,13 +263,13 @@ def validate_scheme(
 
 
 def share(circ: LinearCircuit, s: int, rng_seed: int = 0) -> ShareVector:
-    """y = M (s, r_1, ..., r_{ell-1})^T with fresh uniform randomness."""
+    """y = M (s, r_1, ..., r_{ell-1})^T with fresh uniform randomness, by one
+    forward evaluation of the circuit."""
     p = circ.modulus.p
     rng = random.Random(rng_seed)
     ell = len(circ.net.inputs)
     x = [s % p] + [rng.randrange(p) for _ in range(ell - 1)]
-    M = transfer_matrix(circ)
-    return ShareVector(tuple(mat_vec(M, x, circ.modulus)), circ.modulus)
+    return ShareVector(tuple(evaluate(circ, x)), circ.modulus)
 
 
 def reconstruct(circ: LinearCircuit, T, y_T) -> int:
@@ -259,8 +279,7 @@ def reconstruct(circ: LinearCircuit, T, y_T) -> int:
     T = sorted(T)
     if len(T) != t or len(y_T) != t:
         raise InvalidArguments(f"need exactly t = {t} shares")
-    M = transfer_matrix(circ)
-    M_T = submatrix(M, T, list(range(M.cols)))
+    M_T = transfer_matrix(circ, T)
     if M_T.rows != M_T.cols:
         raise InvalidArguments("reconstruction requires ell = t inputs")
     try:
@@ -284,20 +303,30 @@ def circuit_to_dict(circ: LinearCircuit) -> dict:
     order = sorted(range(len(circ.net.edges)), key=lambda i: circ.net.edges[i])
     doc["modulus"] = circ.modulus.p
     doc["threshold"] = circ.threshold
-    doc["secret_input"] = circ.secret_input
+    doc["secret_input"] = 0
     doc["coefficients"] = [circ.coefficients[i] for i in order]
     return doc
 
 
 def circuit_from_dict(doc: dict) -> LinearCircuit:
-    net = network_from_dict(doc)
-    net = _sorted_net(net)
+    """Read a circuit document, with its (edge, coefficient) pairs sorted
+    stably by edge; input 0 must carry the secret."""
+    if doc.get("secret_input", 0) != 0:
+        raise InvalidArguments(
+            f"secret_input must be 0 (input 0 carries the secret), got {doc['secret_input']!r}"
+        )
+    net = Network(doc["vertex_count"], doc["edges"], doc["inputs"], doc["outputs"])
+    coefficients = doc["coefficients"]
+    if len(coefficients) != len(net.edges):
+        raise InvalidArguments("one coefficient per edge required")
+    order = sorted(range(len(net.edges)), key=net.edges.__getitem__)
+    net.edges = tuple(net.edges[i] for i in order)
+    validate(net)
     return LinearCircuit(
         net,
         FieldModulus(doc["modulus"]),
-        tuple(doc["coefficients"]),
+        tuple(coefficients[i] for i in order),
         doc["threshold"],
-        doc.get("secret_input", 0),
     )
 
 

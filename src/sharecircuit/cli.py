@@ -115,7 +115,11 @@ def _cmd_share(args):
 
 def _cmd_reconstruct(args):
     circ = circuit.read_circuit(args.circuit)
-    _, entries = circuit.read_shares(args.shares)
+    modulus, entries = circuit.read_shares(args.shares)
+    if modulus != circ.modulus:
+        raise ShareCircuitError(
+            f"share file modulus {modulus.p} differs from the circuit's {circ.modulus.p}"
+        )
     t = circ.threshold
     if len(entries) < t:
         raise ShareCircuitError(f"need at least t = {t} shares, got {len(entries)}")

@@ -110,16 +110,21 @@ def mat_inverse(m: Matrix, modulus: FieldModulus) -> Matrix:
     return Matrix(n, n, tuple(flat))
 
 
+def check_indices(name: str, idx, bound: int) -> None:
+    """Require a strictly increasing index sequence inside [0, bound)."""
+    prev = -1
+    for i in idx:
+        if not 0 <= i < bound:
+            raise IndexOutOfRange(f"{name} index {i} out of range [0, {bound})")
+        if i <= prev:
+            raise IndexOutOfRange(f"{name} indices must be strictly increasing")
+        prev = i
+
+
 def submatrix(m: Matrix, row_idx, col_idx) -> Matrix:
     """Slice by strictly increasing row and column index sequences."""
-    for name, idx, bound in (("row", row_idx, m.rows), ("col", col_idx, m.cols)):
-        prev = -1
-        for i in idx:
-            if not 0 <= i < bound:
-                raise IndexOutOfRange(f"{name} index {i} out of range [0, {bound})")
-            if i <= prev:
-                raise IndexOutOfRange(f"{name} indices must be strictly increasing")
-            prev = i
+    check_indices("row", row_idx, m.rows)
+    check_indices("col", col_idx, m.cols)
     flat = [m.at(r, c) for r in row_idx for c in col_idx]
     return Matrix(len(row_idx), len(col_idx), tuple(flat))
 

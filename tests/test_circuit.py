@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -9,6 +10,8 @@ from scipy.stats import chisquare
 
 from sharecircuit.circuit import (
     LinearCircuit,
+    circuit_from_dict,
+    circuit_to_dict,
     evaluate,
     failure_bound,
     read_circuit,
@@ -24,11 +27,12 @@ from sharecircuit.circuit import (
 from sharecircuit._kernels import _pure
 from sharecircuit.errors import (
     InvalidArguments,
+    SingularMatrix,
     SingularSubmatrix,
     TooFewInputs,
 )
-from sharecircuit.field import FieldModulus, submatrix
-from sharecircuit.network import Network, complete_bipartite
+from sharecircuit.field import FieldModulus, Matrix, mat_inverse, mat_vec, submatrix
+from sharecircuit.network import Network, complete_bipartite, topological_order
 
 GF7 = FieldModulus(7)
 GF101 = FieldModulus(101)
@@ -137,6 +141,138 @@ def test_transfer_matrix_matches_path_enumeration():
         M = transfer_matrix(circ)
         oracle = path_enumeration_transfer(circ)
         assert [list(M.row(i)) for i in range(M.rows)] == oracle
+
+
+def evaluate_per_call(circ, x):
+    """Oracle: a forward pass that rebuilds the incoming-edge lists and the
+    topological order on every call."""
+    net = circ.net
+    p = circ.modulus.p
+    incoming = [[] for _ in range(net.vertex_count)]
+    for idx, (u, v) in enumerate(net.edges):
+        incoming[v].append((u, circ.coefficients[idx]))
+    values = [0] * net.vertex_count
+    for j, v in enumerate(net.inputs):
+        values[v] = x[j] % p
+    input_set = set(net.inputs)
+    for v in topological_order(net):
+        if v in input_set:
+            continue
+        values[v] = sum(c * values[u] for u, c in incoming[v]) % p
+    return [values[v] for v in net.outputs]
+
+
+def transfer_by_columns(circ):
+    """Oracle: M one column at a time, one forward pass per input."""
+    ell, n = len(circ.net.inputs), len(circ.net.outputs)
+    cols = [evaluate_per_call(circ, [1 if i == j else 0 for i in range(ell)])
+            for j in range(ell)]
+    return [[cols[j][i] for j in range(ell)] for i in range(n)]
+
+
+def share_by_matrix(circ, s, rng_seed):
+    """Oracle: y = M x, with share's randomness draws."""
+    p = circ.modulus.p
+    rng = random.Random(rng_seed)
+    x = [s % p] + [rng.randrange(p) for _ in range(len(circ.net.inputs) - 1)]
+    M = transfer_by_columns(circ)
+    return [sum(a * b for a, b in zip(row, x)) % p for row in M]
+
+
+def reconstruct_by_matrix(circ, T, y_T):
+    """Oracle: invert the rows of the full M that belong to T; None when
+    they are singular."""
+    M = transfer_by_columns(circ)
+    M_T = Matrix.from_rows([M[i] for i in sorted(T)])
+    try:
+        inv = mat_inverse(M_T, circ.modulus)
+    except SingularMatrix:
+        return None
+    return mat_vec(inv, list(y_T), circ.modulus)[0]
+
+
+def random_dag_circuit(rng, p):
+    """A random circuit with ell = t: vertices are numbered in a random
+    order (inputs are not numbered first), every non-input vertex takes edges
+    from earlier vertices, including input -> output skip edges, some of
+    them doubled into parallel edges, and the edge list is shuffled."""
+    ell = rng.randrange(1, 5)
+    n = rng.randrange(ell, ell + 5)
+    V = ell + n + rng.randrange(6)
+    order = list(range(V))
+    rng.shuffle(order)  # order[k] is the k-th vertex in a topological order
+    inputs = tuple(order[:ell])
+    outputs = tuple(rng.sample(order[ell:], n))
+    edges = []
+    for k in range(ell, V):
+        for _ in range(rng.randrange(4)):
+            edge = (order[rng.randrange(k)], order[k])
+            edges.extend([edge] * (2 if rng.random() < 0.2 else 1))
+    rng.shuffle(edges)
+    coeffs = tuple(rng.randrange(p) for _ in edges)
+    return LinearCircuit(Network(V, edges, inputs, outputs), FieldModulus(p), coeffs, ell)
+
+
+@pytest.mark.parametrize("p", [7, 101, 2**61 - 1, 2**64 - 59])
+def test_schedule_pass_matches_column_oracle(p):
+    rng = random.Random(p)
+    recovered = singular = skip_edges = parallel_edges = 0
+    for trial in range(60):
+        circ = random_dag_circuit(rng, p)
+        net, t = circ.net, circ.threshold
+        n = len(net.outputs)
+        skip_edges += any(u in net.inputs and v in net.outputs for u, v in net.edges)
+        parallel_edges += len(set(net.edges)) < len(net.edges)
+        M = transfer_by_columns(circ)
+        assert [list(transfer_matrix(circ).row(i)) for i in range(n)] == M
+        rows = sorted(rng.sample(range(n), rng.randrange(n + 1)))
+        M_rows = transfer_matrix(circ, rows)
+        assert (M_rows.rows, M_rows.cols) == (len(rows), t)
+        assert [list(M_rows.row(k)) for k in range(len(rows))] == [M[i] for i in rows]
+        s = rng.randrange(p)
+        y = share(circ, s, rng_seed=trial).values
+        assert list(y) == share_by_matrix(circ, s, trial)
+        T = sorted(rng.sample(range(n), t))
+        y_T = [y[i] for i in T]
+        want = reconstruct_by_matrix(circ, T, y_T)
+        if want is None:
+            singular += 1
+            with pytest.raises(SingularSubmatrix):
+                reconstruct(circ, T, y_T)
+        else:
+            recovered += 1
+            assert reconstruct(circ, T, y_T) == want == s
+    assert recovered and singular and skip_edges and parallel_edges
+
+
+def test_linear_circuit_is_frozen():
+    circ = shamir_like_circuit([1, 2, 3])
+    for name, value in (("threshold", 1), ("coefficients", (0,) * 6),
+                        ("net", circ.net), ("schedule", ())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(circ, name, value)
+
+
+def test_circuit_from_dict_pairs_coefficients_with_unsorted_edges():
+    doc = {"vertex_count": 3, "inputs": [0, 1], "outputs": [2],
+           "edges": [[1, 2], [0, 2]], "modulus": 7, "threshold": 1,
+           "coefficients": [3, 5]}
+    circ = circuit_from_dict(doc)
+    assert evaluate(circ, [1, 0]) == [5]
+    assert evaluate(circ, [0, 1]) == [3]
+    out = circuit_to_dict(circ)
+    assert out["edges"] == [[0, 2], [1, 2]] and out["coefficients"] == [5, 3]
+
+
+def test_circuit_from_dict_secret_input():
+    doc = circuit_to_dict(shamir_like_circuit([1, 2, 3]))
+    assert doc["secret_input"] == 0
+    assert circuit_from_dict(doc).coefficients == tuple(doc["coefficients"])
+    del doc["secret_input"]
+    assert circuit_from_dict(doc).coefficients == tuple(doc["coefficients"])
+    doc["secret_input"] = 1
+    with pytest.raises(InvalidArguments, match="secret_input"):
+        circuit_from_dict(doc)
 
 
 def test_evaluate_is_linear():

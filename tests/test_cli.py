@@ -1,6 +1,16 @@
 import json
+import re
+import shlex
+from pathlib import Path
+
+import pytest
 
 from sharecircuit.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+RESULT_RE = re.compile(r"^RESULT verdict=(\S+) checked=\d+ witness=\S+$", re.M)
+# Exit codes the CLI documents for each verdict.
+EXIT_CODE = {"proved": 0, "sampled_pass": 0, "ok": 0, "refuted": 2}
 
 
 def run(capsys, *argv):
@@ -131,3 +141,66 @@ def test_error_exit_code(capsys, tmp_path):
         code, _, err = run(capsys, "verify-graph", str(graph),
                            "--property", f"concentrator:{k}")
         assert code == 1 and "error:" in err and "Traceback" not in err
+
+
+def shared_circuit(capsys, tmp_path):
+    """A (2, 4) circuit over the default prime, and its share file."""
+    graph, circ, shares = (tmp_path / f"{name}.json" for name in ("g", "c", "s"))
+    run(capsys, "gen-sc", "--inputs", "2", "--outputs", "4", "--out", str(graph))
+    run(capsys, "synth-ss", "--graph", str(graph), "--t", "2", "--out", str(circ))
+    run(capsys, "share", "--circuit", str(circ), "--secret", "5", "--out", str(shares))
+    return circ, shares
+
+
+def test_reconstruct_rejects_a_share_file_of_another_modulus(capsys, tmp_path):
+    circ, shares = shared_circuit(capsys, tmp_path)
+    doc = json.loads(shares.read_text())
+    doc["modulus"] = 101
+    shares.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "reconstruct", "--circuit", str(circ),
+                         "--shares", str(shares))
+    assert code == 1 and "error:" in err and "modulus" in err
+    assert "secret=" not in out
+
+
+@pytest.mark.parametrize("indices", [[0, 4], [-1, 2], [3, 3]],
+                         ids=["out_of_range", "negative", "repeated"])
+def test_reconstruct_rejects_bad_share_indices(capsys, tmp_path, indices):
+    circ, shares = shared_circuit(capsys, tmp_path)
+    doc = json.loads(shares.read_text())
+    doc["shares"] = [[i, 1] for i in indices]
+    shares.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "reconstruct", "--circuit", str(circ),
+                         "--shares", str(shares))
+    assert code == 1 and "error: row ind" in err
+    assert "secret=" not in out
+
+
+def readme_commands():
+    """The argument lists of the `sharecircuit` lines in the README's CLI
+    block, in order."""
+    text = README.read_text()
+    block = text[text.index("## CLI"):]
+    block = block[block.index("```sh\n") + len("```sh\n"):]
+    block = block[:block.index("```")]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("sharecircuit ")]
+
+
+def test_readme_walkthrough(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    verdicts = {}
+    for argv in readme_commands():
+        code, out, err = run(capsys, *argv)
+        found = RESULT_RE.findall(out)
+        # lambda, alpha and bench print no RESULT line.
+        verdict = found[0] if found else "ok"
+        assert len(found) <= 1 and not err, (argv, out, err)
+        assert code == EXIT_CODE[verdict], (argv, code, out)
+        if argv[0] == "reconstruct":
+            assert "secret=424242" in out
+        verdicts[(argv[0], argv[-1])] = verdict
+    assert verdicts[("verify-ss", "circ.json")] == "proved"
+    assert ("reconstruct", "shares.json") in verdicts
+    small = verdicts[("verify-ss", "small.json")]
+    assert small == verdicts[("entropy-verify", "small.json")]
