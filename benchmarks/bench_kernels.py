@@ -9,7 +9,6 @@ import random
 import time
 
 from sharecircuit._kernels import _pure
-from sharecircuit.network import Network, max_vertex_disjoint_paths
 from sharecircuit.superconcentrator import build_sc_depth2
 
 try:
@@ -28,17 +27,15 @@ def time_it(fn, repeats=3):
 
 
 def flow_workload(backend, net, queries):
-    V = net.vertex_count
-    source, sink = 2 * V, 2 * V + 1
-    base_tails = [v for v in range(V)] + [u + V for u, _ in net.edges]
-    base_heads = [v + V for v in range(V)] + [v for _, v in net.edges]
+    """The queries as `max_vertex_disjoint_paths` runs them: on the network's
+    cached split graph, each on a fresh copy of its capacities."""
+    g = net.split_graph
 
     def run():
         total = 0
         for S, T in queries:
-            tails = base_tails + [source] * len(S) + [v + V for v in T]
-            heads = base_heads + list(S) + [sink] * len(T)
-            total += backend.maxflow_unit(2 * V + 2, tails, heads, source, sink)
+            cap = g.capacities(S, T)
+            total += backend.maxflow_unit(g.adj, g.to, cap, g.source, g.sink)
         return total
 
     return run

@@ -32,103 +32,116 @@ cdef unsigned long long powmod_u64(unsigned long long a,
     return result
 
 
-def maxflow_unit(int num_nodes, tails, heads, int source, int sink):
-    """Max flow from source to sink where every arc has capacity 1 (Dinic)."""
-    cdef int n_arcs = len(tails)
-    cdef int n_edges = 2 * n_arcs
-    cdef int *to = <int *> malloc(n_edges * sizeof(int))
-    cdef int *cap = <int *> malloc(n_edges * sizeof(int))
-    cdef int *nxt = <int *> malloc(n_edges * sizeof(int))
-    cdef int *head = <int *> malloc(num_nodes * sizeof(int))
+def maxflow_unit(adj, to, cap, int source, int sink):
+    """Max flow from source to sink on a residual graph, in place (Dinic).
+
+    Same contract as the pure-Python twin: ``adj[u]`` lists the ids of the
+    arcs leaving node u, ``to[e]`` is the head of arc e, ``cap[e]`` its
+    residual capacity (0 or 1) and e ^ 1 its residual twin. ``cap`` is left
+    holding the residual capacities of a maximum flow.
+    """
+    cdef int num_nodes = len(adj)
+    cdef int n_arcs = len(to)
+    if n_arcs % 2 or len(cap) != n_arcs:
+        raise ValueError("to and cap must list the same, even number of arcs")
+    if not (0 <= source < num_nodes and 0 <= sink < num_nodes):
+        raise ValueError("source or sink out of range")
+    # adj as CSR: the arcs leaving u are arcs[first[u]:first[u + 1]].
+    cdef int *first = <int *> malloc((num_nodes + 1) * sizeof(int))
+    cdef int *arcs = <int *> malloc((n_arcs + 1) * sizeof(int))
+    cdef int *head = <int *> malloc((n_arcs + 1) * sizeof(int))
+    cdef int *res = <int *> malloc((n_arcs + 1) * sizeof(int))
     cdef int *level = <int *> malloc(num_nodes * sizeof(int))
     cdef int *it = <int *> malloc(num_nodes * sizeof(int))
-    # DFS stack of (node, edge taken to reach it); depth <= num_nodes.
+    # DFS stack of (node, arc taken to reach it); depth <= num_nodes.
     cdef int *stack_node = <int *> malloc((num_nodes + 1) * sizeof(int))
     cdef int *stack_edge = <int *> malloc((num_nodes + 1) * sizeof(int))
     cdef int *queue = <int *> malloc(num_nodes * sizeof(int))
-    if (to == NULL or cap == NULL or nxt == NULL or head == NULL or
-            level == NULL or it == NULL or stack_node == NULL or
-            stack_edge == NULL or queue == NULL):
-        free(to); free(cap); free(nxt); free(head); free(level)
-        free(it); free(stack_node); free(stack_edge); free(queue)
-        raise MemoryError()
+    cdef int i, k, u, v, e, qh, qt, top, flow, found
+    try:
+        if (first == NULL or arcs == NULL or head == NULL or res == NULL or
+                level == NULL or it == NULL or stack_node == NULL or
+                stack_edge == NULL or queue == NULL):
+            raise MemoryError()
+        k = 0
+        for u in range(num_nodes):
+            first[u] = k
+            for e in adj[u]:
+                if not 0 <= e < n_arcs or k == n_arcs:
+                    raise ValueError("adj holds an arc id out of range, or more ids than arcs")
+                arcs[k] = e
+                k += 1
+        first[num_nodes] = k
+        for e in range(n_arcs):
+            v = to[e]
+            if not 0 <= v < num_nodes:
+                raise ValueError(f"arc {e} heads out of range")
+            head[e] = v
+            res[e] = cap[e]
 
-    cdef int i, u, v, e, qh, qt, top, flow, found
-    for i in range(num_nodes):
-        head[i] = -1
-    for i in range(n_arcs):
-        u = tails[i]
-        v = heads[i]
-        to[2 * i] = v
-        cap[2 * i] = 1
-        nxt[2 * i] = head[u]
-        head[u] = 2 * i
-        to[2 * i + 1] = u
-        cap[2 * i + 1] = 0
-        nxt[2 * i + 1] = head[v]
-        head[v] = 2 * i + 1
-
-    flow = 0
-    with nogil:
-        while True:
-            # BFS level graph.
-            for i in range(num_nodes):
-                level[i] = -1
-            level[source] = 0
-            queue[0] = source
-            qh = 0
-            qt = 1
-            while qh < qt:
-                u = queue[qh]
-                qh += 1
-                e = head[u]
-                while e >= 0:
-                    v = to[e]
-                    if cap[e] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue[qt] = v
-                        qt += 1
-                    e = nxt[e]
-            if level[sink] < 0:
-                break
-            for i in range(num_nodes):
-                it[i] = head[i]
-            # Repeated iterative DFS for augmenting paths of unit flow.
+        flow = 0
+        with nogil:
             while True:
-                top = 0
-                stack_node[0] = source
-                stack_edge[0] = -1
-                found = 0
-                while top >= 0:
-                    u = stack_node[top]
-                    if u == sink:
-                        found = 1
-                        break
-                    e = it[u]
-                    while e >= 0:
-                        v = to[e]
-                        if cap[e] > 0 and level[v] == level[u] + 1:
-                            break
-                        e = nxt[e]
-                    it[u] = e
-                    if e < 0:
-                        level[u] = -1  # dead end, prune
-                        top -= 1
-                    else:
-                        top += 1
-                        stack_node[top] = v
-                        stack_edge[top] = e
-                if not found:
+                # BFS level graph.
+                for i in range(num_nodes):
+                    level[i] = -1
+                level[source] = 0
+                queue[0] = source
+                qh = 0
+                qt = 1
+                while qh < qt:
+                    u = queue[qh]
+                    qh += 1
+                    for k in range(first[u], first[u + 1]):
+                        e = arcs[k]
+                        v = head[e]
+                        if res[e] > 0 and level[v] < 0:
+                            level[v] = level[u] + 1
+                            queue[qt] = v
+                            qt += 1
+                if level[sink] < 0:
                     break
-                for i in range(1, top + 1):
-                    e = stack_edge[i]
-                    cap[e] -= 1
-                    cap[e ^ 1] += 1
-                flow += 1
-
-    free(to); free(cap); free(nxt); free(head); free(level)
-    free(it); free(stack_node); free(stack_edge); free(queue)
-    return flow
+                for i in range(num_nodes):
+                    it[i] = first[i]
+                # Repeated iterative DFS for augmenting paths of unit flow.
+                while True:
+                    top = 0
+                    stack_node[0] = source
+                    stack_edge[0] = -1
+                    found = 0
+                    while top >= 0:
+                        u = stack_node[top]
+                        if u == sink:
+                            found = 1
+                            break
+                        k = it[u]
+                        while k < first[u + 1]:
+                            e = arcs[k]
+                            v = head[e]
+                            if res[e] > 0 and level[v] == level[u] + 1:
+                                break
+                            k += 1
+                        it[u] = k
+                        if k == first[u + 1]:
+                            level[u] = -1  # dead end, prune
+                            top -= 1
+                        else:
+                            top += 1
+                            stack_node[top] = v
+                            stack_edge[top] = e
+                    if not found:
+                        break
+                    for i in range(1, top + 1):
+                        e = stack_edge[i]
+                        res[e] -= 1
+                        res[e ^ 1] += 1
+                    flow += 1
+        for e in range(n_arcs):
+            cap[e] = res[e]
+        return flow
+    finally:
+        free(first); free(arcs); free(head); free(res); free(level)
+        free(it); free(stack_node); free(stack_edge); free(queue)
 
 
 def gf_rank(int rows, int cols, entries, unsigned long long p):

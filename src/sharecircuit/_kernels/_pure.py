@@ -4,79 +4,63 @@ These mirror the compiled kernels in ``_core.pyx``; either backend may be
 selected at import time (see ``__init__``).
 """
 
-from collections import deque
 
+def maxflow_unit(adj, to, cap, source, sink):
+    """Max flow from source to sink on a residual graph, in place.
 
-def maxflow_unit(num_nodes, tails, heads, source, sink):
-    """Max flow from source to sink where every arc has capacity 1.
-
-    ``tails``/``heads`` are parallel sequences describing directed arcs.
-    Dinic's algorithm; with unit capacities the blocking-flow phases
-    terminate after O(sqrt(E)) rounds.
+    ``adj[u]`` lists the ids of the arcs leaving node u, ``to[e]`` is the
+    head of arc e and ``cap[e]`` its residual capacity, 0 or 1. Arc e ^ 1 is
+    the residual twin of arc e. ``cap`` is left holding the residual
+    capacities of a maximum flow. Dinic's algorithm; with unit capacities
+    the blocking-flow phases terminate after O(sqrt(E)) rounds.
     """
-    # Forward arcs at even indices, residual arcs at odd ones.
-    n_arcs = len(tails)
-    to = [0] * (2 * n_arcs)
-    cap = [0] * (2 * n_arcs)
-    adj = [[] for _ in range(num_nodes)]
-    for i in range(n_arcs):
-        u, v = tails[i], heads[i]
-        to[2 * i] = v
-        cap[2 * i] = 1
-        to[2 * i + 1] = u
-        cap[2 * i + 1] = 0
-        adj[u].append(2 * i)
-        adj[v].append(2 * i + 1)
-
-    level = [0] * num_nodes
-    it = [0] * num_nodes
+    num_nodes = len(adj)
     flow = 0
-
-    def bfs():
-        for i in range(num_nodes):
-            level[i] = -1
+    while True:
+        # Level graph: level[v] is v's distance from the source.
+        level = [-1] * num_nodes
         level[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
+        queue = [source]
+        for u in queue:  # the list grows while it is walked: a FIFO queue
+            lv = level[u] + 1
             for e in adj[u]:
                 v = to[e]
-                if cap[e] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
+                if cap[e] and level[v] < 0:
+                    level[v] = lv
                     queue.append(v)
-        return level[sink] >= 0
-
-    def augment():
-        # Iterative DFS along the level graph, so that path length is not
-        # bounded by the interpreter's recursion limit. `path` holds the arcs
-        # from the source to u; a dead end advances its parent's arc pointer.
+        if level[sink] < 0:
+            return flow
+        # Blocking flow by an iterative DFS along the level graph, so that
+        # path length is not bounded by the interpreter's recursion limit.
+        # `path` holds the arcs from the source to u and it[u] is the next
+        # arc of u to try; a dead end advances its parent's arc pointer.
+        it = [0] * num_nodes
         path = []
         u = source
-        while u != sink:
-            while it[u] < len(adj[u]):
-                e = adj[u][it[u]]
-                if cap[e] > 0 and level[to[e]] == level[u] + 1:
+        while True:
+            if u == sink:
+                for e in path:
+                    cap[e] -= 1
+                    cap[e ^ 1] += 1
+                flow += 1
+                path = []
+                u = source
+            arcs = adj[u]
+            i, n, lv = it[u], len(arcs), level[u] + 1
+            while i < n:
+                e = arcs[i]
+                if cap[e] and level[to[e]] == lv:
                     break
-                it[u] += 1
-            else:
-                if not path:
-                    return False
+                i += 1
+            it[u] = i
+            if i < n:
+                path.append(e)
+                u = to[e]
+            elif path:
                 u = to[path.pop() ^ 1]
                 it[u] += 1
-                continue
-            path.append(e)
-            u = to[e]
-        for e in path:
-            cap[e] -= 1
-            cap[e ^ 1] += 1
-        return True
-
-    while bfs():
-        for i in range(num_nodes):
-            it[i] = 0
-        while augment():
-            flow += 1
-    return flow
+            else:
+                break
 
 
 def gf_rank(rows, cols, entries, p):

@@ -20,7 +20,6 @@ from .network import (
     DEFAULT_BUDGET,
     Network,
     network_to_dict,
-    topological_order,
     validate,
 )
 
@@ -57,7 +56,7 @@ class LinearCircuit:
             incoming[v].append((u, c))
         inputs = set(self.net.inputs)
         schedule = tuple(
-            (v, tuple(incoming[v])) for v in topological_order(self.net) if v not in inputs
+            (v, tuple(incoming[v])) for v in self.net.order if v not in inputs
         )
         object.__setattr__(self, "schedule", schedule)
 
@@ -316,18 +315,15 @@ def circuit_from_dict(doc: dict) -> LinearCircuit:
             f"secret_input must be 0 (input 0 carries the secret), got {doc['secret_input']!r}"
         )
     net = Network(doc["vertex_count"], doc["edges"], doc["inputs"], doc["outputs"])
-    coefficients = doc["coefficients"]
+    coefficients = tuple(doc["coefficients"])
     if len(coefficients) != len(net.edges):
         raise InvalidArguments("one coefficient per edge required")
     order = sorted(range(len(net.edges)), key=net.edges.__getitem__)
-    net.edges = tuple(net.edges[i] for i in order)
+    if order != list(range(len(order))):
+        net = Network(net.vertex_count, [net.edges[i] for i in order], net.inputs, net.outputs)
+        coefficients = tuple(coefficients[i] for i in order)
     validate(net)
-    return LinearCircuit(
-        net,
-        FieldModulus(doc["modulus"]),
-        tuple(coefficients[i] for i in order),
-        doc["threshold"],
-    )
+    return LinearCircuit(net, FieldModulus(doc["modulus"]), coefficients, doc["threshold"])
 
 
 def write_circuit(circ: LinearCircuit, path) -> None:

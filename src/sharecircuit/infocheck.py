@@ -4,9 +4,9 @@ in base q, and verify the threshold-scheme entropy conditions."""
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import log
+from math import lcm, log
 
 from .circuit import LinearCircuit, evaluate
 from .errors import InvalidArguments, StateSpaceTooLarge
@@ -19,15 +19,26 @@ MAX_STATES = 10**7
 class JointDistribution:
     """Exact probability table over tuples (S, Y_1, ..., Y_n); S is
     variable 0. Probabilities are exact rationals; entropies go to float
-    only at the final logarithm."""
+    only at the final logarithm.
+
+    `weights` holds the table as integers over the common denominator
+    `denominator`, in the table's order, so that marginals are integer sums.
+    """
 
     variable_count: int
     alphabet: int
     table: dict  # tuple -> Fraction
+    denominator: int = field(init=False, repr=False, compare=False)
+    weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if sum(self.table.values()) != 1:
+        probs = [Fraction(p) for p in self.table.values()]
+        D = lcm(*(p.denominator for p in probs))
+        weights = [p.numerator * (D // p.denominator) for p in probs]
+        if sum(weights) != D:
             raise InvalidArguments("probabilities must sum to exactly 1")
+        self.denominator = D
+        self.weights = tuple(zip(self.table, weights))
 
 
 def enumerate_distribution(circ: LinearCircuit) -> JointDistribution:
@@ -48,9 +59,11 @@ def enumerate_distribution(circ: LinearCircuit) -> JointDistribution:
 
 
 def _marginal(dist: JointDistribution, idx: tuple) -> dict:
-    marg = defaultdict(Fraction)
-    for tup, prob in dist.table.items():
-        marg[tuple(tup[i] for i in idx)] += prob
+    """Marginal weights over `dist.denominator`, keyed by the values of the
+    variables in idx."""
+    marg = defaultdict(int)
+    for tup, w in dist.weights:
+        marg[tuple(tup[i] for i in idx)] += w
     return marg
 
 
@@ -63,10 +76,11 @@ def entropy(dist: JointDistribution, A) -> float:
     if any(not 0 <= i < dist.variable_count for i in idx):
         raise InvalidArguments("variable index out of range")
     lq = log(dist.alphabet)
+    D = dist.denominator
     h = 0.0
-    for prob in _marginal(dist, idx).values():
-        if prob > 0:
-            pf = float(prob)
+    for c in _marginal(dist, idx).values():
+        if c > 0:
+            pf = c / D  # the correctly rounded float of the rational c / D
             h -= pf * log(pf) / lq
     return h
 

@@ -21,46 +21,130 @@ from .errors import (
 DEFAULT_BUDGET = 200_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class Network:
     """DAG with designated ordered input and output vertices.
 
     Multi-edges are allowed (parallel composition can create them);
     vertex-disjointness is unaffected since vertex capacities bind.
+
+    The topological order, the depth and the split graph of the flow
+    queries are computed on first use and cached; the network is frozen so
+    that they never go stale.
     """
 
     vertex_count: int
     edges: tuple
     inputs: tuple
     outputs: tuple
-    _depth: int | None = field(default=None, repr=False, compare=False)
+    _order: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _depth: int | None = field(default=None, init=False, repr=False, compare=False)
+    _split: "SplitGraph | None" = field(default=None, init=False, repr=False, compare=False)
 
-    def __init__(self, vertex_count, edges, inputs, outputs):
-        self.vertex_count = int(vertex_count)
-        self.edges = tuple((int(u), int(v)) for u, v in edges)
-        self.inputs = tuple(int(v) for v in inputs)
-        self.outputs = tuple(int(v) for v in outputs)
-        self._depth = None
+    def __post_init__(self):
+        object.__setattr__(self, "vertex_count", int(self.vertex_count))
+        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
+        object.__setattr__(self, "inputs", tuple(int(v) for v in self.inputs))
+        object.__setattr__(self, "outputs", tuple(int(v) for v in self.outputs))
+
+    @property
+    def order(self) -> tuple:
+        """The vertices in topological order (cached); raises CyclicGraph."""
+        if self._order is None:
+            object.__setattr__(self, "_order", tuple(topological_order(self)))
+        return self._order
 
     @property
     def depth(self) -> int:
         """Longest input-to-output path length in edges (cached)."""
         if self._depth is None:
-            order = topological_order(self)
             dist = [-1] * self.vertex_count
             for v in self.inputs:
                 dist[v] = 0
             succ = [[] for _ in range(self.vertex_count)]
             for u, v in self.edges:
                 succ[u].append(v)
-            for u in order:
+            for u in self.order:
                 if dist[u] < 0:
                     continue
                 for v in succ[u]:
                     if dist[v] < dist[u] + 1:
                         dist[v] = dist[u] + 1
-            self._depth = max((dist[v] for v in self.outputs if dist[v] >= 0), default=0)
+            depth = max((dist[v] for v in self.outputs if dist[v] >= 0), default=0)
+            object.__setattr__(self, "_depth", depth)
         return self._depth
+
+    @property
+    def split_graph(self) -> "SplitGraph":
+        """The residual graph every flow query runs on (cached)."""
+        if self._split is None:
+            object.__setattr__(self, "_split", SplitGraph.build(self))
+        return self._split
+
+
+@dataclass(frozen=True)
+class SplitGraph:
+    """Vertex-split residual graph of a network, shared by its flow queries.
+
+    Vertex v becomes node v (in) and node v + V (out), joined by a
+    capacity-1 arc; edge (u, v) becomes the arc u + V -> v. Node 2V is the
+    source, with one arc to every input, and node 2V + 1 the sink, with one
+    arc from every output; these terminal arcs have base capacity 0, and a
+    query opens the ones of its terminal sets. Arc e is forward when even,
+    and e ^ 1 is its residual twin.
+    """
+
+    adj: list  # node -> ids of the arcs leaving it
+    to: list  # arc id -> head node
+    cap: list  # arc id -> base capacity
+    source_arc: dict  # input vertex -> id of its source arc
+    sink_arc: dict  # output vertex -> id of its sink arc
+
+    @property
+    def source(self) -> int:
+        return len(self.adj) - 2
+
+    @property
+    def sink(self) -> int:
+        return len(self.adj) - 1
+
+    @classmethod
+    def build(cls, net: Network) -> "SplitGraph":
+        V = net.vertex_count
+        source, sink = 2 * V, 2 * V + 1
+        adj = [[] for _ in range(2 * V + 2)]
+        to, cap = [], []
+
+        def arc(u, v, c):
+            adj[u].append(len(to))
+            to.append(v)
+            cap.append(c)
+            adj[v].append(len(to))
+            to.append(u)
+            cap.append(0)
+            return len(to) - 2
+
+        for v in range(V):
+            arc(v, v + V, 1)
+        for u, v in net.edges:
+            arc(u + V, v, 1)
+        source_arc = {v: arc(source, v, 0) for v in net.inputs}
+        sink_arc = {v: arc(v + V, sink, 0) for v in net.outputs}
+        return cls(adj, to, cap, source_arc, sink_arc)
+
+    def capacities(self, S, T) -> list:
+        """A fresh copy of the base capacities with the source arcs of S and
+        the sink arcs of T opened; raises TerminalNotInNetwork unless S is
+        a set of inputs and T a set of outputs."""
+        cap = self.cap[:]
+        for arcs, terminals, role in ((self.source_arc, S, "input"),
+                                      (self.sink_arc, T, "output")):
+            for v in terminals:
+                e = arcs.get(v)
+                if e is None:
+                    raise TerminalNotInNetwork(f"{v} is not an {role} vertex")
+                cap[e] = 1
+        return cap
 
 
 @dataclass
@@ -123,44 +207,24 @@ def validate(net: Network) -> None:
     for v in net.inputs:
         if indeg[v] != 0:
             raise DanglingInputOutput(f"input vertex {v} has incoming edges")
-    topological_order(net)  # raises CyclicGraph
+    net.order  # raises CyclicGraph
 
 
 def max_vertex_disjoint_paths(net: Network, S, T) -> int:
     """Maximum number of vertex-disjoint paths from S (inputs) to T (outputs).
 
     Every vertex is split into an (in, out) pair joined by a capacity-1
-    arc, so the flow value equals the minimum vertex cut by Menger.
+    arc, so the flow value equals the minimum vertex cut by Menger. The
+    split graph is built once per network; each query runs on a fresh copy
+    of its capacities.
     """
     S = tuple(S)
     T = tuple(T)
-    in_set = set(net.inputs)
-    out_set = set(net.outputs)
-    for v in S:
-        if v not in in_set:
-            raise TerminalNotInNetwork(f"{v} is not an input vertex")
-    for v in T:
-        if v not in out_set:
-            raise TerminalNotInNetwork(f"{v} is not an output vertex")
+    g = net.split_graph
+    cap = g.capacities(S, T)
     if not S or not T:
         return 0
-    V = net.vertex_count
-    source, sink = 2 * V, 2 * V + 1
-    tails = []
-    heads = []
-    for v in range(V):
-        tails.append(v)
-        heads.append(v + V)
-    for u, v in net.edges:
-        tails.append(u + V)
-        heads.append(v)
-    for v in S:
-        tails.append(source)
-        heads.append(v)
-    for v in T:
-        tails.append(v + V)
-        heads.append(sink)
-    return maxflow_unit(2 * V + 2, tails, heads, source, sink)
+    return maxflow_unit(g.adj, g.to, cap, g.source, g.sink)
 
 
 def _sample_subsets(rng, universe, size, count):

@@ -22,6 +22,19 @@ def test_backend_selected():
         assert BACKEND == "cython"
 
 
+def residual_graph(num_nodes, tails, heads):
+    """(adj, to, cap) of unit-capacity arcs tails[i] -> heads[i]: forward arc
+    2i, residual twin 2i + 1."""
+    adj = [[] for _ in range(num_nodes)]
+    to, cap = [], []
+    for u, v in zip(tails, heads):
+        adj[u].append(len(to))
+        adj[v].append(len(to) + 1)
+        to += [v, u]
+        cap += [1, 0]
+    return adj, to, cap
+
+
 def random_flow_instance(rng):
     n = rng.randrange(4, 30)
     e = rng.randrange(1, 4 * n)
@@ -36,8 +49,9 @@ def test_maxflow_agreement_random():
     for seed in range(300):
         rng = random.Random(seed)
         n, tails, heads, s, t = random_flow_instance(rng)
-        assert _core.maxflow_unit(n, tails, heads, s, t) == _pure.maxflow_unit(
-            n, tails, heads, s, t
+        adj, to, cap = residual_graph(n, tails, heads)
+        assert _core.maxflow_unit(adj, to, cap[:], s, t) == _pure.maxflow_unit(
+            adj, to, cap[:], s, t
         )
 
 
@@ -69,12 +83,32 @@ def test_gf_rank_large_prime_products():
 
 def test_pure_maxflow_basics():
     # two parallel length-1 paths
-    assert _pure.maxflow_unit(4, [0, 0, 1, 2], [1, 2, 3, 3], 0, 3) == 2
+    assert _pure.maxflow_unit(*residual_graph(4, [0, 0, 1, 2], [1, 2, 3, 3]), 0, 3) == 2
     # no path
-    assert _pure.maxflow_unit(3, [0], [1], 0, 2) == 0
+    assert _pure.maxflow_unit(*residual_graph(3, [0], [1]), 0, 2) == 0
 
 
 def test_pure_rank_basics():
     assert _pure.gf_rank(0, 0, [], 7) == 0
     assert _pure.gf_rank(2, 2, [1, 0, 0, 1], 7) == 2
     assert _pure.gf_rank(2, 2, [1, 2, 2, 4], 7) == 1
+
+
+def test_pure_maxflow_leaves_a_maximum_flow_in_cap():
+    # cap ends as the residual of a flow: conserved at every inner node, of
+    # the returned value at the source and sink, and leaving no augmenting
+    # path (a second run on it finds nothing more).
+    for seed in range(300):
+        rng = random.Random(seed)
+        n, tails, heads, s, t = random_flow_instance(rng)
+        adj, to, cap = residual_graph(n, tails, heads)
+        flow = _pure.maxflow_unit(adj, to, cap, s, t)
+        net = [0] * n
+        for e in range(0, len(to), 2):
+            assert cap[e] + cap[e + 1] == 1 and cap[e] in (0, 1)
+            u, v = to[e + 1], to[e]
+            net[u] -= cap[e + 1]
+            net[v] += cap[e + 1]
+        assert net[t] == -net[s] == flow
+        assert all(net[v] == 0 for v in range(n) if v not in (s, t))
+        assert _pure.maxflow_unit(adj, to, cap, s, t) == 0

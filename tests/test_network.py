@@ -1,12 +1,14 @@
 import json
 import random
-from collections import Counter
-from dataclasses import astuple
+from collections import Counter, deque
+from dataclasses import FrozenInstanceError, astuple
 from itertools import combinations
 from math import comb
 
 import pytest
 
+from sharecircuit import network
+from sharecircuit.circuit import circuit_from_dict, circuit_to_dict, synthesize
 from sharecircuit.concentrator import ConcentratorParams, build_depth1
 from sharecircuit.errors import (
     ArityMismatch,
@@ -15,6 +17,7 @@ from sharecircuit.errors import (
     DuplicateTerminal,
     TerminalNotInNetwork,
 )
+from sharecircuit.field import FieldModulus
 from sharecircuit.network import (
     DEFAULT_BUDGET,
     Network,
@@ -278,12 +281,218 @@ def test_sweep_matches_the_three_verifier_oracle():
             assert outcomes[prop, mode, True] and outcomes[prop, mode, False], (prop, mode)
 
 
+# Flow queries as they were before the split graph was shared: the arc list
+# and the residual graph rebuilt per query. Kept verbatim (renamed) as the
+# oracle for the shared split graph.
+
+
+def rebuilding_max_vertex_disjoint_paths(net: Network, S, T) -> int:
+    """Maximum number of vertex-disjoint paths from S (inputs) to T (outputs).
+
+    Every vertex is split into an (in, out) pair joined by a capacity-1
+    arc, so the flow value equals the minimum vertex cut by Menger.
+    """
+    S = tuple(S)
+    T = tuple(T)
+    in_set = set(net.inputs)
+    out_set = set(net.outputs)
+    for v in S:
+        if v not in in_set:
+            raise TerminalNotInNetwork(f"{v} is not an input vertex")
+    for v in T:
+        if v not in out_set:
+            raise TerminalNotInNetwork(f"{v} is not an output vertex")
+    if not S or not T:
+        return 0
+    V = net.vertex_count
+    source, sink = 2 * V, 2 * V + 1
+    tails = []
+    heads = []
+    for v in range(V):
+        tails.append(v)
+        heads.append(v + V)
+    for u, v in net.edges:
+        tails.append(u + V)
+        heads.append(v)
+    for v in S:
+        tails.append(source)
+        heads.append(v)
+    for v in T:
+        tails.append(v + V)
+        heads.append(sink)
+    return rebuilding_maxflow_unit(2 * V + 2, tails, heads, source, sink)
+
+
+def rebuilding_maxflow_unit(num_nodes, tails, heads, source, sink):
+    """Max flow from source to sink where every arc has capacity 1.
+
+    ``tails``/``heads`` are parallel sequences describing directed arcs.
+    Dinic's algorithm; with unit capacities the blocking-flow phases
+    terminate after O(sqrt(E)) rounds.
+    """
+    # Forward arcs at even indices, residual arcs at odd ones.
+    n_arcs = len(tails)
+    to = [0] * (2 * n_arcs)
+    cap = [0] * (2 * n_arcs)
+    adj = [[] for _ in range(num_nodes)]
+    for i in range(n_arcs):
+        u, v = tails[i], heads[i]
+        to[2 * i] = v
+        cap[2 * i] = 1
+        to[2 * i + 1] = u
+        cap[2 * i + 1] = 0
+        adj[u].append(2 * i)
+        adj[v].append(2 * i + 1)
+
+    level = [0] * num_nodes
+    it = [0] * num_nodes
+    flow = 0
+
+    def bfs():
+        for i in range(num_nodes):
+            level[i] = -1
+        level[source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for e in adj[u]:
+                v = to[e]
+                if cap[e] > 0 and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        return level[sink] >= 0
+
+    def augment():
+        # Iterative DFS along the level graph, so that path length is not
+        # bounded by the interpreter's recursion limit. `path` holds the arcs
+        # from the source to u; a dead end advances its parent's arc pointer.
+        path = []
+        u = source
+        while u != sink:
+            while it[u] < len(adj[u]):
+                e = adj[u][it[u]]
+                if cap[e] > 0 and level[to[e]] == level[u] + 1:
+                    break
+                it[u] += 1
+            else:
+                if not path:
+                    return False
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+                continue
+            path.append(e)
+            u = to[e]
+        for e in path:
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+        return True
+
+    while bfs():
+        for i in range(num_nodes):
+            it[i] = 0
+        while augment():
+            flow += 1
+    return flow
+
+
+def flow_network(rng, i):
+    """Networks of five kinds: random DAGs with parallel and skip edges and
+    vertices numbered in random order, complete bipartite graphs, matchings,
+    depth-1 concentrators and depth-2 partial superconcentrators."""
+    kind = i % 5
+    m, n = rng.randrange(1, 7), rng.randrange(1, 7)
+    if kind == 0:
+        mid = rng.randrange(0, 8)
+        V = m + n + mid
+        rank = list(range(V))  # topological position -> vertex number
+        rng.shuffle(rank)
+        inputs, inner, outputs = rank[:m], rank[m:m + mid], rank[m + mid:]
+        edges = []
+        for a in range(m + mid):  # skip edges jump over layers
+            for b in range(max(a + 1, m), V):
+                if rng.random() < 0.3:
+                    edges.extend([(rank[a], rank[b])] * rng.choice((1, 1, 2, 3)))
+        rng.shuffle(edges)
+        return Network(V, edges, inputs, outputs)
+    if kind == 1:
+        return complete_bipartite(m, n)
+    if kind == 2:
+        return Network(m + n, [(j, m + j) for j in range(min(m, n))],
+                       range(m), range(m, m + n))
+    if kind == 3:
+        k = rng.randrange(0, min(m, n) + 1)
+        return build_depth1(ConcentratorParams(m, n, k, rng_seed=i))[0]
+    side = rng.randrange(3, 6)
+    return build_partial_sc_depth2(side, rng.randrange(side, 7), 1, rng_seed=i)
+
+
+def flow_queries(rng, net):
+    """At least ten (S, T) queries in shuffled order, with repeats: both
+    terminal sets whole, empty ones, single vertices and random subsets,
+    some listed out of order."""
+    xs, ys = list(net.inputs), list(net.outputs)
+
+    def subset(universe):
+        return rng.sample(universe, rng.randrange(1, len(universe) + 1))
+
+    queries = [(xs, ys), (xs, subset(ys)), (subset(xs), ys), ((), subset(ys)),
+               (subset(xs), ()), ((), ()), ([rng.choice(xs)], [rng.choice(ys)])]
+    queries += [(subset(xs), subset(ys)) for _ in range(6)]
+    queries += rng.sample(queries, 4)
+    rng.shuffle(queries)
+    return queries
+
+
+def test_shared_split_graph_matches_the_rebuilding_oracle():
+    rng = random.Random(55)
+    kinds = Counter()
+    for i in range(420):
+        net = flow_network(rng, i)
+        for S, T in flow_queries(rng, net):
+            want = rebuilding_max_vertex_disjoint_paths(net, S, T)
+            assert max_vertex_disjoint_paths(net, S, T) == want, (i, S, T)
+            kinds[i % 5, want > 0] += 1
+    for kind in range(5):
+        assert kinds[kind, True] and kinds[kind, False], kind
+
+
 def test_topological_order_and_cycle():
     net = Network(3, [(0, 1), (1, 2)], (0,), (2,))
     order = topological_order(net)
     assert order.index(0) < order.index(1) < order.index(2)
     with pytest.raises(CyclicGraph):
         topological_order(Network(2, [(0, 1), (1, 0)], (), ()))
+
+
+def test_network_is_frozen():
+    net = complete_bipartite(2, 3)
+    assert net.order and net.depth == 1 and net.split_graph  # fill every cache
+    for name, value in (("vertex_count", 9), ("edges", ()), ("inputs", (1,)),
+                        ("outputs", (4,)), ("_order", None), ("_depth", None),
+                        ("_split", None)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(net, name, value)
+
+
+def test_one_topological_order_per_network(monkeypatch):
+    calls = Counter()
+
+    def counted(net):
+        calls[id(net)] += 1
+        return topological_order(net)
+
+    monkeypatch.setattr(network, "topological_order", counted)
+    net = Network(5, [(3, 4), (0, 2), (2, 3), (1, 3), (0, 4)], (0, 1), (4,))
+    validate(net)
+    assert net.depth == 3 and net.order == tuple(topological_order(net))
+    validate(net)
+    assert list(calls.values()) == [1]
+    circ = circuit_from_dict(circuit_to_dict(synthesize(net, 1, FieldModulus(7))))
+    assert calls[id(circ.net)] == 1
+    cyclic = Network(3, [(0, 1), (1, 2), (2, 1)], (0,), (2,))
+    for _ in range(2):
+        with pytest.raises(CyclicGraph):
+            validate(cyclic)
 
 
 def test_validate_errors():
