@@ -1,7 +1,9 @@
-"""Pure-Python kernels: unit-capacity max-flow and GF(p) matrix rank.
+"""The two kernels of the cost model: unit-capacity max-flow (Menger's
+vertex-disjoint paths, for the connectivity sweeps) and GF(p) matrix rank
+(for the sampled threshold conditions).
 
-These mirror the compiled kernels in ``_core.pyx``; either backend may be
-selected at import time (see ``__init__``).
+Both are plain Python over exact integers, so they hold for every prime
+modulus that ``FieldModulus`` accepts, however wide.
 """
 
 

@@ -19,6 +19,8 @@ from .field import FieldModulus, Matrix, check_indices, mat_inverse, mat_vec
 from .network import (
     DEFAULT_BUDGET,
     Network,
+    check_fields,
+    network_from_fields,
     network_to_dict,
     validate,
 )
@@ -93,7 +95,7 @@ def synthesize(
     validate(net)
     if len(net.inputs) < t:
         raise TooFewInputs(f"network has {len(net.inputs)} inputs, need >= {t}")
-    net = Network(net.vertex_count, sorted(net.edges), net.inputs, net.outputs)
+    net = net.edge_sorted()
     rng = random.Random(rng_seed)
     coeffs = tuple(rng.randrange(modulus.p) for _ in net.edges)
     return LinearCircuit(net, modulus, coeffs, t)
@@ -310,17 +312,18 @@ def circuit_to_dict(circ: LinearCircuit) -> dict:
 def circuit_from_dict(doc: dict) -> LinearCircuit:
     """Read a circuit document, with its (edge, coefficient) pairs sorted
     stably by edge; input 0 must carry the secret."""
+    net = network_from_fields(doc, "circuit")
+    check_fields(doc, "circuit", modulus=int, threshold=int, coefficients=list)
     if doc.get("secret_input", 0) != 0:
         raise InvalidArguments(
             f"secret_input must be 0 (input 0 carries the secret), got {doc['secret_input']!r}"
         )
-    net = Network(doc["vertex_count"], doc["edges"], doc["inputs"], doc["outputs"])
     coefficients = tuple(doc["coefficients"])
     if len(coefficients) != len(net.edges):
         raise InvalidArguments("one coefficient per edge required")
     order = sorted(range(len(net.edges)), key=net.edges.__getitem__)
     if order != list(range(len(order))):
-        net = Network(net.vertex_count, [net.edges[i] for i in order], net.inputs, net.outputs)
+        net = net.edge_sorted()
         coefficients = tuple(coefficients[i] for i in order)
     validate(net)
     return LinearCircuit(net, FieldModulus(doc["modulus"]), coefficients, doc["threshold"])
@@ -352,4 +355,9 @@ def read_shares(path) -> tuple:
     """Returns (modulus, list of (index, value))."""
     with open(path) as fh:
         doc = json.load(fh)
-    return FieldModulus(doc["modulus"]), [(int(i), int(v)) for i, v in doc["shares"]]
+    check_fields(doc, "share file", modulus=int, shares=list)
+    try:
+        entries = [(int(i), int(v)) for i, v in doc["shares"]]
+    except TypeError as exc:
+        raise InvalidArguments(f"share file entries must be [index, value] pairs: {exc}") from None
+    return FieldModulus(doc["modulus"]), entries

@@ -168,6 +168,10 @@ def _cmd_alpha(args):
 
 def _cmd_bench(args):
     sizes = [int(s) for s in args.sizes.split(",")]
+    # sc-depth2's edge ratio divides by log2 n, which is 0 at n = 1
+    least = 2 if args.builder == "sc-depth2" else 1
+    if min(sizes) < least:
+        raise ShareCircuitError(f"{args.builder} needs sizes >= {least}, got {min(sizes)}")
     writer = csv.writer(sys.stdout)
     writer.writerow(["builder", "n", "m", "edges", "ratio"])
     for n in sizes:

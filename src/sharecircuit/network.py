@@ -15,6 +15,7 @@ from .errors import (
     CyclicGraph,
     DanglingInputOutput,
     DuplicateTerminal,
+    InvalidArguments,
     TerminalNotInNetwork,
 )
 
@@ -80,6 +81,14 @@ class Network:
         if self._split is None:
             object.__setattr__(self, "_split", SplitGraph.build(self))
         return self._split
+
+    def edge_sorted(self) -> "Network":
+        """This network with its edges in sorted order. The vertices and the
+        edge multiset are the same, so a cached topological order carries
+        over."""
+        net = Network(self.vertex_count, sorted(self.edges), self.inputs, self.outputs)
+        object.__setattr__(net, "_order", self._order)
+        return net
 
 
 @dataclass(frozen=True)
@@ -380,8 +389,28 @@ def network_to_dict(net: Network) -> dict:
     }
 
 
+def check_fields(doc, what: str, **fields) -> None:
+    """Raise InvalidArguments unless doc is a JSON object holding every named
+    field with a value of the given type."""
+    if not isinstance(doc, dict):
+        raise InvalidArguments(f"{what} must be a JSON object, not {type(doc).__name__}")
+    for name, kind in fields.items():
+        if not isinstance(doc.get(name), kind):
+            raise InvalidArguments(f"{what} needs a field {name!r} of type {kind.__name__}")
+
+
+def network_from_fields(doc, what: str) -> Network:
+    """The (unvalidated) network that a graph or circuit document holds;
+    raises InvalidArguments when the document is not shaped like one."""
+    check_fields(doc, what, vertex_count=int, edges=list, inputs=list, outputs=list)
+    try:
+        return Network(doc["vertex_count"], doc["edges"], doc["inputs"], doc["outputs"])
+    except TypeError as exc:
+        raise InvalidArguments(f"{what} has a malformed edge or terminal list: {exc}") from None
+
+
 def network_from_dict(doc: dict) -> Network:
-    net = Network(doc["vertex_count"], doc["edges"], doc["inputs"], doc["outputs"])
+    net = network_from_fields(doc, "network")
     validate(net)
     return net
 

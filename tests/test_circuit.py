@@ -24,7 +24,7 @@ from sharecircuit.circuit import (
     write_circuit,
     write_shares,
 )
-from sharecircuit._kernels import _pure
+from sharecircuit import _kernels, network
 from sharecircuit.errors import (
     InvalidArguments,
     SingularMatrix,
@@ -83,6 +83,22 @@ def test_synthesize_basic():
     assert again.coefficients == circ.coefficients
     other = synthesize(net, 2, GF7, rng_seed=1)
     assert other.coefficients != circ.coefficients
+
+
+def test_synthesize_computes_one_topological_order(monkeypatch):
+    # the edge-sorted copy reuses the order that validating the given
+    # network cached, and its gate schedule still runs every edge forward
+    calls = []
+    monkeypatch.setattr(network, "topological_order",
+                        lambda net: calls.append(net) or topological_order(net))
+    net = Network(5, [(3, 4), (0, 2), (2, 3), (1, 3), (0, 4), (1, 2)], (0, 1), (3, 4))
+    circ = synthesize(net, 2, GF101, rng_seed=3)
+    assert len(calls) == 1
+    assert circ.net.edges == tuple(sorted(net.edges))
+    position = {v: i for i, v in enumerate(circ.net.order)}
+    assert all(position[u] < position[v] for u, v in circ.net.edges)
+    M = transfer_matrix(circ)
+    assert [list(M.row(i)) for i in range(M.rows)] == path_enumeration_transfer(circ)
 
 
 def test_synthesize_too_few_inputs():
@@ -319,14 +335,14 @@ def matrix_circuit(rows, p, t):
 def coalition_by_coalition(circ, budget, rng_seed=0):
     """Oracle for validate_scheme: every coalition checked on its own by
     eliminations from scratch, all size-t coalitions before size t-1, with
-    the sampled mode's draws. Ranks come from the pure kernel, which is exact
+    the sampled mode's draws. Ranks come from the rank kernel, which is exact
     for every modulus."""
     M = transfer_matrix(circ)
     t, n, ell, p = circ.threshold, M.rows, M.cols, circ.modulus.p
 
     def rank(T, cols):
         S = submatrix(M, list(T), list(cols))
-        return _pure.gf_rank(S.rows, S.cols, list(S.entries), p)
+        return _kernels.gf_rank(S.rows, S.cols, list(S.entries), p)
 
     exhaustive = comb(n, t) + comb(n, t - 1) <= budget
     rng = random.Random(rng_seed)

@@ -152,6 +152,32 @@ def shared_circuit(capsys, tmp_path):
     return circ, shares
 
 
+def test_malformed_input_files_are_errors(capsys, tmp_path):
+    circ, shares = shared_circuit(capsys, tmp_path)
+    a_list = tmp_path / "list.json"
+    a_list.write_text("[1, 2]")
+
+    def without(path, key):
+        doc = json.loads(path.read_text())
+        del doc[key]
+        out = tmp_path / f"no-{key}.json"
+        out.write_text(json.dumps(doc))
+        return str(out)
+
+    cases = [
+        ("verify-ss", "--circuit", without(circ, "coefficients")),
+        ("verify-graph", str(a_list), "--property", "sc"),
+        ("verify-ss", "--circuit", str(a_list)),
+        ("reconstruct", "--circuit", str(circ), "--shares", without(shares, "shares")),
+        ("bench", "--sizes", "1"),
+        ("bench", "--builder", "sc-depth2-linear", "--sizes", "0"),
+    ]
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("error:"), argv
+        assert "RESULT" not in out, argv
+
+
 def test_reconstruct_rejects_a_share_file_of_another_modulus(capsys, tmp_path):
     circ, shares = shared_circuit(capsys, tmp_path)
     doc = json.loads(shares.read_text())

@@ -1,25 +1,11 @@
-"""Cross-check the compiled kernels against the pure-Python reference on
-random instances; both backends must agree exactly."""
+"""The max-flow and GF(p) rank kernels against exact oracles on seeded
+random instances."""
 
-import os
 import random
 
 import pytest
 
-from sharecircuit._kernels import BACKEND, _pure
-
-try:
-    from sharecircuit._kernels import _core
-except ImportError:  # pragma: no cover - compiled backend unavailable
-    _core = None
-
-needs_core = pytest.mark.skipif(_core is None, reason="compiled kernels not built")
-
-
-def test_backend_selected():
-    assert BACKEND in ("cython", "pure")
-    if _core is not None and not os.environ.get("SHARECIRCUIT_PURE"):
-        assert BACKEND == "cython"
+from sharecircuit import _kernels
 
 
 def residual_graph(num_nodes, tails, heads):
@@ -44,54 +30,17 @@ def random_flow_instance(rng):
     return n, tails, heads, s, t
 
 
-@needs_core
-def test_maxflow_agreement_random():
-    for seed in range(300):
-        rng = random.Random(seed)
-        n, tails, heads, s, t = random_flow_instance(rng)
-        adj, to, cap = residual_graph(n, tails, heads)
-        assert _core.maxflow_unit(adj, to, cap[:], s, t) == _pure.maxflow_unit(
-            adj, to, cap[:], s, t
-        )
-
-
-@needs_core
-def test_gf_rank_agreement_random():
-    for seed in range(200):
-        rng = random.Random(seed)
-        p = rng.choice([3, 7, 101, 10007, 2**61 - 1])
-        rows = rng.randrange(1, 16)
-        cols = rng.randrange(1, 16)
-        entries = [rng.randrange(p) for _ in range(rows * cols)]
-        assert _core.gf_rank(rows, cols, entries, p) == _pure.gf_rank(
-            rows, cols, entries, p
-        )
-
-
-@needs_core
-def test_gf_rank_large_prime_products():
-    # exercise the 128-bit modmul path: entries near p for p = 2^61 - 1
-    p = 2**61 - 1
-    rng = random.Random(7)
-    for _ in range(20):
-        rows = cols = 6
-        entries = [p - 1 - rng.randrange(1000) for _ in range(rows * cols)]
-        assert _core.gf_rank(rows, cols, entries, p) == _pure.gf_rank(
-            rows, cols, entries, p
-        )
-
-
 def test_pure_maxflow_basics():
     # two parallel length-1 paths
-    assert _pure.maxflow_unit(*residual_graph(4, [0, 0, 1, 2], [1, 2, 3, 3]), 0, 3) == 2
+    assert _kernels.maxflow_unit(*residual_graph(4, [0, 0, 1, 2], [1, 2, 3, 3]), 0, 3) == 2
     # no path
-    assert _pure.maxflow_unit(*residual_graph(3, [0], [1]), 0, 2) == 0
+    assert _kernels.maxflow_unit(*residual_graph(3, [0], [1]), 0, 2) == 0
 
 
 def test_pure_rank_basics():
-    assert _pure.gf_rank(0, 0, [], 7) == 0
-    assert _pure.gf_rank(2, 2, [1, 0, 0, 1], 7) == 2
-    assert _pure.gf_rank(2, 2, [1, 2, 2, 4], 7) == 1
+    assert _kernels.gf_rank(0, 0, [], 7) == 0
+    assert _kernels.gf_rank(2, 2, [1, 0, 0, 1], 7) == 2
+    assert _kernels.gf_rank(2, 2, [1, 2, 2, 4], 7) == 1
 
 
 def test_pure_maxflow_leaves_a_maximum_flow_in_cap():
@@ -102,7 +51,7 @@ def test_pure_maxflow_leaves_a_maximum_flow_in_cap():
         rng = random.Random(seed)
         n, tails, heads, s, t = random_flow_instance(rng)
         adj, to, cap = residual_graph(n, tails, heads)
-        flow = _pure.maxflow_unit(adj, to, cap, s, t)
+        flow = _kernels.maxflow_unit(adj, to, cap, s, t)
         net = [0] * n
         for e in range(0, len(to), 2):
             assert cap[e] + cap[e + 1] == 1 and cap[e] in (0, 1)
@@ -111,4 +60,57 @@ def test_pure_maxflow_leaves_a_maximum_flow_in_cap():
             net[v] += cap[e + 1]
         assert net[t] == -net[s] == flow
         assert all(net[v] == 0 for v in range(n) if v not in (s, t))
-        assert _pure.maxflow_unit(adj, to, cap, s, t) == 0
+        assert _kernels.maxflow_unit(adj, to, cap, s, t) == 0
+
+
+def oracle_rank(rows, cols, entries, p):
+    """Rank over GF(p) by fraction-free elimination: a row is cleared at the
+    pivot column by row' = a * row - b * pivot_row, which needs no field
+    inverse. Python integers keep every step exact at any width of p."""
+    mat = [[entries[r * cols + c] % p for c in range(cols)] for r in range(rows)]
+    rank = 0
+    for c in range(cols):
+        pivot = next((r for r in range(rank, rows) if mat[r][c]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        for r in range(rank + 1, rows):
+            b = mat[r][c]
+            if b:
+                mat[r] = [(top[c] * x - b * y) % p for x, y in zip(mat[r], top)]
+        rank += 1
+    return rank
+
+
+def random_rank_instance(rng, p):
+    """A rows x cols matrix (each 1..12) with entries in [-p, 2p), so that the
+    kernel's own reduction is exercised, and with rank-deficient rows planted
+    in most draws: copies, zero rows and multiples of other rows."""
+    rows, cols = rng.randrange(1, 13), rng.randrange(1, 13)
+    mat = [[rng.randrange(-p, 2 * p) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(rng.randrange(rows)):
+        i, j = rng.randrange(rows), rng.randrange(rows)
+        kind = rng.choice(("copy", "zero", "multiple"))
+        if kind == "copy":
+            mat[i] = mat[j][:]
+        elif kind == "zero":
+            mat[i] = [0] * cols
+        else:
+            k = rng.randrange(1, p)
+            mat[i] = [k * x for x in mat[j]]
+    return rows, cols, [x for row in mat for x in row]
+
+
+# Small primes, the 61-bit default, and two moduli past 64-bit words:
+# 2^64 - 59 (the largest 64-bit prime) and the Mersenne prime 2^89 - 1.
+@pytest.mark.parametrize("p", [3, 7, 101, 2**61 - 1, 2**64 - 59, 2**89 - 1])
+def test_gf_rank_matches_fraction_free_oracle(p):
+    deficient = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        rows, cols, entries = random_rank_instance(rng, p)
+        rank = _kernels.gf_rank(rows, cols, entries, p)
+        assert rank == oracle_rank(rows, cols, entries, p), (seed, rows, cols)
+        deficient += rank < min(rows, cols)
+    assert deficient >= 50  # the planted dependencies are really exercised
