@@ -1,8 +1,9 @@
-"""The two kernels of the cost model: unit-capacity max-flow (Menger's
-vertex-disjoint paths, for the connectivity sweeps) and GF(p) matrix rank
-(for the sampled threshold conditions).
+"""The kernels of the cost model: unit-capacity max-flow (Menger's
+vertex-disjoint paths, for the connectivity sweeps), one fraction-free
+row-reduction step over GF(p) (for the sampled threshold conditions and the
+path-matrix certificate of the pair sweeps), and GF(p) matrix rank.
 
-Both are plain Python over exact integers, so they hold for every prime
+All are plain Python over exact integers, so they hold for every prime
 modulus that ``FieldModulus`` accepts, however wide.
 """
 
@@ -63,6 +64,29 @@ def maxflow_unit(adj, to, cap, source, sink):
                 it[u] += 1
             else:
                 break
+
+
+def reduce_row(basis, row, p):
+    """Reduce ``row`` against an echelon basis over GF(p) and return its pivot.
+
+    ``basis`` is a list of (pivot column, row) pairs, each row zero on the
+    pivot columns of the pairs before it; entries lie in [0, p). Each pair
+    (c, b) clears column c by ``row <- b[c]*row - row[c]*b`` (mod p), a
+    nonzero multiple of the reduced row, so no field inverse is needed. A
+    row that reduces to zero leaves the basis as it is and gives -1; any
+    other row is appended with its first nonzero column as pivot, which is
+    returned. The basis has as many pairs as its rows have rank.
+    """
+    for c, b in basis:
+        y = row[c]
+        if y:
+            a = b[c]
+            row = [(a * x - y * z) % p for x, z in zip(row, b)]
+    for c, x in enumerate(row):
+        if x:
+            basis.append((c, row))
+            return c
+    return -1
 
 
 def gf_rank(rows, cols, entries, p):

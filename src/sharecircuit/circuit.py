@@ -220,12 +220,19 @@ def _walk_coalitions(M: Matrix, t: int, p: int):
 
 
 def _coalition_holds(rows, T, t: int, p: int) -> bool:
-    """Both rank conditions on one coalition, by the rank kernel on its rows."""
-    ell = len(rows[0])
-    if len(T) == t and _kernels.gf_rank(t, ell, [x for i in T for x in rows[i]], p) != t:
-        return False
-    r_part = [x for i in T for x in rows[i][1:]]
-    return _kernels.gf_rank(len(T), ell - 1, r_part, p) == t - 1
+    """Both rank conditions on one coalition, by one fraction-free elimination
+    over its rows. Their columns are ordered randomness first, secret last,
+    as in `_walk_coalitions`, so a row pivots on the secret column only when
+    its randomness part is reduced to zero. A size-t coalition holds iff its
+    rows give t pivots, one of them on the secret column; a size-(t-1) one
+    iff they give t-1 pivots, none on it."""
+    basis, secret = [], False
+    for i in T:
+        c = _kernels.reduce_row(basis, rows[i], p)
+        if c < 0:
+            return False
+        secret |= c == len(rows[i]) - 1
+    return secret == (len(T) == t)
 
 
 def validate_scheme(
@@ -236,7 +243,7 @@ def validate_scheme(
 
     When all C(n,t) + C(n,t-1) coalitions fit in the budget the sweep is
     exhaustive (one prefix-tree walk); otherwise budget // 2 coalitions of
-    each size are drawn from rng_seed."""
+    each size are drawn from rng_seed, each checked by one elimination."""
     M = transfer_matrix(circ)
     t = circ.threshold
     n = M.rows
@@ -246,7 +253,7 @@ def validate_scheme(
         verdict = "proved" if witness is None else "refuted"
         return SchemeReport(recover_checks, privacy_checks, "exhaustive", verdict, witness)
     rng = random.Random(rng_seed)
-    rows = [M.row(i) for i in range(n)]
+    rows = [M.row(i)[1:] + M.row(i)[:1] for i in range(n)]
     outputs = list(range(n))
     recover_checks = privacy_checks = 0
     for size in (t, t - 1):
@@ -311,22 +318,31 @@ def circuit_to_dict(circ: LinearCircuit) -> dict:
 
 def circuit_from_dict(doc: dict) -> LinearCircuit:
     """Read a circuit document, with its (edge, coefficient) pairs sorted
-    stably by edge; input 0 must carry the secret."""
+    stably by edge; input 0 must carry the secret, and every coefficient
+    must be an integer in [0, p)."""
     net = network_from_fields(doc, "circuit")
     check_fields(doc, "circuit", modulus=int, threshold=int, coefficients=list)
     if doc.get("secret_input", 0) != 0:
         raise InvalidArguments(
             f"secret_input must be 0 (input 0 carries the secret), got {doc['secret_input']!r}"
         )
+    modulus = FieldModulus(doc["modulus"])
     coefficients = tuple(doc["coefficients"])
     if len(coefficients) != len(net.edges):
         raise InvalidArguments("one coefficient per edge required")
+    # Field elements are ints in [0, p); bool is an int subclass but no element.
+    p = modulus.p
+    if not set(map(type, coefficients)) <= {int} or (
+        coefficients and not 0 <= min(coefficients) <= max(coefficients) < p
+    ):
+        bad = next(c for c in coefficients if type(c) is not int or not 0 <= c < p)
+        raise InvalidArguments(f"coefficients must be integers in [0, {p}), got {bad!r}")
     order = sorted(range(len(net.edges)), key=net.edges.__getitem__)
     if order != list(range(len(order))):
         net = net.edge_sorted()
         coefficients = tuple(coefficients[i] for i in order)
     validate(net)
-    return LinearCircuit(net, FieldModulus(doc["modulus"]), coefficients, doc["threshold"])
+    return LinearCircuit(net, modulus, coefficients, doc["threshold"])
 
 
 def write_circuit(circ: LinearCircuit, path) -> None:

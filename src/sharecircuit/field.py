@@ -9,11 +9,13 @@ from .errors import IndexOutOfRange, InvalidArguments, SingularMatrix
 # Schwartz-Zippel failure bound at any desk-scale (depth, n, t).
 DEFAULT_PRIME = 2**61 - 1
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n < 3.3e24."""
+    """Miller-Rabin to the 13 prime bases 2..41, which is exact for all
+    n < 3.3e24. Above that bound it is a strong probable-prime test: a
+    composite that is a strong pseudoprime to all 13 bases passes."""
     if n < 2:
         return False
     for q in _MR_WITNESSES:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from ._kernels import maxflow_unit
+from ._kernels import maxflow_unit, reduce_row
 from .errors import (
     ArityMismatch,
     CyclicGraph,
@@ -18,8 +18,16 @@ from .errors import (
     InvalidArguments,
     TerminalNotInNetwork,
 )
+from .field import DEFAULT_PRIME
 
 DEFAULT_BUDGET = 200_000
+
+# The path matrix's edge weights come from a fixed stream of their own, so
+# that drawing them moves no sampled pair of a sweep. Its certificate is
+# sound for any weights; random ones over a large prime only make a zero
+# minor on a true linkage unlikely (at most k * depth / p, Schwartz-Zippel).
+CERTIFICATE_PRIME = DEFAULT_PRIME
+CERTIFICATE_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -29,9 +37,9 @@ class Network:
     Multi-edges are allowed (parallel composition can create them);
     vertex-disjointness is unaffected since vertex capacities bind.
 
-    The topological order, the depth and the split graph of the flow
-    queries are computed on first use and cached; the network is frozen so
-    that they never go stale.
+    The topological order, the depth, the split graph of the flow queries
+    and the path matrix of the pair sweeps are computed on first use and
+    cached; the network is frozen so that they never go stale.
     """
 
     vertex_count: int
@@ -41,6 +49,7 @@ class Network:
     _order: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _depth: int | None = field(default=None, init=False, repr=False, compare=False)
     _split: "SplitGraph | None" = field(default=None, init=False, repr=False, compare=False)
+    _paths: "PathMatrix | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertex_count", int(self.vertex_count))
@@ -81,6 +90,13 @@ class Network:
         if self._split is None:
             object.__setattr__(self, "_split", SplitGraph.build(self))
         return self._split
+
+    @property
+    def path_matrix(self) -> "PathMatrix":
+        """The weighted path matrix the pair sweeps certify with (cached)."""
+        if self._paths is None:
+            object.__setattr__(self, "_paths", PathMatrix.build(self))
+        return self._paths
 
     def edge_sorted(self) -> "Network":
         """This network with its edges in sorted order. The vertices and the
@@ -154,6 +170,67 @@ class SplitGraph:
                     raise TerminalNotInNetwork(f"{v} is not an {role} vertex")
                 cap[e] = 1
         return cap
+
+
+@dataclass(frozen=True)
+class PathMatrix:
+    """Path matrix M of a network under random edge weights over GF(p):
+    ``rows[y][column[x]]`` is the sum, over the paths from input x to output
+    y, of the products of their edge weights.
+
+    By the Lindstrom-Gessel-Viennot lemma, det M[Y, X] is a signed sum over
+    the systems of |X| vertex-disjoint paths from X to Y, so it is zero
+    whatever the weights when there is no such system. A nonzero minor
+    therefore proves one, and rank M[Y, X] >= r proves r vertex-disjoint
+    paths from X to Y. A zero minor proves nothing.
+    """
+
+    p: int
+    column: dict  # input vertex -> column index
+    rows: dict  # output vertex -> its row over the inputs
+
+    @classmethod
+    def build(cls, net: Network) -> "PathMatrix":
+        """One pass in topological order in which every vertex carries its
+        row over the inputs: E * len(inputs) multiply-adds. A row is dropped
+        once the last successor of its vertex has read it."""
+        p, ell = CERTIFICATE_PRIME, len(net.inputs)
+        rng = random.Random(CERTIFICATE_SEED)
+        preds = [[] for _ in range(net.vertex_count)]
+        unread = [0] * net.vertex_count
+        for u, v in net.edges:
+            preds[v].append((u, rng.randrange(p)))
+            unread[u] += 1
+        keep = set(net.outputs)
+        row = [[0] * ell] * net.vertex_count
+        for j, v in enumerate(net.inputs):
+            row[v] = [0] * ell
+            row[v][j] = 1
+        for v in net.order:
+            if not preds[v]:
+                continue
+            acc = [0] * ell
+            for u, w in preds[v]:
+                acc = [a + w * b for a, b in zip(acc, row[u])]
+                unread[u] -= 1
+                if not unread[u] and u not in keep:
+                    row[u] = None
+            row[v] = [a % p for a in acc]
+        column = {x: j for j, x in enumerate(net.inputs)}
+        return cls(p, column, {y: row[y] for y in net.outputs})
+
+    def certifies(self, X, Y, r: int) -> bool:
+        """True when rank M[Y, X] >= r, which proves r vertex-disjoint paths
+        from X to Y; False proves nothing. One fraction-free elimination over
+        the rows of Y, stopped as soon as the answer is known."""
+        cols = [self.column[x] for x in X]
+        basis = []
+        for i, y in enumerate(Y):
+            if len(basis) >= r or len(basis) + len(Y) - i < r:
+                break
+            row = self.rows[y]
+            reduce_row(basis, [row[j] for j in cols], self.p)
+        return len(basis) >= r
 
 
 @dataclass
@@ -255,7 +332,18 @@ def _sweep(net, name, lo, hi, slack, budget, rng_seed, all_outputs=False):
     the outputs (or with all outputs when `all_outputs`), needs at least
     k - slack vertex-disjoint paths. Exhaustive when the pairs fit the
     budget; otherwise max(1, budget // number of sizes) seeded draws per
-    size, so a sampled sweep never passes without a check."""
+    size, so a sampled sweep never passes without a check.
+
+    A pair may first be offered to the network's path matrix: rank
+    M[Y, X] >= k - slack proves it, and no flow runs. Otherwise max-flow
+    decides, so every refutation and every report is the flow sweep's. The
+    certificate is used where it costs less than the flows it saves: a k x k
+    elimination costs less than one flow query while k^3 <= E (E edges),
+    and building the matrix costs about as much as one flow query per
+    input. So the sizes with k^3 <= E are certified, and only when the
+    sweep has at least one such pair per input. The all-outputs sweep runs
+    max-flow alone: on the depth-1 graphs that the builders sweep, a dense
+    elimination costs as much as Dinic."""
     validate(net)
     xs, ys = sorted(net.inputs), sorted(net.outputs)
     limit = len(xs) if all_outputs else min(len(xs), len(ys))
@@ -265,10 +353,10 @@ def _sweep(net, name, lo, hi, slack, budget, rng_seed, all_outputs=False):
     total = sum(comb(len(xs), k) * (1 if all_outputs else comb(len(ys), k))
                 for k in sizes)
     exhaustive = total <= budget
+    draws = max(1, budget // max(1, len(sizes)))
     rng = random.Random(rng_seed)
 
     def pairs(k):
-        draws = max(1, budget // len(sizes))
         if all_outputs:
             subsets = (combinations(xs, k) if exhaustive
                        else _sample_subsets(rng, xs, k, draws))
@@ -278,9 +366,16 @@ def _sweep(net, name, lo, hi, slack, budget, rng_seed, all_outputs=False):
         return ((tuple(sorted(rng.sample(xs, k))), tuple(sorted(rng.sample(ys, k))))
                 for _ in range(draws))
 
+    cheap = [] if all_outputs else [k for k in sizes if k ** 3 <= len(net.edges)]
+    cheap_pairs = sum(comb(len(xs), k) * comb(len(ys), k) if exhaustive else draws
+                      for k in cheap)
+    certified = set(cheap) if cheap_pairs >= len(xs) else set()
+    paths = net.path_matrix if certified else None
     checked, witness = 0, None
     for k, X, Y in ((k, X, Y) for k in sizes for X, Y in pairs(k)):
         checked += 1
+        if k in certified and paths.certifies(X, Y, k - slack):
+            continue
         if max_vertex_disjoint_paths(net, X, Y) < k - slack:
             witness = (X,) if all_outputs else (X, Y)
             break

@@ -178,6 +178,21 @@ def test_malformed_input_files_are_errors(capsys, tmp_path):
         assert "RESULT" not in out, argv
 
 
+@pytest.mark.parametrize("bad", ["x", None, 2.5, -5, 10**30, True],
+                         ids=["string", "null", "float", "negative", "too_large", "bool"])
+def test_coefficients_outside_the_field_are_errors(capsys, tmp_path, bad):
+    circ, _ = shared_circuit(capsys, tmp_path)
+    doc = json.loads(circ.read_text())
+    doc["coefficients"][0] = bad
+    circ.write_text(json.dumps(doc))
+    for argv in (("verify-ss", "--circuit", str(circ)),
+                 ("share", "--circuit", str(circ), "--secret", "5",
+                  "--out", str(tmp_path / "out.json"))):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("error:") and "coefficients" in err, argv
+        assert "RESULT" not in out, argv
+
+
 def test_reconstruct_rejects_a_share_file_of_another_modulus(capsys, tmp_path):
     circ, shares = shared_circuit(capsys, tmp_path)
     doc = json.loads(shares.read_text())

@@ -39,6 +39,14 @@ def test_modulus_rejects_composite_and_small():
     assert FieldModulus(2**61 - 1).p == 2**61 - 1
 
 
+def test_modulus_rejects_a_strong_pseudoprime_to_the_bases_up_to_37():
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441
+    assert not is_prime(n)
+    with pytest.raises(InvalidArguments):
+        FieldModulus(n)
+
+
 def test_is_prime_small_range():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):

@@ -281,6 +281,85 @@ def test_sweep_matches_the_three_verifier_oracle():
             assert outcomes[prop, mode, True] and outcomes[prop, mode, False], (prop, mode)
 
 
+@pytest.mark.parametrize("prime", [3, network.CERTIFICATE_PRIME])
+def test_sweep_falls_back_to_flow_when_minors_vanish(monkeypatch, prime):
+    """With path-matrix weights over GF(3) many minors vanish on pairs that
+    are linked, so max-flow must decide them. At GF(3) and at the default
+    prime, reports equal the flow oracle's, and every pair the certificate
+    accepts has the flow it claims."""
+    monkeypatch.setattr(network, "CERTIFICATE_PRIME", prime)
+    flows = []
+    flow = network.max_vertex_disjoint_paths
+
+    def counting_flow(net, S, T):
+        flows.append((S, T))
+        return flow(net, S, T)
+
+    offers = []
+    certifies = network.PathMatrix.certifies
+
+    def recording_certifies(self, X, Y, r):
+        ok = certifies(self, X, Y, r)
+        offers.append((X, Y, r, ok))
+        return ok
+
+    monkeypatch.setattr(network, "max_vertex_disjoint_paths", counting_flow)
+    monkeypatch.setattr(network.PathMatrix, "certifies", recording_certifies)
+    rng = random.Random(7)
+    decided = Counter()
+    for i in range(400):
+        net = sweep_network(rng, i)
+        if net is None:
+            continue
+        m, n = len(net.inputs), len(net.outputs)
+        p = rng.randrange(0, min(m, n) + 1)
+        q = rng.randrange(0, p + 1)
+        for budget in (DEFAULT_BUDGET, rng.randrange(1, 9)):
+            seed = rng.randrange(100)
+            for sweep, oracle, args in (
+                (verify_superconcentrator, superconcentrator_oracle, ()),
+                (verify_partial_sc, partial_sc_oracle, (p, q)),
+            ):
+                want = oracle(net, *args, budget, seed)
+                flows.clear()
+                offers.clear()
+                got = sweep(net, *args, budget, seed)
+                assert astuple(got) == astuple(want), (i, budget)
+                accepted = [(X, Y, r) for X, Y, r, ok in offers if ok]
+                assert len(accepted) + len(flows) == got.subsets_checked
+                mode = "exhaustive" if got.sample_seed is None else "sampled"
+                decided[mode, "certificate"] += len(accepted)
+                decided[mode, "flow"] += len(flows)
+                for X, Y, r, ok in offers:
+                    linked = flow(net, X, Y) >= r
+                    assert linked or not ok, (i, X, Y, r)
+                    decided[mode, "zero minor"] += linked and not ok
+    for mode in ("exhaustive", "sampled"):
+        assert decided[mode, "certificate"] and decided[mode, "flow"], (mode, decided)
+        if prime == 3:
+            assert decided[mode, "zero minor"], (mode, decided)
+
+
+def test_sweep_builds_the_path_matrix_only_when_it_pays(monkeypatch):
+    # K_{8,8}: E = 64, so sizes k <= 4 are cheap to certify. One draw per
+    # size gives 4 such pairs, fewer than the 8 inputs the matrix costs.
+    offered = []
+    certifies = network.PathMatrix.certifies
+
+    def recording_certifies(self, X, Y, r):
+        offered.append(len(X))
+        return certifies(self, X, Y, r)
+
+    monkeypatch.setattr(network.PathMatrix, "certifies", recording_certifies)
+    net = complete_bipartite(8, 8)
+    assert verify_superconcentrator(net, budget=8).ok
+    assert net._paths is None and not offered
+    assert verify_superconcentrator(net, budget=80).ok
+    assert net._paths is not None and set(offered) == {1, 2, 3, 4}
+    assert verify_concentrator(complete_bipartite(8, 8), 4).verdict == "proved"
+    assert set(offered) == {1, 2, 3, 4}
+
+
 # Flow queries as they were before the split graph was shared: the arc list
 # and the residual graph rebuilt per query. Kept verbatim (renamed) as the
 # oracle for the shared split graph.
