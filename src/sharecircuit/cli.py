@@ -38,28 +38,13 @@ def _cmd_gen_concentrator(args):
     return _print_result(report.verdict, report.subsets_checked, report.witness)
 
 
-def _pick_sc_builder(n, m, depth, epsilon, seed, budget):
-    if n <= 4 or depth <= 2 and m < n ** (2 + epsilon):
-        return superconcentrator.build_sc_depth2(n, m, seed, budget)
-    if depth <= 2:
-        return superconcentrator.build_sc_depth2_linear(m, n, epsilon, seed, budget)
-    if depth == 3:
-        if m >= n * math.log2(n) ** (2 + epsilon):
-            return superconcentrator.build_sc_depth3_linear(m, n, epsilon, seed, budget)
-        return superconcentrator.build_sc_depth2(n, m, seed, budget)
-    d = depth - 1
-    if m >= n * ackermann.lam(d, n) ** (1 + epsilon):
-        return superconcentrator.build_sc_general(m, n, d, epsilon, seed, budget)
-    return superconcentrator.build_sc_depth2(n, m, seed, budget)
-
-
 def _cmd_gen_sc(args):
     n, m = args.inputs, args.outputs
     if args.depth == "auto":
         depth = superconcentrator.recommended_depth(m, n)
     else:
         depth = int(args.depth)
-    net = _pick_sc_builder(n, m, depth, args.epsilon, args.seed, args.budget)
+    net = superconcentrator.build_sc(n, m, depth, args.epsilon, args.seed, args.budget)
     network.write_network(net, args.out)
     print(f"target_depth={depth} built_depth={net.depth} edges={len(net.edges)}")
     return _print_result("ok", len(net.edges))

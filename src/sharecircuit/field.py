@@ -1,6 +1,7 @@
 """Exact arithmetic and dense linear algebra over a prime field GF(p)."""
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import _kernels
 from .errors import IndexOutOfRange, InvalidArguments, SingularMatrix
@@ -12,6 +13,9 @@ DEFAULT_PRIME = 2**61 - 1
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
+# Every FieldModulus checks its p, and a deal reads three of them; a program
+# meets few distinct moduli, so the 13 exponentiations run once per modulus.
+@lru_cache(maxsize=64, typed=True)
 def is_prime(n: int) -> bool:
     """Miller-Rabin to the 13 prime bases 2..41, which is exact for all
     n < 3.3e24. Above that bound it is a strong probable-prime test: a

@@ -1,9 +1,12 @@
 """Unbalanced superconcentrator builders: depth-2 partial, depth-2 full,
 linear-size depth-2/3 for wide aspect ratios, the general depth-(d+1)
-recursion, and the depth recommendation from the inverse Ackermann value.
+recursion, the one table (`build_sc`) that picks among them, and the depth
+recommendation from the inverse Ackermann value.
 
-Naming convention: the first size argument of a builder is always the
-input (threshold) side of the produced network.
+Naming convention: n is always the input (threshold) side of the produced
+network and m the output side. `build_sc`, `build_sc_depth2` and
+`build_partial_sc_depth2` take n first; the linear-size builders and the
+recursion take m first.
 """
 
 import math
@@ -122,19 +125,6 @@ def build_sc_depth3_linear(
     return serial_compose(top, reverse(bottom))
 
 
-def _inner_sc(n: int, mid: int, depth_budget: int, rng_seed: int, budget: int) -> Network:
-    """Best applicable (n, mid)-superconcentrator of depth <= depth_budget."""
-    if n <= 4:
-        return complete_bipartite(n, mid)
-    if mid >= n**2.5:
-        return build_sc_depth2_linear(mid, n, 0.5, rng_seed, budget)
-    if depth_budget >= 3 and mid >= n * math.log2(n) ** 2.5:
-        return build_sc_depth3_linear(mid, n, 0.5, rng_seed, budget)
-    if depth_budget >= 4 and mid >= n * lam(depth_budget - 1, n) ** 1.5:
-        return build_sc_general(mid, n, depth_budget - 1, 0.5, rng_seed, budget)
-    return build_sc_depth2(n, mid, rng_seed, budget)
-
-
 def build_sc_general(
     m: int,
     n: int,
@@ -156,11 +146,55 @@ def build_sc_general(
         )
     r = (m / n) ** (1 / (1 + epsilon))
     mid = math.ceil(m / r)
-    top = _inner_sc(n, mid, d, _child_seed(rng_seed, 0), budget)
+    top = build_sc(n, mid, d, epsilon, _child_seed(rng_seed, 0), budget)
     bottom, _ = build_depth1(
         ConcentratorParams(m=m, n=mid, k=n, rng_seed=_child_seed(rng_seed, 1), budget=budget)
     )
     return serial_compose(top, reverse(bottom))
+
+
+def build_sc(
+    n: int,
+    m: int,
+    max_depth: int,
+    epsilon: float,
+    rng_seed: int = 0,
+    budget: int = DEFAULT_BUDGET,
+) -> Network:
+    """(n, m)-superconcentrator of depth <= max_depth from the first row
+    whose precondition holds:
+
+    1. complete bipartite when n <= 4;
+    2. linear-size depth 2 when m >= n^(2+eps);
+    3. linear-size depth <= 3 when max_depth >= 3 and m >= n*(log2 n)^(2+eps);
+    4. the depth-(d+1) recursion for the smallest d in 3..max_depth-1 with
+       m >= n*lambda_d(n)^(1+eps);
+    5. the depth-2 union as the last resort.
+
+    This is the one table that picks a builder; the recursion calls it for
+    its inner layer."""
+    if not 1 <= n <= m:
+        raise InvalidArguments(f"need 1 <= n <= m, got n={n}, m={m}")
+    least = 1 if n <= 4 else 2
+    if max_depth < least:
+        raise InvalidArguments(f"need max_depth >= {least} for n={n}, got {max_depth}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise InvalidArguments(f"epsilon must be positive and finite, got {epsilon}")
+    if n <= 4:
+        return complete_bipartite(n, m)
+    if m >= n ** (2 + epsilon):
+        return build_sc_depth2_linear(m, n, epsilon, rng_seed, budget)
+    if max_depth >= 3 and m >= n * math.log2(n) ** (2 + epsilon):
+        return build_sc_depth3_linear(m, n, epsilon, rng_seed, budget)
+    for d in range(3, max_depth):
+        lam_d = lam(d, n)
+        if m >= n * lam_d ** (1 + epsilon):
+            return build_sc_general(m, n, d, epsilon, rng_seed, budget)
+        # lambda_d(n) >= 2 for every d once n > 4, so a miss at 2 is final;
+        # odd d reach 2 by d = 7 for every n <= 2^40.
+        if lam_d <= 2:
+            break
+    return build_sc_depth2(n, m, rng_seed, budget)
 
 
 def recommended_depth(m: int, n: int) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shlex
@@ -46,6 +47,58 @@ def test_gen_sc_reruns_are_byte_identical(capsys, tmp_path):
     run(capsys, "gen-sc", "--inputs", "5", "--outputs", "8", "--seed", "3",
         "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of gen-sc's output, seed 1, for the graphs the benchmark's workloads
+# build (perfbench/workloads.py): a builder change that moves one fails here.
+BENCHMARK_GRAPHS = [
+    (("--inputs", "8", "--outputs", "32", "--budget", "200"),
+     "70d61291ecefafd8de88290578de78d0d43607e8a0de71878603ea8b0c4bf044"),
+    (("--inputs", "16", "--outputs", "64", "--budget", "100"),
+     "cecae2d3cd67bd83b4f1052487f6549c87fce8b4a88f43bd50508c9b03a062f5"),
+    (("--inputs", "5", "--outputs", "10"),
+     "1b63907fc8df9d0d6bc30de5daa2aa5f5ac905d96d26c3bf050d42d0e911f00c"),
+    (("--inputs", "3", "--outputs", "6"),
+     "00a2161656ed0114134ddb6160c946e36628f85ef7385aac5f7acef0dcb13c73"),
+    (("--inputs", "5", "--outputs", "5", "--depth", "2"),
+     "0e67858f2218626f496a2754ad74a4d46a982d8ec2239e607e14969b2e0b840e"),
+]
+
+
+@pytest.mark.parametrize("args, digest", BENCHMARK_GRAPHS,
+                         ids=["pipeline", "deal", "scheme-verify", "small", "graph-verify"])
+def test_gen_sc_benchmark_graphs_are_pinned(capsys, tmp_path, args, digest):
+    path = tmp_path / "sc.json"
+    code, _, _ = run(capsys, "gen-sc", *args, "--seed", "1", "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args", [
+    ("--depth", "0"), ("--depth", "1"), ("--depth", "-3"),
+    ("--epsilon", "nan"), ("--epsilon", "inf"), ("--epsilon", "0"), ("--epsilon", "-1"),
+])
+def test_gen_sc_rejects_bad_depth_and_epsilon(capsys, tmp_path, args):
+    path = tmp_path / "sc.json"
+    code, out, err = run(capsys, "gen-sc", "--inputs", "8", "--outputs", "32", *args,
+                         "--out", str(path))
+    assert code == 1 and err.startswith("error:"), args
+    assert "RESULT" not in out and not path.exists()
+
+
+def test_gen_sc_depth_limits(capsys, tmp_path):
+    path = tmp_path / "sc.json"
+    # n <= 4 builds K_{n,m}, so depth 1 is enough there and depth 0 is not.
+    code, out, _ = run(capsys, "gen-sc", "--inputs", "3", "--outputs", "6",
+                       "--depth", "1", "--out", str(path))
+    assert code == 0 and "built_depth=1" in out
+    code, _, err = run(capsys, "gen-sc", "--inputs", "3", "--outputs", "6",
+                       "--depth", "0", "--out", str(path))
+    assert code == 1 and err.startswith("error:")
+    # A depth far past every recursion row ends at the last resort.
+    code, out, _ = run(capsys, "gen-sc", "--inputs", "8", "--outputs", "12",
+                       "--depth", str(10**9), "--budget", "50", "--out", str(path))
+    assert code == 0 and "built_depth=2" in out
 
 
 def test_verify_graph_refuted_exit_code(capsys, tmp_path):

@@ -53,6 +53,13 @@ def test_is_prime_small_range():
         assert is_prime(n) == (n in primes)
 
 
+def test_a_second_modulus_reuses_the_primality_check():
+    FieldModulus(2**61 - 1)
+    hits = is_prime.cache_info().hits
+    FieldModulus(2**61 - 1)
+    assert is_prime.cache_info().hits == hits + 1
+
+
 def test_rank_examples():
     assert mat_rank(identity(3), GF7) == 3
     assert mat_rank(Matrix(2, 4, (0,) * 8), GF7) == 0

@@ -1,7 +1,9 @@
+import json
 import math
 
 import pytest
 
+from sharecircuit.cli import main
 from sharecircuit.errors import InvalidArguments, PreconditionViolation
 from sharecircuit.network import (
     validate,
@@ -10,6 +12,7 @@ from sharecircuit.network import (
 )
 from sharecircuit.superconcentrator import (
     build_partial_sc_depth2,
+    build_sc,
     build_sc_depth2,
     build_sc_depth2_linear,
     build_sc_depth3_linear,
@@ -147,3 +150,45 @@ def test_recommended_depth_examples():
 def test_recommended_depth_shrinks_for_wide_graphs():
     n = 256
     assert recommended_depth(n**4, n) <= recommended_depth(n, n)
+
+
+def gen_sc(tmp_path, capsys, n, m, depth):
+    """The bytes `gen-sc` writes for (n, m) at --depth, seed 1, budget 200."""
+    out = tmp_path / f"sc-{n}-{m}-{depth}.json"
+    code = main(["gen-sc", "--inputs", str(n), "--outputs", str(m), "--depth", str(depth),
+                 "--seed", "1", "--budget", "200", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("n, m", [(8, 182), (16, 1024)])
+def test_auto_builds_the_depth2_graph_when_m_is_at_least_n_to_the_2_5(tmp_path, capsys, n, m):
+    # The abstract's depth-2 regime: auto must not build deeper or larger.
+    assert gen_sc(tmp_path, capsys, n, m, "auto") == gen_sc(tmp_path, capsys, n, m, 2)
+
+
+def test_depths_past_the_first_recursion_build_its_graph(tmp_path, capsys):
+    # lambda_3(8) = 2 < lambda_4(8) = 3: the depth-4 recursion stays the pick.
+    want = gen_sc(tmp_path, capsys, 8, 32, 4)
+    assert len(json.loads(want)["edges"]) == 760
+    for depth in (5, 6, 7):
+        assert gen_sc(tmp_path, capsys, 8, 32, depth) == want
+
+
+def test_build_sc_table_on_a_grid():
+    # Built depth stays within max_depth, and more depth never changes a
+    # graph that a linear row (2: m >= n^(2+eps), 3: m >= n*log2(n)^(2+eps))
+    # already built.
+    eps = 0.5
+    for n in (3, 5, 8):
+        for m in (n, 4 * n, 10 * n, 20 * n, math.ceil(n**2.5)):
+            nets = {d: build_sc(n, m, d, eps, rng_seed=1, budget=50)
+                    for d in range(1 if n <= 4 else 2, 7)}
+            for d, net in nets.items():
+                assert net.depth <= d, (n, m, d)
+            if n > 4 and m >= n ** (2 + eps):
+                assert all(net == nets[2] for net in nets.values()), (n, m)
+            elif n > 4 and m >= n * math.log2(n) ** (2 + eps):
+                assert all(nets[d] == nets[3] for d in range(3, 7)), (n, m)
+
