@@ -1,7 +1,9 @@
 """The kernels of the cost model: unit-capacity max-flow (Menger's
-vertex-disjoint paths, for the connectivity sweeps), one fraction-free
-row-reduction step over GF(p) (for the sampled threshold conditions and the
-path-matrix certificate of the pair sweeps), and GF(p) matrix rank.
+vertex-disjoint paths, for the connectivity sweeps), maximum bipartite
+matching (the same paths on a depth-1 network, where each is one edge), one
+fraction-free row-reduction step over GF(p) (for the sampled threshold
+conditions and the path-matrix certificate of the pair sweeps), and GF(p)
+matrix rank.
 
 All are plain Python over exact integers, so they hold for every prime
 modulus that ``FieldModulus`` accepts, however wide.
@@ -64,6 +66,49 @@ def maxflow_unit(adj, to, cap, source, sink):
                 it[u] += 1
             else:
                 break
+
+
+def max_matching(succ, left, right):
+    """Size of a maximum matching between ``left`` and the set ``right``.
+
+    ``succ[u]`` lists the right neighbours of left vertex u; neighbours not
+    in ``right`` are ignored, and a vertex listed twice in ``left`` counts
+    once. Kuhn's algorithm: each left vertex in turn takes a free neighbour or,
+    failing that, an augmenting path found by an iterative depth-first
+    search, so path length is not bounded by the interpreter's recursion
+    limit. `lefts` holds the left vertices of the current alternating path,
+    `rights` the right vertices between them, and `arcs` their neighbour
+    iterators; lefts[i + 1] owns rights[i].
+    """
+    owner = {}  # matched right vertex -> its left vertex
+    for root in dict.fromkeys(left):
+        for v in succ[root]:
+            if v in right and v not in owner:
+                owner[v] = root
+                break
+        else:
+            seen = set()
+            lefts, rights, arcs = [root], [], [iter(succ[root])]
+            while arcs:
+                for v in arcs[-1]:
+                    if v in right and v not in seen:
+                        break
+                else:
+                    arcs.pop()
+                    lefts.pop()
+                    if rights:
+                        rights.pop()
+                    continue
+                seen.add(v)
+                rights.append(v)
+                u = owner.get(v)
+                if u is None:
+                    for u, v in zip(lefts, rights):
+                        owner[v] = u
+                    break
+                lefts.append(u)
+                arcs.append(iter(succ[u]))
+    return len(owner)
 
 
 def reduce_row(basis, row, p):

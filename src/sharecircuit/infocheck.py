@@ -7,6 +7,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, log
+from operator import itemgetter
 
 from .circuit import LinearCircuit, evaluate
 from .errors import InvalidArguments, StateSpaceTooLarge
@@ -23,6 +24,8 @@ class JointDistribution:
 
     `weights` holds the table as integers over the common denominator
     `denominator`, in the table's order, so that marginals are integer sums.
+    `_entropies` memoises `entropy` per sorted variable set; the table is
+    not to be changed once the distribution is built.
     """
 
     variable_count: int
@@ -30,6 +33,7 @@ class JointDistribution:
     table: dict  # tuple -> Fraction
     denominator: int = field(init=False, repr=False, compare=False)
     weights: tuple = field(init=False, repr=False, compare=False)
+    _entropies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         probs = [Fraction(p) for p in self.table.values()]
@@ -49,28 +53,33 @@ def enumerate_distribution(circ: LinearCircuit) -> JointDistribution:
     states = q**ell
     if states > MAX_STATES:
         raise StateSpaceTooLarge(f"q^ell = {states} exceeds {MAX_STATES}")
-    weight = Fraction(1, states)
-    table = defaultdict(Fraction)
+    counts = defaultdict(int)
     for x in itertools.product(range(q), repeat=ell):
         y = evaluate(circ, list(x))
-        table[(x[0], *y)] += weight
+        counts[(x[0], *y)] += 1
     n = len(circ.net.outputs)
-    return JointDistribution(n + 1, q, dict(table))
+    table = {tup: Fraction(c, states) for tup, c in counts.items()}
+    return JointDistribution(n + 1, q, table)
 
 
 def _marginal(dist: JointDistribution, idx: tuple) -> dict:
     """Marginal weights over `dist.denominator`, keyed by the values of the
     variables in idx."""
+    key = itemgetter(*idx)
     marg = defaultdict(int)
     for tup, w in dist.weights:
-        marg[tuple(tup[i] for i in idx)] += w
+        marg[key(tup)] += w
     return marg
 
 
 def entropy(dist: JointDistribution, A) -> float:
     """Marginal Shannon entropy of the variables in A, in base-q digits
-    (a uniform field element has entropy exactly 1)."""
+    (a uniform field element has entropy exactly 1). Computed once per
+    variable set and distribution."""
     idx = tuple(sorted(set(A)))
+    h = dist._entropies.get(idx)
+    if h is not None:
+        return h
     if not idx:
         raise InvalidArguments("variable set must be nonempty")
     if any(not 0 <= i < dist.variable_count for i in idx):
@@ -82,6 +91,7 @@ def entropy(dist: JointDistribution, A) -> float:
         if c > 0:
             pf = c / D  # the correctly rounded float of the rational c / D
             h -= pf * log(pf) / lq
+    dist._entropies[idx] = h
     return h
 
 

@@ -1,6 +1,7 @@
 """Directed-acyclic (m,n)-network model: validation, vertex-disjoint path
-computation via unit-capacity max-flow, connectivity verification sweeps,
-and the composition operators used by the graph builders."""
+computation via bipartite matching (depth 1) or unit-capacity max-flow,
+connectivity verification sweeps, and the composition operators used by the
+graph builders."""
 
 import json
 import random
@@ -9,7 +10,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from ._kernels import maxflow_unit, reduce_row
+from ._kernels import max_matching, maxflow_unit, reduce_row
 from .errors import (
     ArityMismatch,
     CyclicGraph,
@@ -37,9 +38,10 @@ class Network:
     Multi-edges are allowed (parallel composition can create them);
     vertex-disjointness is unaffected since vertex capacities bind.
 
-    The topological order, the depth, the split graph of the flow queries
-    and the path matrix of the pair sweeps are computed on first use and
-    cached; the network is frozen so that they never go stale.
+    The topological order, the depth, the input-to-output edges and the
+    split graph of the flow queries, and the path matrix of the pair sweeps
+    are computed on first use and cached; the network is frozen so that
+    they never go stale.
     """
 
     vertex_count: int
@@ -48,6 +50,7 @@ class Network:
     outputs: tuple
     _order: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _depth: int | None = field(default=None, init=False, repr=False, compare=False)
+    _bipartite: "Bipartite | None" = field(default=None, init=False, repr=False, compare=False)
     _split: "SplitGraph | None" = field(default=None, init=False, repr=False, compare=False)
     _paths: "PathMatrix | None" = field(default=None, init=False, repr=False, compare=False)
 
@@ -85,8 +88,17 @@ class Network:
         return self._depth
 
     @property
+    def bipartite(self) -> "Bipartite":
+        """The input-to-output edges the flow queries of a depth-1 network
+        run on (cached)."""
+        if self._bipartite is None:
+            object.__setattr__(self, "_bipartite", Bipartite.build(self))
+        return self._bipartite
+
+    @property
     def split_graph(self) -> "SplitGraph":
-        """The residual graph every flow query runs on (cached)."""
+        """The residual graph the flow queries of a network of depth 2 or
+        more run on (cached)."""
         if self._split is None:
             object.__setattr__(self, "_split", SplitGraph.build(self))
         return self._split
@@ -105,6 +117,42 @@ class Network:
         net = Network(self.vertex_count, sorted(self.edges), self.inputs, self.outputs)
         object.__setattr__(net, "_order", self._order)
         return net
+
+
+@dataclass(frozen=True)
+class Bipartite:
+    """The edges from inputs to outputs of a network. When its depth is at
+    most 1 they are its only input-to-output paths, so vertex-disjoint paths
+    from S to T are a matching between S and T (Konig's theorem)."""
+
+    succ: dict  # input vertex -> the outputs it has an edge to, once each
+    outputs: tuple  # the network's outputs, in order
+    output_set: frozenset
+
+    @classmethod
+    def build(cls, net: Network) -> "Bipartite":
+        output_set = frozenset(net.outputs)
+        succ = {x: {} for x in net.inputs}
+        for u, v in net.edges:
+            if v in output_set and u in succ:
+                succ[u][v] = None
+        return cls({x: tuple(ys) for x, ys in succ.items()}, net.outputs, output_set)
+
+    def max_paths(self, S: tuple, T: tuple) -> int:
+        """The size of a maximum matching between S and T, a vertex listed
+        twice counting once; raises TerminalNotInNetwork unless S is a set
+        of inputs and T a set of outputs."""
+        for v in S:
+            if v not in self.succ:
+                raise TerminalNotInNetwork(f"{v} is not an input vertex")
+        if T == self.outputs:  # the concentrator sweeps' query, checked by lookup
+            right = self.output_set
+        else:
+            right = frozenset(T)
+            if not right <= self.output_set:
+                v = next(v for v in T if v not in self.output_set)
+                raise TerminalNotInNetwork(f"{v} is not an output vertex")
+        return max_matching(self.succ, S, right)
 
 
 @dataclass(frozen=True)
@@ -299,13 +347,17 @@ def validate(net: Network) -> None:
 def max_vertex_disjoint_paths(net: Network, S, T) -> int:
     """Maximum number of vertex-disjoint paths from S (inputs) to T (outputs).
 
-    Every vertex is split into an (in, out) pair joined by a capacity-1
-    arc, so the flow value equals the minimum vertex cut by Menger. The
-    split graph is built once per network; each query runs on a fresh copy
-    of its capacities.
+    On a network of depth at most 1 every input-to-output path is one edge,
+    so the paths are a maximum bipartite matching between S and T, and no
+    flow runs. Deeper networks have every vertex split into an (in, out)
+    pair joined by a capacity-1 arc, so the flow value equals the minimum
+    vertex cut by Menger. The split graph is built once per network; each
+    query runs Dinic's algorithm on a fresh copy of its capacities.
     """
     S = tuple(S)
     T = tuple(T)
+    if net.depth <= 1:
+        return net.bipartite.max_paths(S, T)
     g = net.split_graph
     cap = g.capacities(S, T)
     if not S or not T:
@@ -342,8 +394,9 @@ def _sweep(net, name, lo, hi, slack, budget, rng_seed, all_outputs=False):
     and building the matrix costs about as much as one flow query per
     input. So the sizes with k^3 <= E are certified, and only when the
     sweep has at least one such pair per input. The all-outputs sweep runs
-    max-flow alone: on the depth-1 graphs that the builders sweep, a dense
-    elimination costs as much as Dinic."""
+    no certificate: the builders sweep depth-1 graphs, where a flow query is
+    a bipartite matching and costs less than a dense elimination. On a
+    network of depth 2 or more a flow query runs Dinic."""
     validate(net)
     xs, ys = sorted(net.inputs), sorted(net.outputs)
     limit = len(xs) if all_outputs else min(len(xs), len(ys))

@@ -1,14 +1,18 @@
 import itertools
 import math
 import random
+from collections import defaultdict
 from fractions import Fraction
+from math import log
 
 import pytest
 
-from sharecircuit.circuit import LinearCircuit
+from sharecircuit import cli, infocheck
+from sharecircuit.circuit import LinearCircuit, evaluate, synthesize, write_circuit
 from sharecircuit.errors import InvalidArguments, StateSpaceTooLarge
 from sharecircuit.field import FieldModulus
 from sharecircuit.infocheck import (
+    MAX_STATES,
     JointDistribution,
     cond_entropy,
     entropy,
@@ -17,7 +21,7 @@ from sharecircuit.infocheck import (
     verify_entropy_bounds,
     verify_threshold_definition,
 )
-from sharecircuit.network import Network
+from sharecircuit.network import Network, complete_bipartite, serial_compose
 
 
 def xor_distribution():
@@ -178,3 +182,105 @@ def test_conditioning_reduces_entropy_random():
         a, b, c = rng.sample(range(v), 3)
         # conditional mutual information I(A;B | C) >= 0
         assert cond_entropy(dist, [a], [c]) >= cond_entropy(dist, [a], [b, c]) - 1e-9
+
+
+# The enumeration and the entropy as they were before tuples were counted
+# with integers and entropies memoised per distribution. Kept verbatim
+# (renamed) as the oracle for both.
+
+
+def oracle_enumerate_distribution(circ: LinearCircuit) -> JointDistribution:
+    """Exhaust all uniform input assignments (s, r) in GF(q)^ell and
+    accumulate the induced joint distribution of (s, y_1, ..., y_n)."""
+    q = circ.modulus.p
+    ell = len(circ.net.inputs)
+    states = q**ell
+    if states > MAX_STATES:
+        raise StateSpaceTooLarge(f"q^ell = {states} exceeds {MAX_STATES}")
+    weight = Fraction(1, states)
+    table = defaultdict(Fraction)
+    for x in itertools.product(range(q), repeat=ell):
+        y = evaluate(circ, list(x))
+        table[(x[0], *y)] += weight
+    n = len(circ.net.outputs)
+    return JointDistribution(n + 1, q, dict(table))
+
+
+def oracle_marginal(dist: JointDistribution, idx: tuple) -> dict:
+    """Marginal weights over `dist.denominator`, keyed by the values of the
+    variables in idx."""
+    marg = defaultdict(int)
+    for tup, w in dist.weights:
+        marg[tuple(tup[i] for i in idx)] += w
+    return marg
+
+
+def oracle_entropy(dist: JointDistribution, A) -> float:
+    """Marginal Shannon entropy of the variables in A, in base-q digits
+    (a uniform field element has entropy exactly 1)."""
+    idx = tuple(sorted(set(A)))
+    if not idx:
+        raise InvalidArguments("variable set must be nonempty")
+    if any(not 0 <= i < dist.variable_count for i in idx):
+        raise InvalidArguments("variable index out of range")
+    lq = log(dist.alphabet)
+    D = dist.denominator
+    h = 0.0
+    for c in oracle_marginal(dist, idx).values():
+        if c > 0:
+            pf = c / D  # the correctly rounded float of the rational c / D
+            h -= pf * log(pf) / lq
+    return h
+
+
+def seeded_circuits():
+    """Circuits over q in {3, 5, 7} (FieldModulus refuses 2): random
+    coefficients on complete bipartite graphs, mostly proved, and on graphs
+    with a one-vertex-short bottleneck, which are always refuted."""
+    rng = random.Random(77)
+    for q in (3, 5, 7):
+        for draw in range(5):
+            t = rng.choice((2, 3))
+            n = rng.randrange(t, 6)
+            net = complete_bipartite(t, n)
+            if draw == 4:
+                net = serial_compose(complete_bipartite(t, t - 1), complete_bipartite(t - 1, n))
+            yield synthesize(net, t, FieldModulus(q), rng.randrange(1000))
+
+
+def assert_entropies_match(dist, want):
+    """Every nonempty variable set, asked twice, in two orders."""
+    variables = range(dist.variable_count)
+    for size in range(1, dist.variable_count + 1):
+        for A in itertools.combinations(variables, size):
+            h = oracle_entropy(want, A)
+            assert entropy(dist, A) == h and entropy(dist, A[::-1]) == h, A
+
+
+def test_memoised_entropy_matches_the_fraction_oracle(capsys, monkeypatch, tmp_path):
+    # Binary alphabets come from tables, as no circuit runs over GF(2).
+    alphabets = set()
+    for seed in range(40):
+        rng = random.Random(3000 + seed)
+        dist = random_distribution(rng)
+        alphabets.add(dist.alphabet)
+        assert_entropies_match(dist, JointDistribution(dist.variable_count, dist.alphabet,
+                                                       dist.table))
+    assert 2 in alphabets
+    verdicts = set()
+    stdout = []
+    for i, circ in enumerate(seeded_circuits()):
+        dist, want = enumerate_distribution(circ), oracle_enumerate_distribution(circ)
+        assert dist.table == want.table and dist.weights == want.weights
+        assert_entropies_match(dist, want)
+        path = tmp_path / f"c{i}.json"
+        write_circuit(circ, path)
+        cli.main(["entropy-verify", "--circuit", str(path)])
+        stdout.append(capsys.readouterr().out)
+        verdicts.add(verify_threshold_definition(dist, circ.threshold).verdict)
+    assert verdicts == {"proved", "refuted"}
+    monkeypatch.setattr(infocheck, "enumerate_distribution", oracle_enumerate_distribution)
+    monkeypatch.setattr(infocheck, "entropy", oracle_entropy)
+    for i, _ in enumerate(seeded_circuits()):
+        cli.main(["entropy-verify", "--circuit", str(tmp_path / f"c{i}.json")])
+        assert capsys.readouterr().out == stdout[i], i

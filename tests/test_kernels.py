@@ -1,7 +1,8 @@
-"""The max-flow and GF(p) rank kernels against exact oracles on seeded
-random instances."""
+"""The max-flow, matching and GF(p) rank kernels against exact oracles on
+seeded random instances."""
 
 import random
+import sys
 
 import pytest
 
@@ -61,6 +62,54 @@ def test_pure_maxflow_leaves_a_maximum_flow_in_cap():
         assert net[t] == -net[s] == flow
         assert all(net[v] == 0 for v in range(n) if v not in (s, t))
         assert _kernels.maxflow_unit(adj, to, cap, s, t) == 0
+
+
+def matching_by_flow(succ, left, right):
+    """Maximum matching size as a unit-capacity max-flow: source -> each
+    distinct left vertex -> its neighbours in `right` -> sink."""
+    left, right = list(dict.fromkeys(left)), sorted(set(right))
+    node = {("L", u): i for i, u in enumerate(left)}
+    node.update({("R", v): len(left) + j for j, v in enumerate(right)})
+    source, sink = len(node), len(node) + 1
+    tails, heads = [], []
+    for u in left:
+        tails.append(source)
+        heads.append(node["L", u])
+        for v in succ[u]:
+            if ("R", v) in node:
+                tails.append(node["L", u])
+                heads.append(node["R", v])
+    for v in right:
+        tails.append(node["R", v])
+        heads.append(sink)
+    return _kernels.maxflow_unit(*residual_graph(len(node) + 2, tails, heads), source, sink)
+
+
+def test_max_matching_matches_max_flow():
+    # Repeated left vertices, repeated neighbours, neighbours outside
+    # `right`, and empty sides all occur.
+    sizes = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        a, b = rng.randrange(0, 9), rng.randrange(1, 9)
+        succ = {u: [rng.randrange(b) for _ in range(rng.randrange(0, 5))] for u in range(a)}
+        left = rng.choices(range(a), k=rng.randrange(0, a + 3)) if a else []
+        right = set(rng.sample(range(b), rng.randrange(0, b + 1)))
+        want = matching_by_flow(succ, left, right)
+        assert _kernels.max_matching(succ, left, right) == want, seed
+        sizes.add(want)
+    assert len(sizes) >= 6
+
+
+def test_max_matching_is_iterative():
+    # Left u < n is offered right u first, then u + 1; left n only right 0.
+    # The greedy pass matches u to u, so left n needs the augmenting path
+    # n -> 0 -> 0 -> 1 -> 1 -> ... -> n, with n alternations: deeper than
+    # the recursion limit.
+    n = sys.getrecursionlimit() + 100
+    succ = {u: (u, u + 1) for u in range(n)}
+    succ[n] = (0,)
+    assert _kernels.max_matching(succ, range(n + 1), set(range(n + 1))) == n + 1
 
 
 def oracle_rank(rows, cols, entries, p):

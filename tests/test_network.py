@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from sharecircuit import network
+from sharecircuit._kernels import maxflow_unit
 from sharecircuit.circuit import circuit_from_dict, circuit_to_dict, synthesize
 from sharecircuit.concentrator import ConcentratorParams, build_depth1
 from sharecircuit.errors import (
@@ -535,6 +536,89 @@ def test_shared_split_graph_matches_the_rebuilding_oracle():
         assert kinds[kind, True] and kinds[kind, False], kind
 
 
+# Flow queries as they were before depth-1 networks were answered by a
+# matching: every query ran Dinic on the shared split graph. Kept verbatim
+# (renamed) as the oracle for the matching path.
+
+
+def split_graph_max_vertex_disjoint_paths(net: Network, S, T) -> int:
+    """Maximum number of vertex-disjoint paths from S (inputs) to T (outputs).
+
+    Every vertex is split into an (in, out) pair joined by a capacity-1
+    arc, so the flow value equals the minimum vertex cut by Menger. The
+    split graph is built once per network; each query runs on a fresh copy
+    of its capacities.
+    """
+    S = tuple(S)
+    T = tuple(T)
+    g = net.split_graph
+    cap = g.capacities(S, T)
+    if not S or not T:
+        return 0
+    return maxflow_unit(g.adj, g.to, cap, g.source, g.sink)
+
+
+def depth1_network(rng):
+    """A valid network of depth at most 1, vertices numbered in random order:
+    input-to-output edges with repeats, and dangling non-terminal vertices.
+    A dead end is entered from inputs, outputs and strays; a stray enters
+    outputs and dead ends and is reached from nowhere."""
+    m, n = rng.randrange(1, 8), rng.randrange(1, 8)
+    ends, strays = rng.randrange(0, 3), rng.randrange(0, 3)
+    number = list(range(m + n + ends + strays))
+    rng.shuffle(number)
+    xs, ys = number[:m], number[m:m + n]
+    dead, stray = number[m + n:m + n + ends], number[m + n + ends:]
+    density = rng.random()
+    edges = [(x, y) for x in xs for y in ys if rng.random() < density]
+    edges += rng.choices(edges, k=rng.randrange(0, 4)) if edges else []
+    for tails, heads in ((xs + ys + stray, dead), (stray, ys)):
+        edges += [(u, v) for u in tails for v in heads if rng.random() < 0.3]
+    rng.shuffle(edges)
+    return Network(len(number), edges, xs, ys)
+
+
+def test_depth1_matching_matches_the_split_graph_oracle():
+    rng = random.Random(91)
+    seen = Counter()
+    for i in range(320):
+        net = depth1_network(rng)
+        validate(net)
+        assert net.depth <= 1
+        xs, ys = list(net.inputs), list(net.outputs)
+        some_ys = rng.sample(ys, rng.randrange(1, len(ys) + 1))
+        queries = [(xs, net.outputs), (xs, ys[::-1]), ((), ys), (xs, ()),
+                   (rng.choices(xs, k=len(xs) + 2), rng.choices(ys, k=len(ys) + 2)),
+                   (rng.sample(xs, rng.randrange(1, len(xs) + 1)), some_ys)]
+        for S, T in queries:
+            want = split_graph_max_vertex_disjoint_paths(net, S, T)
+            assert max_vertex_disjoint_paths(net, S, T) == want, (i, S, T)
+            seen["proper T" if len(set(T)) < len(ys) else "all outputs", want > 0] += 1
+            seen["repeats"] += len(set(S)) < len(S) or len(set(T)) < len(T)
+        seen["dangling"] += net.vertex_count > len(xs) + len(ys)
+    assert seen["repeats"] >= 320 and seen["dangling"] >= 100
+    for T in ("proper T", "all outputs"):
+        assert seen[T, True] and seen[T, False], T
+    assert max_vertex_disjoint_paths(complete_bipartite(2, 3), [0, 0], [2, 3, 4]) == 1
+
+
+def test_depth1_queries_check_terminals_without_a_split_graph():
+    # 0, 1, 2 are inputs, 3, 4 outputs, 5 a stray and 6 a dead end.
+    net = Network(7, [(0, 3), (1, 3), (1, 4), (0, 6), (5, 4)], (0, 1, 2), (3, 4))
+    assert net.depth == 1
+    bad = [((9,), (3,)), ((-1,), (3,)), ((3,), (4,)), ((5,), (4,)), ((0, 6), (3,)),
+           ((0,), (0,)), ((0,), (3, 6)), ((1,), (9,)), ((), (2,)), ((7,), (8,))]
+    oracle = Network(net.vertex_count, net.edges, net.inputs, net.outputs)
+    for S, T in bad:
+        with pytest.raises(TerminalNotInNetwork) as got:
+            max_vertex_disjoint_paths(net, S, T)
+        with pytest.raises(TerminalNotInNetwork) as want:
+            split_graph_max_vertex_disjoint_paths(oracle, S, T)
+        assert str(got.value) == str(want.value), (S, T)
+    assert max_vertex_disjoint_paths(net, (0, 1, 2), (3, 4)) == 2
+    assert net._split is None and net._bipartite is not None
+
+
 def test_topological_order_and_cycle():
     net = Network(3, [(0, 1), (1, 2)], (0,), (2,))
     order = topological_order(net)
@@ -545,10 +629,10 @@ def test_topological_order_and_cycle():
 
 def test_network_is_frozen():
     net = complete_bipartite(2, 3)
-    assert net.order and net.depth == 1 and net.split_graph  # fill every cache
+    assert net.order and net.depth == 1 and net.bipartite and net.split_graph
     for name, value in (("vertex_count", 9), ("edges", ()), ("inputs", (1,)),
                         ("outputs", (4,)), ("_order", None), ("_depth", None),
-                        ("_split", None)):
+                        ("_bipartite", None), ("_split", None)):
         with pytest.raises(FrozenInstanceError):
             setattr(net, name, value)
 
