@@ -126,7 +126,6 @@ class Bipartite:
     from S to T are a matching between S and T (Konig's theorem)."""
 
     succ: dict  # input vertex -> the outputs it has an edge to, once each
-    outputs: tuple  # the network's outputs, in order
     output_set: frozenset
 
     @classmethod
@@ -136,7 +135,7 @@ class Bipartite:
         for u, v in net.edges:
             if v in output_set and u in succ:
                 succ[u][v] = None
-        return cls({x: tuple(ys) for x, ys in succ.items()}, net.outputs, output_set)
+        return cls({x: tuple(ys) for x, ys in succ.items()}, output_set)
 
     def max_paths(self, S: tuple, T: tuple) -> int:
         """The size of a maximum matching between S and T, a vertex listed
@@ -145,13 +144,10 @@ class Bipartite:
         for v in S:
             if v not in self.succ:
                 raise TerminalNotInNetwork(f"{v} is not an input vertex")
-        if T == self.outputs:  # the concentrator sweeps' query, checked by lookup
-            right = self.output_set
-        else:
-            right = frozenset(T)
-            if not right <= self.output_set:
-                v = next(v for v in T if v not in self.output_set)
-                raise TerminalNotInNetwork(f"{v} is not an output vertex")
+        right = frozenset(T)
+        if not right <= self.output_set:
+            v = next(v for v in T if v not in self.output_set)
+            raise TerminalNotInNetwork(f"{v} is not an output vertex")
         return max_matching(self.succ, S, right)
 
 
@@ -353,6 +349,9 @@ def max_vertex_disjoint_paths(net: Network, S, T) -> int:
     pair joined by a capacity-1 arc, so the flow value equals the minimum
     vertex cut by Menger. The split graph is built once per network; each
     query runs Dinic's algorithm on a fresh copy of its capacities.
+
+    The depth needs a topological order, so a cyclic network raises
+    CyclicGraph.
     """
     S = tuple(S)
     T = tuple(T)

@@ -619,6 +619,11 @@ def test_depth1_queries_check_terminals_without_a_split_graph():
     assert net._split is None and net._bipartite is not None
 
 
+def test_flow_query_on_a_cyclic_network_raises():
+    with pytest.raises(CyclicGraph):
+        max_vertex_disjoint_paths(Network(3, [(0, 1), (1, 2), (2, 1)], (0,), (2,)), (0,), (2,))
+
+
 def test_topological_order_and_cycle():
     net = Network(3, [(0, 1), (1, 2)], (0,), (2,))
     order = topological_order(net)
