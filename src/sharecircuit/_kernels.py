@@ -1,9 +1,9 @@
 """The kernels of the cost model: unit-capacity max-flow (Menger's
 vertex-disjoint paths, for the connectivity sweeps), maximum bipartite
-matching (the same paths on a depth-1 network, where each is one edge), one
-fraction-free row-reduction step over GF(p) (for the sampled threshold
-conditions and the path-matrix certificate of the pair sweeps), and GF(p)
-matrix rank.
+matching (the same paths on a depth-1 network, where each is one edge), and
+one fraction-free row-reduction step over GF(p) (for the sampled threshold
+conditions and the path-matrix certificate of the pair sweeps). GF(p)
+matrix rank is that step applied to each row in turn.
 
 All are plain Python over exact integers, so they hold for every prime
 modulus that ``FieldModulus`` accepts, however wide.
@@ -135,36 +135,9 @@ def reduce_row(basis, row, p):
 
 
 def gf_rank(rows, cols, entries, p):
-    """Rank of a rows x cols matrix over GF(p).
-
-    ``entries`` is the row-major flat entry list; values are reduced mod p.
-    Gaussian elimination with pivoting on the first nonzero entry per
-    column, deterministic column order.
-    """
-    if rows == 0 or cols == 0:
-        return 0
-    mat = [[entries[r * cols + c] % p for c in range(cols)] for r in range(rows)]
-    rank = 0
-    for col in range(cols):
-        pivot = -1
-        for r in range(rank, rows):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot < 0:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        row = mat[rank]
-        for c in range(col, cols):
-            row[c] = row[c] * inv % p
-        for r in range(rows):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col]
-                target = mat[r]
-                for c in range(col, cols):
-                    target[c] = (target[c] - factor * row[c]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Rank of a rows x cols matrix over GF(p), given its row-major flat
+    entry list: one `reduce_row` per row, with the entries reduced mod p."""
+    basis = []
+    for r in range(rows):
+        reduce_row(basis, [x % p for x in entries[r * cols:(r + 1) * cols]], p)
+    return len(basis)

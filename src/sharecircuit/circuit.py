@@ -4,8 +4,9 @@ the share / reconstruct protocol."""
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from . import _kernels
@@ -20,6 +21,7 @@ from .network import (
     DEFAULT_BUDGET,
     Network,
     check_fields,
+    input_rows,
     network_from_fields,
     network_to_dict,
     validate,
@@ -31,36 +33,41 @@ class LinearCircuit:
     """A network with a field modulus and one coefficient per edge.
 
     Input 0 carries the secret; the remaining inputs carry randomness.
-    Coefficients are parallel to net.edges.
+    Coefficients are parallel to net.edges. Construction validates the
+    network and refuses a coefficient that is not an int in [0, p) or a
+    threshold outside 1..min(inputs, outputs), so every circuit can run.
 
     Every non-input vertex is an addition gate. The gate schedule lists them
     in topological order, each with its (predecessor, coefficient) pairs; it
-    is built once, and the circuit is frozen so that it never goes stale.
+    is built on first use, and the circuit is frozen so that it never goes
+    stale.
     """
 
     net: Network
     modulus: FieldModulus
     coefficients: tuple
     threshold: int
-    schedule: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        validate(self.net)
         if len(self.coefficients) != len(self.net.edges):
             raise InvalidArguments("one coefficient per edge required")
-        ell = len(self.net.inputs)
-        n = len(self.net.outputs)
-        if not 1 <= self.threshold <= min(ell, n):
+        # Field elements are ints in [0, p); bool is an int subclass but no element.
+        p, coefficients = self.modulus.p, self.coefficients
+        if not set(map(type, coefficients)) <= {int} or (
+            coefficients and not 0 <= min(coefficients) <= max(coefficients) < p
+        ):
+            bad = next(c for c in coefficients if type(c) is not int or not 0 <= c < p)
+            raise InvalidArguments(f"coefficients must be integers in [0, {p}), got {bad!r}")
+        if not 1 <= self.threshold <= min(len(self.net.inputs), len(self.net.outputs)):
             raise InvalidArguments(
                 f"need 1 <= t <= min(inputs, outputs), got t={self.threshold}"
             )
-        incoming = [[] for _ in range(self.net.vertex_count)]
-        for (u, v), c in zip(self.net.edges, self.coefficients):
-            incoming[v].append((u, c))
-        inputs = set(self.net.inputs)
-        schedule = tuple(
-            (v, tuple(incoming[v])) for v in self.net.order if v not in inputs
-        )
-        object.__setattr__(self, "schedule", schedule)
+
+    @cached_property
+    def schedule(self) -> tuple:
+        """The gate schedule under the coefficients (cached)."""
+        return self.net.gates(self.coefficients)
 
 
 @dataclass
@@ -92,7 +99,6 @@ def synthesize(
     Edges are canonicalized to sorted order first so that circuits
     serialize bit-exactly. Deterministic given the seed.
     """
-    validate(net)
     if len(net.inputs) < t:
         raise TooFewInputs(f"network has {len(net.inputs)} inputs, need >= {t}")
     net = net.edge_sorted()
@@ -119,37 +125,19 @@ def evaluate(circ: LinearCircuit, x) -> list:
 def transfer_matrix(circ: LinearCircuit, rows=None) -> Matrix:
     """The n x ell matrix of the circuit's linear map (entry (i, j) is the sum
     over all input-j to output-i paths of the edge-coefficient products), by
-    one pass over the gate schedule in which every vertex carries its ell
-    coefficients: input j carries the j-th unit vector.
+    one pass over its gate schedule, `network.input_rows`.
 
     Given `rows`, a strictly increasing sequence of output indices, returns
     only those rows, and the pass visits only the ancestors of those outputs.
     """
     net = circ.net
-    p = circ.modulus.p
-    ell = len(net.inputs)
-    gates = circ.schedule
     if rows is None:
         rows = range(len(net.outputs))
     else:
         rows = list(rows)
         check_indices("row", rows, len(net.outputs))
-        needed = {net.outputs[i] for i in rows}
-        for v, preds in reversed(gates):
-            if v in needed:
-                needed.update(u for u, _ in preds)
-        gates = [gate for gate in gates if gate[0] in needed]
-    coeffs = [None] * net.vertex_count
-    for j, v in enumerate(net.inputs):
-        coeffs[v] = [0] * ell
-        coeffs[v][j] = 1
-    for v, preds in gates:
-        acc = [0] * ell
-        for u, c in preds:
-            acc = [a + c * b for a, b in zip(acc, coeffs[u])]
-        coeffs[v] = [a % p for a in acc]
-    flat = tuple(x for i in rows for x in coeffs[net.outputs[i]])
-    return Matrix(len(rows), ell, flat)
+    found = input_rows(net, circ.schedule, circ.modulus.p, [net.outputs[i] for i in rows])
+    return Matrix(len(rows), len(net.inputs), tuple(x for row in found for x in row))
 
 
 def _walk_coalitions(M: Matrix, t: int, p: int):
@@ -330,18 +318,10 @@ def circuit_from_dict(doc: dict) -> LinearCircuit:
     coefficients = tuple(doc["coefficients"])
     if len(coefficients) != len(net.edges):
         raise InvalidArguments("one coefficient per edge required")
-    # Field elements are ints in [0, p); bool is an int subclass but no element.
-    p = modulus.p
-    if not set(map(type, coefficients)) <= {int} or (
-        coefficients and not 0 <= min(coefficients) <= max(coefficients) < p
-    ):
-        bad = next(c for c in coefficients if type(c) is not int or not 0 <= c < p)
-        raise InvalidArguments(f"coefficients must be integers in [0, {p}), got {bad!r}")
     order = sorted(range(len(net.edges)), key=net.edges.__getitem__)
     if order != list(range(len(order))):
         net = net.edge_sorted()
         coefficients = tuple(coefficients[i] for i in order)
-    validate(net)
     return LinearCircuit(net, modulus, coefficients, doc["threshold"])
 
 

@@ -1,12 +1,15 @@
 """Directed-acyclic (m,n)-network model: validation, vertex-disjoint path
 computation via bipartite matching (depth 1) or unit-capacity max-flow,
-connectivity verification sweeps, and the composition operators used by the
-graph builders."""
+connectivity verification sweeps, the weighted path pass (a gate schedule
+under per-edge weights and the rows over the inputs it gives) behind both a
+circuit's transfer matrix and the sweeps' path-matrix certificate, and the
+composition operators used by the graph builders."""
 
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -41,18 +44,13 @@ class Network:
     The topological order, the depth, the input-to-output edges and the
     split graph of the flow queries, and the path matrix of the pair sweeps
     are computed on first use and cached; the network is frozen so that
-    they never go stale.
+    they never go stale, and equality and hashing see only its fields.
     """
 
     vertex_count: int
     edges: tuple
     inputs: tuple
     outputs: tuple
-    _order: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _depth: int | None = field(default=None, init=False, repr=False, compare=False)
-    _bipartite: "Bipartite | None" = field(default=None, init=False, repr=False, compare=False)
-    _split: "SplitGraph | None" = field(default=None, init=False, repr=False, compare=False)
-    _paths: "PathMatrix | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertex_count", int(self.vertex_count))
@@ -60,63 +58,90 @@ class Network:
         object.__setattr__(self, "inputs", tuple(int(v) for v in self.inputs))
         object.__setattr__(self, "outputs", tuple(int(v) for v in self.outputs))
 
-    @property
+    @cached_property
     def order(self) -> tuple:
         """The vertices in topological order (cached); raises CyclicGraph."""
-        if self._order is None:
-            object.__setattr__(self, "_order", tuple(topological_order(self)))
-        return self._order
+        return tuple(topological_order(self))
 
-    @property
+    @cached_property
     def depth(self) -> int:
         """Longest input-to-output path length in edges (cached)."""
-        if self._depth is None:
-            dist = [-1] * self.vertex_count
-            for v in self.inputs:
-                dist[v] = 0
-            succ = [[] for _ in range(self.vertex_count)]
-            for u, v in self.edges:
-                succ[u].append(v)
-            for u in self.order:
-                if dist[u] < 0:
-                    continue
-                for v in succ[u]:
-                    if dist[v] < dist[u] + 1:
-                        dist[v] = dist[u] + 1
-            depth = max((dist[v] for v in self.outputs if dist[v] >= 0), default=0)
-            object.__setattr__(self, "_depth", depth)
-        return self._depth
+        dist = [-1] * self.vertex_count
+        for v in self.inputs:
+            dist[v] = 0
+        succ = [[] for _ in range(self.vertex_count)]
+        for u, v in self.edges:
+            succ[u].append(v)
+        for u in self.order:
+            if dist[u] < 0:
+                continue
+            for v in succ[u]:
+                if dist[v] < dist[u] + 1:
+                    dist[v] = dist[u] + 1
+        return max((dist[v] for v in self.outputs if dist[v] >= 0), default=0)
 
-    @property
+    @cached_property
     def bipartite(self) -> "Bipartite":
         """The input-to-output edges the flow queries of a depth-1 network
         run on (cached)."""
-        if self._bipartite is None:
-            object.__setattr__(self, "_bipartite", Bipartite.build(self))
-        return self._bipartite
+        return Bipartite.build(self)
 
-    @property
+    @cached_property
     def split_graph(self) -> "SplitGraph":
         """The residual graph the flow queries of a network of depth 2 or
         more run on (cached)."""
-        if self._split is None:
-            object.__setattr__(self, "_split", SplitGraph.build(self))
-        return self._split
+        return SplitGraph.build(self)
 
-    @property
+    @cached_property
     def path_matrix(self) -> "PathMatrix":
         """The weighted path matrix the pair sweeps certify with (cached)."""
-        if self._paths is None:
-            object.__setattr__(self, "_paths", PathMatrix.build(self))
-        return self._paths
+        return PathMatrix.build(self)
+
+    def gates(self, weights) -> tuple:
+        """The gate schedule under one weight per edge, parallel to `edges`:
+        every non-input vertex in topological order, with the (predecessor,
+        weight) pair of each of its incoming edges in edge order."""
+        incoming = [[] for _ in range(self.vertex_count)]
+        for (u, v), w in zip(self.edges, weights):
+            incoming[v].append((u, w))
+        inputs = set(self.inputs)
+        return tuple((v, tuple(incoming[v])) for v in self.order if v not in inputs)
 
     def edge_sorted(self) -> "Network":
         """This network with its edges in sorted order. The vertices and the
         edge multiset are the same, so a cached topological order carries
         over."""
         net = Network(self.vertex_count, sorted(self.edges), self.inputs, self.outputs)
-        object.__setattr__(net, "_order", self._order)
+        if "order" in vars(self):
+            vars(net)["order"] = self.order
         return net
+
+
+def input_rows(net: Network, gates, p: int, targets) -> list:
+    """The rows over the inputs of the vertices `targets`, mod p, under a
+    gate schedule of `net` (see `Network.gates`): entry j of a vertex's row
+    is the sum, over the paths from input j to the vertex, of the products
+    of their weights. One pass, in topological order, over the gates that
+    are ancestors of `targets`, in which every vertex carries its row and
+    input j carries the j-th unit vector: at most E * len(inputs)
+    multiply-adds."""
+    needed = set(targets)
+    ancestors = []
+    for v, preds in reversed(gates):
+        if v in needed:
+            ancestors.append((v, preds))
+            needed.update(u for u, _ in preds)
+    ell = len(net.inputs)
+    row = [None] * net.vertex_count
+    for j, v in enumerate(net.inputs):
+        row[v] = [0] * ell
+        row[v][j] = 1
+    for v, preds in reversed(ancestors):
+        acc = [0] * ell
+        for u, w in preds:
+            acc = [a + w * b for a, b in zip(acc, row[u])]
+        row[v] = [a % p for a in acc]
+    return [row[v] for v in targets]
 
 
 @dataclass(frozen=True)
@@ -218,9 +243,11 @@ class SplitGraph:
 
 @dataclass(frozen=True)
 class PathMatrix:
-    """Path matrix M of a network under random edge weights over GF(p):
-    ``rows[y][column[x]]`` is the sum, over the paths from input x to output
-    y, of the products of their edge weights.
+    """The transfer matrix M of a network under random edge weights over
+    GF(p): ``rows[y][column[x]]`` is the sum, over the paths from input x to
+    output y, of the products of their edge weights. It is the matrix a
+    `LinearCircuit` with these weights as coefficients would have, computed
+    by the same pass, `input_rows`.
 
     By the Lindstrom-Gessel-Viennot lemma, det M[Y, X] is a signed sum over
     the systems of |X| vertex-disjoint paths from X to Y, so it is zero
@@ -235,33 +262,13 @@ class PathMatrix:
 
     @classmethod
     def build(cls, net: Network) -> "PathMatrix":
-        """One pass in topological order in which every vertex carries its
-        row over the inputs: E * len(inputs) multiply-adds. A row is dropped
-        once the last successor of its vertex has read it."""
-        p, ell = CERTIFICATE_PRIME, len(net.inputs)
+        """The outputs' rows under one weight per edge, drawn in edge order
+        from the certificate's own stream."""
+        p = CERTIFICATE_PRIME
         rng = random.Random(CERTIFICATE_SEED)
-        preds = [[] for _ in range(net.vertex_count)]
-        unread = [0] * net.vertex_count
-        for u, v in net.edges:
-            preds[v].append((u, rng.randrange(p)))
-            unread[u] += 1
-        keep = set(net.outputs)
-        row = [[0] * ell] * net.vertex_count
-        for j, v in enumerate(net.inputs):
-            row[v] = [0] * ell
-            row[v][j] = 1
-        for v in net.order:
-            if not preds[v]:
-                continue
-            acc = [0] * ell
-            for u, w in preds[v]:
-                acc = [a + w * b for a, b in zip(acc, row[u])]
-                unread[u] -= 1
-                if not unread[u] and u not in keep:
-                    row[u] = None
-            row[v] = [a % p for a in acc]
-        column = {x: j for j, x in enumerate(net.inputs)}
-        return cls(p, column, {y: row[y] for y in net.outputs})
+        gates = net.gates([rng.randrange(p) for _ in net.edges])
+        rows = input_rows(net, gates, p, net.outputs)
+        return cls(p, {x: j for j, x in enumerate(net.inputs)}, dict(zip(net.outputs, rows)))
 
     def certifies(self, X, Y, r: int) -> bool:
         """True when rank M[Y, X] >= r, which proves r vertex-disjoint paths
@@ -366,9 +373,6 @@ def max_vertex_disjoint_paths(net: Network, S, T) -> int:
 
 def _sample_subsets(rng, universe, size, count):
     """Distinct uniformly-sampled `size`-subsets, at most `count` of them."""
-    total = comb(len(universe), size)
-    if total <= count:
-        return [tuple(c) for c in combinations(sorted(universe), size)]
     seen = set()
     attempts = 0
     while len(seen) < count and attempts < 20 * count:

@@ -26,6 +26,8 @@ from sharecircuit.circuit import (
 )
 from sharecircuit import _kernels, network
 from sharecircuit.errors import (
+    CyclicGraph,
+    DuplicateTerminal,
     InvalidArguments,
     SingularMatrix,
     SingularSubmatrix,
@@ -259,6 +261,54 @@ def test_schedule_pass_matches_column_oracle(p):
             recovered += 1
             assert reconstruct(circ, T, y_T) == want == s
     assert recovered and singular and skip_edges and parallel_edges
+
+
+def test_path_matrix_is_the_transfer_matrix_under_its_weights():
+    # The certificate's matrix is the circuit's transfer matrix when the
+    # circuit's coefficients are the certificate's own weights, drawn one per
+    # edge in edge order from its stream.
+    p = network.CERTIFICATE_PRIME
+    rng = random.Random(10)
+    seen = Counter()
+    for trial in range(60):
+        net = random_dag_circuit(rng, 7).net
+        draw = random.Random(network.CERTIFICATE_SEED)
+        weights = tuple(draw.randrange(p) for _ in net.edges)
+        circ = LinearCircuit(net, FieldModulus(p), weights, 1)
+        paths = net.path_matrix
+        assert paths.p == p
+        assert paths.column == {x: j for j, x in enumerate(net.inputs)}
+        n = len(net.outputs)
+        M = transfer_by_columns(circ)
+        assert [paths.rows[y] for y in net.outputs] == M
+        for rows in (range(n), sorted(rng.sample(range(n), rng.randrange(n)))):
+            got = transfer_matrix(circ, rows)
+            assert [list(got.row(k)) for k in range(got.rows)] == [
+                paths.rows[net.outputs[i]] for i in rows], (trial, rows)
+        inputs, outputs = set(net.inputs), set(net.outputs)
+        live = set(outputs)
+        for v in reversed(net.order):
+            if v in live:
+                live.update(u for u, w in net.edges if w == v)
+        seen["skip"] += any(u in inputs and v in outputs for u, v in net.edges)
+        seen["parallel"] += len(set(net.edges)) < len(net.edges)
+        seen["dead"] += any(v not in live for v in range(net.vertex_count))
+    assert seen["skip"] and seen["parallel"] and seen["dead"], seen
+
+
+def test_linear_circuit_refuses_a_circuit_that_cannot_run():
+    net = Network(4, [(0, 2), (1, 2), (2, 3)], (0, 1), (3,))
+    LinearCircuit(net, GF7, (1, 6, 2), 1)
+    cyclic = Network(4, [(0, 2), (2, 3), (3, 2)], (0, 1), (3,))
+    twice = Network(4, [(0, 2), (1, 2), (2, 3)], (0, 0), (3,))
+    for bad, coeffs, error in ((cyclic, (1, 1, 1), CyclicGraph),
+                               (twice, (1, 1, 1), DuplicateTerminal),
+                               (net, (1, 7, 2), InvalidArguments),
+                               (net, (1, True, 2), InvalidArguments)):
+        with pytest.raises(error):
+            LinearCircuit(bad, GF7, coeffs, 1)
+    with pytest.raises(CyclicGraph):
+        synthesize(cyclic, 1, GF7)
 
 
 def test_linear_circuit_is_frozen():

@@ -354,9 +354,9 @@ def test_sweep_builds_the_path_matrix_only_when_it_pays(monkeypatch):
     monkeypatch.setattr(network.PathMatrix, "certifies", recording_certifies)
     net = complete_bipartite(8, 8)
     assert verify_superconcentrator(net, budget=8).ok
-    assert net._paths is None and not offered
+    assert "path_matrix" not in vars(net) and not offered
     assert verify_superconcentrator(net, budget=80).ok
-    assert net._paths is not None and set(offered) == {1, 2, 3, 4}
+    assert "path_matrix" in vars(net) and set(offered) == {1, 2, 3, 4}
     assert verify_concentrator(complete_bipartite(8, 8), 4).verdict == "proved"
     assert set(offered) == {1, 2, 3, 4}
 
@@ -616,7 +616,7 @@ def test_depth1_queries_check_terminals_without_a_split_graph():
             split_graph_max_vertex_disjoint_paths(oracle, S, T)
         assert str(got.value) == str(want.value), (S, T)
     assert max_vertex_disjoint_paths(net, (0, 1, 2), (3, 4)) == 2
-    assert net._split is None and net._bipartite is not None
+    assert "split_graph" not in vars(net) and "bipartite" in vars(net)
 
 
 def test_flow_query_on_a_cyclic_network_raises():
@@ -634,12 +634,22 @@ def test_topological_order_and_cycle():
 
 def test_network_is_frozen():
     net = complete_bipartite(2, 3)
+    fresh = complete_bipartite(2, 3)
+    cached = ("order", "depth", "bipartite", "split_graph", "path_matrix")
+    assert not set(cached) & set(vars(net))
     assert net.order and net.depth == 1 and net.bipartite and net.split_graph
+    assert net.path_matrix
+    assert set(cached) <= set(vars(net))
     for name, value in (("vertex_count", 9), ("edges", ()), ("inputs", (1,)),
-                        ("outputs", (4,)), ("_order", None), ("_depth", None),
-                        ("_bipartite", None), ("_split", None)):
+                        ("outputs", (4,)), ("order", None), ("depth", None),
+                        ("bipartite", None), ("split_graph", None),
+                        ("path_matrix", None)):
         with pytest.raises(FrozenInstanceError):
             setattr(net, name, value)
+    # equality and hashing see the fields, never the cached values
+    assert net == fresh and hash(net) == hash(fresh)
+    assert not set(cached) & set(vars(fresh))
+    assert net != complete_bipartite(2, 2)
 
 
 def test_one_topological_order_per_network(monkeypatch):
