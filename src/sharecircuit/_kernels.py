@@ -1,114 +1,91 @@
-"""The kernels of the cost model: unit-capacity max-flow (Menger's
-vertex-disjoint paths, for the connectivity sweeps), maximum bipartite
-matching (the same paths on a depth-1 network, where each is one edge), and
-one fraction-free row-reduction step over GF(p) (for the sampled threshold
-conditions and the path-matrix certificate of the pair sweeps). GF(p)
-matrix rank is that step applied to each row in turn.
+"""The kernels of the cost model: vertex-disjoint paths by augmenting paths
+(Menger's theorem, for the connectivity sweeps), and one fraction-free
+row-reduction step over GF(p) (for the sampled threshold conditions and the
+path-matrix certificate of the pair sweeps). GF(p) matrix rank is that step
+applied to each row in turn.
 
 All are plain Python over exact integers, so they hold for every prime
 modulus that ``FieldModulus`` accepts, however wide.
 """
 
+from itertools import chain
 
-def maxflow_unit(adj, to, cap, source, sink):
-    """Max flow from source to sink on a residual graph, in place.
 
-    ``adj[u]`` lists the ids of the arcs leaving node u, ``to[e]`` is the
-    head of arc e and ``cap[e]`` its residual capacity, 0 or 1. Arc e ^ 1 is
-    the residual twin of arc e. ``cap`` is left holding the residual
-    capacities of a maximum flow. Dinic's algorithm; with unit capacities
-    the blocking-flow phases terminate after O(sqrt(E)) rounds.
+def maxflow_unit(succ, sources, sinks):
+    """The largest number of vertex-disjoint paths from ``sources`` to the
+    set ``sinks`` in the digraph with successor lists ``succ``.
+
+    This is a unit-capacity max-flow on the vertex-split graph, where
+    vertex v is an arc from node v_in to node v_out, which is never built.
+    The flow is kept as paths: ``prv[v]`` and ``nxt[v]`` are v's neighbours
+    on the path through it, -1 when no path uses v, and ``end`` (one past
+    the last vertex) when the path starts or ends at v. A vertex listed
+    twice in ``sources`` counts once, and one in both terminal sets is a
+    path on its own.
+
+    A first pass gives each source a free sink among its successors, if it
+    has one. Then each source whose path does not start at it yet searches
+    once for an augmenting path (Ford-Fulkerson), depth first and without
+    recursion, so path length is not bounded by the interpreter's recursion
+    limit; on a bipartite graph this is Kuhn's matching algorithm. From
+    x_out the search may enter any successor w: w_in leads on to w_out when
+    no path uses w, and otherwise back along w's path to prv[w]_out. When a
+    path uses x, the search may also undo x's vertex arc and go back to
+    prv[x]_out. A source that a path runs through starts its search at that
+    path's prv. Once a path uses a vertex, its out node has a single way in,
+    so marking the out nodes reached is enough.
     """
-    num_nodes = len(adj)
+    end = len(succ)
+    nxt = [-1] * (end + 1)
+    prv = [-1] * (end + 1)
     flow = 0
-    while True:
-        # Level graph: level[v] is v's distance from the source.
-        level = [-1] * num_nodes
-        level[source] = 0
-        queue = [source]
-        for u in queue:  # the list grows while it is walked: a FIFO queue
-            lv = level[u] + 1
-            for e in adj[u]:
-                v = to[e]
-                if cap[e] and level[v] < 0:
-                    level[v] = lv
-                    queue.append(v)
-        if level[sink] < 0:
-            return flow
-        # Blocking flow by an iterative DFS along the level graph, so that
-        # path length is not bounded by the interpreter's recursion limit.
-        # `path` holds the arcs from the source to u and it[u] is the next
-        # arc of u to try; a dead end advances its parent's arc pointer.
-        it = [0] * num_nodes
-        path = []
-        u = source
-        while True:
-            if u == sink:
-                for e in path:
-                    cap[e] -= 1
-                    cap[e ^ 1] += 1
-                flow += 1
-                path = []
-                u = source
-            arcs = adj[u]
-            i, n, lv = it[u], len(arcs), level[u] + 1
-            while i < n:
-                e = arcs[i]
-                if cap[e] and level[to[e]] == lv:
+    for s in sources:
+        if prv[s] < 0:
+            for w in succ[s]:
+                if prv[w] < 0 and w in sinks:
+                    nxt[s], prv[w], prv[s], nxt[w] = w, s, end, end
+                    flow += 1
                     break
-                i += 1
-            it[u] = i
-            if i < n:
-                path.append(e)
-                u = to[e]
-            elif path:
-                u = to[path.pop() ^ 1]
-                it[u] += 1
-            else:
+    for root in sources:
+        if prv[root] == end:
+            continue
+        # The search path: out nodes xs, with xs[0] = end for the source; the
+        # move ws[i] that leaves xs[i]; and the untried moves of xs[1:]. Move
+        # w from x becomes nxt[x] = w and prv[w] = x on success, except that
+        # the move w = x, offered when a path uses x, takes x off its path.
+        x = root if prv[root] < 0 else prv[root]
+        xs, ws, moves, seen = [end], [root], [], {end, x}
+        while True:
+            if x in sinks and nxt[x] != end:
+                xs.append(x)
+                ws.append(end)
+                for x, w in zip(xs, ws):
+                    if x == w:
+                        prv[x] = nxt[x] = -1
+                    else:
+                        nxt[x], prv[w] = w, x
+                flow += 1
                 break
-
-
-def max_matching(succ, left, right):
-    """Size of a maximum matching between ``left`` and the set ``right``.
-
-    ``succ[u]`` lists the right neighbours of left vertex u; neighbours not
-    in ``right`` are ignored, and a vertex listed twice in ``left`` counts
-    once. Kuhn's algorithm: each left vertex in turn takes a free neighbour or,
-    failing that, an augmenting path found by an iterative depth-first
-    search, so path length is not bounded by the interpreter's recursion
-    limit. `lefts` holds the left vertices of the current alternating path,
-    `rights` the right vertices between them, and `arcs` their neighbour
-    iterators; lefts[i + 1] owns rights[i].
-    """
-    owner = {}  # matched right vertex -> its left vertex
-    for root in dict.fromkeys(left):
-        for v in succ[root]:
-            if v in right and v not in owner:
-                owner[v] = root
-                break
-        else:
-            seen = set()
-            lefts, rights, arcs = [root], [], [iter(succ[root])]
-            while arcs:
-                for v in arcs[-1]:
-                    if v in right and v not in seen:
+            xs.append(x)
+            moves.append(chain(succ[x], (x,)) if prv[x] >= 0 else iter(succ[x]))
+            while moves:
+                for w in moves[-1]:
+                    x = prv[w]
+                    if x < 0:
+                        x = w
+                    if x not in seen:
                         break
                 else:
-                    arcs.pop()
-                    lefts.pop()
-                    if rights:
-                        rights.pop()
+                    moves.pop()
+                    xs.pop()
+                    ws.pop()
                     continue
-                seen.add(v)
-                rights.append(v)
-                u = owner.get(v)
-                if u is None:
-                    for u, v in zip(lefts, rights):
-                        owner[v] = u
-                    break
-                lefts.append(u)
-                arcs.append(iter(succ[u]))
-    return len(owner)
+                seen.add(x)
+                ws.append(w)
+                break
+            else:
+                break
+    return flow
 
 
 def reduce_row(basis, row, p):

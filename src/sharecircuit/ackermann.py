@@ -45,9 +45,12 @@ def lam(d: int, n: int) -> int:
 
 # The base cases are cheaper than a cache lookup; only the recursive star
 # levels are memoized, with a bound so full-range sweeps stay in memory.
+# Each step of the star is a lookup of its own, so the counts of the values
+# a sweep passes through are shared: `f_star` with f = lambda_{d-2} is the
+# reference, and lambda_{d-2}(x) < x for x > 1 keeps the recursion finite.
 @lru_cache(maxsize=1 << 16)
 def _lam_star(d: int, n: int) -> int:
-    return f_star(lambda x: lam(d - 2, x), n)
+    return 0 if n <= 1 else 1 + _lam_star(d, lam(d - 2, n))
 
 
 def log_star(n: int) -> int:

@@ -1,9 +1,9 @@
 """Directed-acyclic (m,n)-network model: validation, vertex-disjoint path
-computation via bipartite matching (depth 1) or unit-capacity max-flow,
-connectivity verification sweeps, the weighted path pass (a gate schedule
-under per-edge weights and the rows over the inputs it gives) behind both a
-circuit's transfer matrix and the sweeps' path-matrix certificate, and the
-composition operators used by the graph builders."""
+counts by augmenting paths, connectivity verification sweeps, the weighted
+path pass (a gate schedule under per-edge weights and the rows over the
+inputs it gives) behind both a circuit's transfer matrix and the sweeps'
+path-matrix certificate, and the composition operators used by the graph
+builders."""
 
 import json
 import random
@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 
-from ._kernels import max_matching, maxflow_unit, reduce_row
+from ._kernels import maxflow_unit, reduce_row
 from .errors import (
     ArityMismatch,
     CyclicGraph,
@@ -41,10 +41,10 @@ class Network:
     Multi-edges are allowed (parallel composition can create them);
     vertex-disjointness is unaffected since vertex capacities bind.
 
-    The topological order, the depth, the input-to-output edges and the
-    split graph of the flow queries, and the path matrix of the pair sweeps
-    are computed on first use and cached; the network is frozen so that
-    they never go stale, and equality and hashing see only its fields.
+    The successor lists, the terminal sets, the topological order, the depth
+    and the path matrix of the pair sweeps are computed on first use and
+    cached; the network is frozen so that they never go stale, and equality
+    and hashing see only its fields.
     """
 
     vertex_count: int
@@ -59,6 +59,21 @@ class Network:
         object.__setattr__(self, "outputs", tuple(int(v) for v in self.outputs))
 
     @cached_property
+    def successors(self) -> tuple:
+        """The heads of each vertex's outgoing edges, in edge order (cached);
+        the one adjacency that the order, the depth and the flow queries
+        walk."""
+        succ = [[] for _ in range(self.vertex_count)]
+        for u, v in self.edges:
+            succ[u].append(v)
+        return tuple(map(tuple, succ))
+
+    @cached_property
+    def terminal_sets(self) -> tuple:
+        """The inputs and the outputs as two frozensets (cached)."""
+        return frozenset(self.inputs), frozenset(self.outputs)
+
+    @cached_property
     def order(self) -> tuple:
         """The vertices in topological order (cached); raises CyclicGraph."""
         return tuple(topological_order(self))
@@ -69,9 +84,7 @@ class Network:
         dist = [-1] * self.vertex_count
         for v in self.inputs:
             dist[v] = 0
-        succ = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            succ[u].append(v)
+        succ = self.successors
         for u in self.order:
             if dist[u] < 0:
                 continue
@@ -79,18 +92,6 @@ class Network:
                 if dist[v] < dist[u] + 1:
                     dist[v] = dist[u] + 1
         return max((dist[v] for v in self.outputs if dist[v] >= 0), default=0)
-
-    @cached_property
-    def bipartite(self) -> "Bipartite":
-        """The input-to-output edges the flow queries of a depth-1 network
-        run on (cached)."""
-        return Bipartite.build(self)
-
-    @cached_property
-    def split_graph(self) -> "SplitGraph":
-        """The residual graph the flow queries of a network of depth 2 or
-        more run on (cached)."""
-        return SplitGraph.build(self)
 
     @cached_property
     def path_matrix(self) -> "PathMatrix":
@@ -142,103 +143,6 @@ def input_rows(net: Network, gates, p: int, targets) -> list:
             acc = [a + w * b for a, b in zip(acc, row[u])]
         row[v] = [a % p for a in acc]
     return [row[v] for v in targets]
-
-
-@dataclass(frozen=True)
-class Bipartite:
-    """The edges from inputs to outputs of a network. When its depth is at
-    most 1 they are its only input-to-output paths, so vertex-disjoint paths
-    from S to T are a matching between S and T (Konig's theorem)."""
-
-    succ: dict  # input vertex -> the outputs it has an edge to, once each
-    output_set: frozenset
-
-    @classmethod
-    def build(cls, net: Network) -> "Bipartite":
-        output_set = frozenset(net.outputs)
-        succ = {x: {} for x in net.inputs}
-        for u, v in net.edges:
-            if v in output_set and u in succ:
-                succ[u][v] = None
-        return cls({x: tuple(ys) for x, ys in succ.items()}, output_set)
-
-    def max_paths(self, S: tuple, T: tuple) -> int:
-        """The size of a maximum matching between S and T, a vertex listed
-        twice counting once; raises TerminalNotInNetwork unless S is a set
-        of inputs and T a set of outputs."""
-        for v in S:
-            if v not in self.succ:
-                raise TerminalNotInNetwork(f"{v} is not an input vertex")
-        right = frozenset(T)
-        if not right <= self.output_set:
-            v = next(v for v in T if v not in self.output_set)
-            raise TerminalNotInNetwork(f"{v} is not an output vertex")
-        return max_matching(self.succ, S, right)
-
-
-@dataclass(frozen=True)
-class SplitGraph:
-    """Vertex-split residual graph of a network, shared by its flow queries.
-
-    Vertex v becomes node v (in) and node v + V (out), joined by a
-    capacity-1 arc; edge (u, v) becomes the arc u + V -> v. Node 2V is the
-    source, with one arc to every input, and node 2V + 1 the sink, with one
-    arc from every output; these terminal arcs have base capacity 0, and a
-    query opens the ones of its terminal sets. Arc e is forward when even,
-    and e ^ 1 is its residual twin.
-    """
-
-    adj: list  # node -> ids of the arcs leaving it
-    to: list  # arc id -> head node
-    cap: list  # arc id -> base capacity
-    source_arc: dict  # input vertex -> id of its source arc
-    sink_arc: dict  # output vertex -> id of its sink arc
-
-    @property
-    def source(self) -> int:
-        return len(self.adj) - 2
-
-    @property
-    def sink(self) -> int:
-        return len(self.adj) - 1
-
-    @classmethod
-    def build(cls, net: Network) -> "SplitGraph":
-        V = net.vertex_count
-        source, sink = 2 * V, 2 * V + 1
-        adj = [[] for _ in range(2 * V + 2)]
-        to, cap = [], []
-
-        def arc(u, v, c):
-            adj[u].append(len(to))
-            to.append(v)
-            cap.append(c)
-            adj[v].append(len(to))
-            to.append(u)
-            cap.append(0)
-            return len(to) - 2
-
-        for v in range(V):
-            arc(v, v + V, 1)
-        for u, v in net.edges:
-            arc(u + V, v, 1)
-        source_arc = {v: arc(source, v, 0) for v in net.inputs}
-        sink_arc = {v: arc(v + V, sink, 0) for v in net.outputs}
-        return cls(adj, to, cap, source_arc, sink_arc)
-
-    def capacities(self, S, T) -> list:
-        """A fresh copy of the base capacities with the source arcs of S and
-        the sink arcs of T opened; raises TerminalNotInNetwork unless S is
-        a set of inputs and T a set of outputs."""
-        cap = self.cap[:]
-        for arcs, terminals, role in ((self.source_arc, S, "input"),
-                                      (self.sink_arc, T, "output")):
-            for v in terminals:
-                e = arcs.get(v)
-                if e is None:
-                    raise TerminalNotInNetwork(f"{v} is not an {role} vertex")
-                cap[e] = 1
-        return cap
 
 
 @dataclass(frozen=True)
@@ -304,10 +208,9 @@ class VerificationReport:
 
 
 def topological_order(net: Network) -> list:
+    succ = net.successors
     indeg = [0] * net.vertex_count
-    succ = [[] for _ in range(net.vertex_count)]
-    for u, v in net.edges:
-        succ[u].append(v)
+    for _, v in net.edges:
         indeg[v] += 1
     queue = deque(v for v in range(net.vertex_count) if indeg[v] == 0)
     order = []
@@ -348,27 +251,24 @@ def validate(net: Network) -> None:
 
 
 def max_vertex_disjoint_paths(net: Network, S, T) -> int:
-    """Maximum number of vertex-disjoint paths from S (inputs) to T (outputs).
+    """Maximum number of vertex-disjoint paths from S (inputs) to T (outputs),
+    a vertex listed twice counting once; by Menger's theorem, the size of a
+    smallest vertex set meeting every path from S to T.
 
-    On a network of depth at most 1 every input-to-output path is one edge,
-    so the paths are a maximum bipartite matching between S and T, and no
-    flow runs. Deeper networks have every vertex split into an (in, out)
-    pair joined by a capacity-1 arc, so the flow value equals the minimum
-    vertex cut by Menger. The split graph is built once per network; each
-    query runs Dinic's algorithm on a fresh copy of its capacities.
-
-    The depth needs a topological order, so a cyclic network raises
-    CyclicGraph.
+    One augmenting-path search per input of S over the network's successor
+    lists (`_kernels.maxflow_unit`), at every depth; on a depth-1 network it
+    is a bipartite matching. Raises TerminalNotInNetwork unless S is a set
+    of inputs and T a set of outputs, and CyclicGraph on a cyclic network.
     """
-    S = tuple(S)
-    T = tuple(T)
-    if net.depth <= 1:
-        return net.bipartite.max_paths(S, T)
-    g = net.split_graph
-    cap = g.capacities(S, T)
-    if not S or not T:
-        return 0
-    return maxflow_unit(g.adj, g.to, cap, g.source, g.sink)
+    net.order  # raises CyclicGraph
+    S, T = tuple(S), tuple(T)
+    inputs, outputs = net.terminal_sets
+    if not (inputs.issuperset(S) and outputs.issuperset(T)):
+        for given, allowed, role in ((S, inputs, "input"), (T, outputs, "output")):
+            for v in given:
+                if v not in allowed:
+                    raise TerminalNotInNetwork(f"{v} is not an {role} vertex")
+    return maxflow_unit(net.successors, S, frozenset(T))
 
 
 def _sample_subsets(rng, universe, size, count):
@@ -392,14 +292,17 @@ def _sweep(net, name, lo, hi, slack, budget, rng_seed, all_outputs=False):
     A pair may first be offered to the network's path matrix: rank
     M[Y, X] >= k - slack proves it, and no flow runs. Otherwise max-flow
     decides, so every refutation and every report is the flow sweep's. The
-    certificate is used where it costs less than the flows it saves: a k x k
-    elimination costs less than one flow query while k^3 <= E (E edges),
-    and building the matrix costs about as much as one flow query per
+    certificate is meant for where it costs less than the flows it saves.
+    The rule was measured against Dinic's algorithm on the split graph: a
+    k x k elimination cost less than one flow query while k^3 <= E (E
+    edges), and building the matrix about as much as one flow query per
     input. So the sizes with k^3 <= E are certified, and only when the
-    sweep has at least one such pair per input. The all-outputs sweep runs
-    no certificate: the builders sweep depth-1 graphs, where a flow query is
-    a bipartite matching and costs less than a dense elimination. On a
-    network of depth 2 or more a flow query runs Dinic."""
+    sweep has at least one such pair per input. The augmenting-path kernel
+    that answers flow queries now is cheaper than Dinic was, so on some
+    networks the largest certified sizes would be decided sooner by flow
+    (BENCH_one_flow_kernel.json). The all-outputs sweep runs no
+    certificate: the builders sweep depth-1 graphs, where a flow query is a
+    bipartite matching and costs less than a dense elimination."""
     validate(net)
     xs, ys = sorted(net.inputs), sorted(net.outputs)
     limit = len(xs) if all_outputs else min(len(xs), len(ys))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -51,6 +52,15 @@ def test_lam_1_matches_isqrt_oracle():
     for n in range(1, 2000):
         r = lam(1, n)
         assert r * r <= n < (r + 1) * (r + 1)
+
+
+def test_lam_is_the_star_of_lam_two_below():
+    # lambda_d is memoised one star step at a time; f_star is the reference
+    rng = random.Random(40)
+    ns = list(range(1, 2**12)) + [rng.randrange(1, 2**40 + 1) for _ in range(300)] + [2**40]
+    for d in range(3, 9):
+        for n in ns:
+            assert lam(d, n) == f_star(lambda x: lam(d - 2, x), n), (d, n)
 
 
 def test_lam_monotone_decreasing_in_d():

@@ -1,41 +1,109 @@
-"""The max-flow, matching and GF(p) rank kernels against exact oracles on
+"""The vertex-disjoint path and GF(p) rank kernels against exact oracles on
 seeded random instances."""
 
 import random
 import sys
+from collections import Counter, deque
+from itertools import combinations
 
 import pytest
 
 from sharecircuit import _kernels
 
 
-def residual_graph(num_nodes, tails, heads):
-    """(adj, to, cap) of unit-capacity arcs tails[i] -> heads[i]: forward arc
-    2i, residual twin 2i + 1."""
-    adj = [[] for _ in range(num_nodes)]
+def split_graph_paths(succ, sources, sinks):
+    """Independent oracle: the flow value of the vertex-split graph, found by
+    breadth-first augmenting paths over explicit residual arcs. Vertex v is
+    node v (in) and node v + V (out), joined by a capacity-1 arc; edge
+    (u, w) is the arc u + V -> w, and the source and sink reach the
+    terminals by arcs of their own. Arc e ^ 1 is the residual twin of arc e."""
+    V = len(succ)
+    source, sink = 2 * V, 2 * V + 1
+    arcs = [(v, v + V) for v in range(V)]
+    arcs += [(u + V, w) for u in range(V) for w in succ[u]]
+    arcs += [(source, s) for s in set(sources)] + [(t + V, sink) for t in sinks]
+    adj = [[] for _ in range(2 * V + 2)]
     to, cap = [], []
-    for u, v in zip(tails, heads):
+    for u, w in arcs:
         adj[u].append(len(to))
-        adj[v].append(len(to) + 1)
-        to += [v, u]
+        adj[w].append(len(to) + 1)
+        to += [w, u]
         cap += [1, 0]
-    return adj, to, cap
+    flow = 0
+    while True:
+        arc_in = {source: None}
+        queue = deque([source])
+        while queue and sink not in arc_in:
+            u = queue.popleft()
+            for e in adj[u]:
+                if cap[e] and to[e] not in arc_in:
+                    arc_in[to[e]] = e
+                    queue.append(to[e])
+        if sink not in arc_in:
+            return flow
+        v = sink
+        while v != source:
+            e = arc_in[v]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            v = to[e ^ 1]
+        flow += 1
 
 
-def random_flow_instance(rng):
-    n = rng.randrange(4, 30)
-    e = rng.randrange(1, 4 * n)
-    tails = [rng.randrange(n) for _ in range(e)]
-    heads = [rng.randrange(n) for _ in range(e)]
-    s, t = rng.sample(range(n), 2)
-    return n, tails, heads, s, t
+def min_vertex_cut(succ, sources, sinks):
+    """Independent oracle: the fewest vertices whose removal leaves no path
+    from a source to a sink (terminals may be removed), by trying every
+    vertex set in order of size. By Menger's theorem it equals the largest
+    number of vertex-disjoint paths."""
+    V = len(succ)
+    for size in range(V + 1):
+        for cut in map(set, combinations(range(V), size)):
+            reached = {s for s in sources if s not in cut}
+            stack = list(reached)
+            while stack:
+                for w in succ[stack.pop()]:
+                    if w not in cut and w not in reached:
+                        reached.add(w)
+                        stack.append(w)
+            if not reached & set(sinks):
+                return size
+
+
+def random_digraph(rng):
+    """Successor lists on up to 9 vertices with cycles, self-loops and
+    parallel edges, and terminal sets that may repeat and overlap."""
+    V = rng.randrange(1, 10)
+    succ = [[] for _ in range(V)]
+    for _ in range(rng.randrange(0, 3 * V)):
+        succ[rng.randrange(V)].append(rng.randrange(V))
+    sources = rng.choices(range(V), k=rng.randrange(0, V + 2))
+    sinks = set(rng.sample(range(V), rng.randrange(0, V + 1)))
+    return succ, sources, sinks
 
 
 def test_pure_maxflow_basics():
-    # two parallel length-1 paths
-    assert _kernels.maxflow_unit(*residual_graph(4, [0, 0, 1, 2], [1, 2, 3, 3]), 0, 3) == 2
-    # no path
-    assert _kernels.maxflow_unit(*residual_graph(3, [0], [1]), 0, 2) == 0
+    # two disjoint paths, 0 -> 2 -> 4 and 1 -> 3 -> 5
+    assert _kernels.maxflow_unit([[2], [3], [4], [5], [], []], (0, 1), {4, 5}) == 2
+    # no path, and empty terminal sets
+    assert _kernels.maxflow_unit([[1], [], []], (0,), {2}) == 0
+    assert _kernels.maxflow_unit([[1], []], (), {1}) == 0
+    assert _kernels.maxflow_unit([[1], []], (0,), set()) == 0
+    # a funnel: both sources pass through vertex 2, and vertices bind
+    assert _kernels.maxflow_unit([[2], [2], [3], []], (0, 1), {3}) == 1
+    # 0 first takes sink 2; 1 reaches 2 only by rerouting 0's path to 3
+    assert _kernels.maxflow_unit([[2, 3], [2], [], []], (0, 1), {2, 3}) == 2
+    # 0's path 0 -> 2 -> 3 -> 4 is found first; 1 reaches sink 4 only by
+    # taking over 3 and undoing 2, which sends 0 on by 5 to sink 6
+    succ = [[2, 5], [3], [3], [4], [], [6], []]
+    assert _kernels.maxflow_unit(succ, (0, 1), {4, 6}) == 2
+    # a source that another source's path runs through, listed first
+    assert _kernels.maxflow_unit([[1, 3], [2], [], []], (1, 0), {2, 3}) == 2
+    assert _kernels.maxflow_unit([[1], [2], []], (1, 0), {2}) == 1
+    # a source listed twice counts once; one that is also a sink is a path
+    # of its own, and shares its vertex with no other path
+    assert _kernels.maxflow_unit([[1], []], (0, 0), {1}) == 1
+    assert _kernels.maxflow_unit([[1], [], []], (0, 2), {1, 2}) == 2
+    assert _kernels.maxflow_unit([[1], []], (0, 1), {1}) == 1
 
 
 def test_pure_rank_basics():
@@ -44,72 +112,75 @@ def test_pure_rank_basics():
     assert _kernels.gf_rank(2, 2, [1, 2, 2, 4], 7) == 1
 
 
-def test_pure_maxflow_leaves_a_maximum_flow_in_cap():
-    # cap ends as the residual of a flow: conserved at every inner node, of
-    # the returned value at the source and sink, and leaving no augmenting
-    # path (a second run on it finds nothing more).
+def test_pure_maxflow_equals_the_minimum_vertex_cut():
+    # The kernel returns only a count, so a maximum flow is pinned by its
+    # value: no fewer paths than a smallest cut allows, and no more.
+    values = Counter()
     for seed in range(300):
         rng = random.Random(seed)
-        n, tails, heads, s, t = random_flow_instance(rng)
-        adj, to, cap = residual_graph(n, tails, heads)
-        flow = _kernels.maxflow_unit(adj, to, cap, s, t)
-        net = [0] * n
-        for e in range(0, len(to), 2):
-            assert cap[e] + cap[e + 1] == 1 and cap[e] in (0, 1)
-            u, v = to[e + 1], to[e]
-            net[u] -= cap[e + 1]
-            net[v] += cap[e + 1]
-        assert net[t] == -net[s] == flow
-        assert all(net[v] == 0 for v in range(n) if v not in (s, t))
-        assert _kernels.maxflow_unit(adj, to, cap, s, t) == 0
-
-
-def matching_by_flow(succ, left, right):
-    """Maximum matching size as a unit-capacity max-flow: source -> each
-    distinct left vertex -> its neighbours in `right` -> sink."""
-    left, right = list(dict.fromkeys(left)), sorted(set(right))
-    node = {("L", u): i for i, u in enumerate(left)}
-    node.update({("R", v): len(left) + j for j, v in enumerate(right)})
-    source, sink = len(node), len(node) + 1
-    tails, heads = [], []
-    for u in left:
-        tails.append(source)
-        heads.append(node["L", u])
-        for v in succ[u]:
-            if ("R", v) in node:
-                tails.append(node["L", u])
-                heads.append(node["R", v])
-    for v in right:
-        tails.append(node["R", v])
-        heads.append(sink)
-    return _kernels.maxflow_unit(*residual_graph(len(node) + 2, tails, heads), source, sink)
+        succ, sources, sinks = random_digraph(rng)
+        flow = _kernels.maxflow_unit(succ, sources, sinks)
+        assert flow == min_vertex_cut(succ, sources, sinks), seed
+        values[flow] += 1
+    assert len(values) >= 4
 
 
 def test_max_matching_matches_max_flow():
-    # Repeated left vertices, repeated neighbours, neighbours outside
-    # `right`, and empty sides all occur.
+    # Left vertices 0..a-1, right vertices a..a+b-1. Repeated left vertices,
+    # repeated neighbours, neighbours outside the sinks, and empty sides all
+    # occur; on a bipartite graph the kernel is a matching.
     sizes = set()
     for seed in range(300):
         rng = random.Random(seed)
         a, b = rng.randrange(0, 9), rng.randrange(1, 9)
-        succ = {u: [rng.randrange(b) for _ in range(rng.randrange(0, 5))] for u in range(a)}
+        succ = [[a + rng.randrange(b) for _ in range(rng.randrange(0, 5))] for _ in range(a)]
+        succ += [[] for _ in range(b)]
         left = rng.choices(range(a), k=rng.randrange(0, a + 3)) if a else []
-        right = set(rng.sample(range(b), rng.randrange(0, b + 1)))
-        want = matching_by_flow(succ, left, right)
-        assert _kernels.max_matching(succ, left, right) == want, seed
+        right = set(rng.sample(range(a, a + b), rng.randrange(0, b + 1)))
+        want = split_graph_paths(succ, left, right)
+        assert _kernels.maxflow_unit(succ, left, right) == want, seed
         sizes.add(want)
     assert len(sizes) >= 6
 
 
 def test_max_matching_is_iterative():
-    # Left u < n is offered right u first, then u + 1; left n only right 0.
-    # The greedy pass matches u to u, so left n needs the augmenting path
-    # n -> 0 -> 0 -> 1 -> 1 -> ... -> n, with n alternations: deeper than
-    # the recursion limit.
+    # Left u is vertex u and right u vertex n + 1 + u. Left u < n is offered
+    # right u first, then u + 1; left n only right 0. The first pass matches
+    # u to u, so left n needs the augmenting path n -> 0 -> 0 -> 1 -> 1 ->
+    # ... -> n, with n alternations: deeper than the recursion limit.
     n = sys.getrecursionlimit() + 100
-    succ = {u: (u, u + 1) for u in range(n)}
-    succ[n] = (0,)
-    assert _kernels.max_matching(succ, range(n + 1), set(range(n + 1))) == n + 1
+    succ = [(n + 1 + u, n + 2 + u) for u in range(n)] + [(n + 1,)]
+    succ += [()] * (n + 1)
+    assert _kernels.maxflow_unit(succ, range(n + 1), set(range(n + 1, 2 * n + 2))) == n + 1
+
+
+def test_maxflow_unit_matches_the_split_graph_oracle_on_dags():
+    # DAGs with vertices numbered in random order, parallel and skip edges,
+    # stray vertices on no terminal path, and sources anywhere in the order,
+    # so that some have in-edges and paths may run through them.
+    seen = Counter()
+    for seed in range(600):
+        rng = random.Random(seed)
+        V = rng.randrange(2, 16)
+        rank = list(range(V))  # topological position -> vertex number
+        rng.shuffle(rank)
+        succ = [[] for _ in range(V)]
+        for _ in range(rng.randrange(0, 3 * V)):
+            a, b = sorted(rng.sample(range(V), 2))
+            succ[rank[a]] += [rank[b]] * rng.choice((1, 1, 2))
+        terminals = rng.sample(range(V), rng.randrange(2, V + 1))
+        cut = rng.randrange(1, len(terminals))
+        sources, sinks = terminals[:cut], set(terminals[cut:])
+        want = split_graph_paths(succ, sources, sinks)
+        assert _kernels.maxflow_unit(succ, sources, sinks) == want, seed
+        entered = {w for ws in succ for w in ws}
+        seen["source with in-edges"] += any(s in entered for s in sources)
+        seen["stray"] += len(terminals) < V
+        seen["parallel"] += any(len(set(ws)) < len(ws) for ws in succ)
+        seen["flow", min(want, 2)] += 1
+    for kind in ("source with in-edges", "stray", "parallel"):
+        assert seen[kind] >= 100, (kind, seen)
+    assert all(seen["flow", k] >= 50 for k in range(3)), seen
 
 
 def oracle_rank(rows, cols, entries, p):

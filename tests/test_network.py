@@ -8,7 +8,6 @@ from math import comb
 import pytest
 
 from sharecircuit import network
-from sharecircuit._kernels import maxflow_unit
 from sharecircuit.circuit import circuit_from_dict, circuit_to_dict, synthesize
 from sharecircuit.concentrator import ConcentratorParams, build_depth1
 from sharecircuit.errors import (
@@ -362,8 +361,8 @@ def test_sweep_builds_the_path_matrix_only_when_it_pays(monkeypatch):
 
 
 # Flow queries as they were before the split graph was shared: the arc list
-# and the residual graph rebuilt per query. Kept verbatim (renamed) as the
-# oracle for the shared split graph.
+# and the residual graph rebuilt per query, and Dinic's algorithm run on it.
+# Kept verbatim (renamed) as the oracle for the flow queries.
 
 
 def rebuilding_max_vertex_disjoint_paths(net: Network, S, T) -> int:
@@ -536,28 +535,6 @@ def test_shared_split_graph_matches_the_rebuilding_oracle():
         assert kinds[kind, True] and kinds[kind, False], kind
 
 
-# Flow queries as they were before depth-1 networks were answered by a
-# matching: every query ran Dinic on the shared split graph. Kept verbatim
-# (renamed) as the oracle for the matching path.
-
-
-def split_graph_max_vertex_disjoint_paths(net: Network, S, T) -> int:
-    """Maximum number of vertex-disjoint paths from S (inputs) to T (outputs).
-
-    Every vertex is split into an (in, out) pair joined by a capacity-1
-    arc, so the flow value equals the minimum vertex cut by Menger. The
-    split graph is built once per network; each query runs on a fresh copy
-    of its capacities.
-    """
-    S = tuple(S)
-    T = tuple(T)
-    g = net.split_graph
-    cap = g.capacities(S, T)
-    if not S or not T:
-        return 0
-    return maxflow_unit(g.adj, g.to, cap, g.source, g.sink)
-
-
 def depth1_network(rng):
     """A valid network of depth at most 1, vertices numbered in random order:
     input-to-output edges with repeats, and dangling non-terminal vertices.
@@ -579,6 +556,8 @@ def depth1_network(rng):
 
 
 def test_depth1_matching_matches_the_split_graph_oracle():
+    # A depth-1 network runs the same kernel as a deeper one; on it the
+    # search is a bipartite matching.
     rng = random.Random(91)
     seen = Counter()
     for i in range(320):
@@ -591,7 +570,7 @@ def test_depth1_matching_matches_the_split_graph_oracle():
                    (rng.choices(xs, k=len(xs) + 2), rng.choices(ys, k=len(ys) + 2)),
                    (rng.sample(xs, rng.randrange(1, len(xs) + 1)), some_ys)]
         for S, T in queries:
-            want = split_graph_max_vertex_disjoint_paths(net, S, T)
+            want = rebuilding_max_vertex_disjoint_paths(net, S, T)
             assert max_vertex_disjoint_paths(net, S, T) == want, (i, S, T)
             seen["proper T" if len(set(T)) < len(ys) else "all outputs", want > 0] += 1
             seen["repeats"] += len(set(S)) < len(S) or len(set(T)) < len(T)
@@ -603,20 +582,27 @@ def test_depth1_matching_matches_the_split_graph_oracle():
 
 
 def test_depth1_queries_check_terminals_without_a_split_graph():
-    # 0, 1, 2 are inputs, 3, 4 outputs, 5 a stray and 6 a dead end.
+    # 0, 1, 2 are inputs, 3, 4 outputs, 5 a stray and 6 a dead end. The
+    # deeper network adds the edge (6, 4), so it has depth 2.
     net = Network(7, [(0, 3), (1, 3), (1, 4), (0, 6), (5, 4)], (0, 1, 2), (3, 4))
-    assert net.depth == 1
+    deeper = Network(7, net.edges + ((6, 4),), net.inputs, net.outputs)
+    assert net.depth == 1 and deeper.depth == 2
     bad = [((9,), (3,)), ((-1,), (3,)), ((3,), (4,)), ((5,), (4,)), ((0, 6), (3,)),
            ((0,), (0,)), ((0,), (3, 6)), ((1,), (9,)), ((), (2,)), ((7,), (8,))]
-    oracle = Network(net.vertex_count, net.edges, net.inputs, net.outputs)
     for S, T in bad:
-        with pytest.raises(TerminalNotInNetwork) as got:
-            max_vertex_disjoint_paths(net, S, T)
         with pytest.raises(TerminalNotInNetwork) as want:
-            split_graph_max_vertex_disjoint_paths(oracle, S, T)
-        assert str(got.value) == str(want.value), (S, T)
+            rebuilding_max_vertex_disjoint_paths(net, S, T)
+        for queried in (net, deeper):
+            with pytest.raises(TerminalNotInNetwork) as got:
+                max_vertex_disjoint_paths(queried, S, T)
+            assert str(got.value) == str(want.value), (queried.depth, S, T)
     assert max_vertex_disjoint_paths(net, (0, 1, 2), (3, 4)) == 2
-    assert "split_graph" not in vars(net) and "bipartite" in vars(net)
+    assert max_vertex_disjoint_paths(deeper, (0, 1, 2), (3, 4)) == 2
+    # a query caches the successor lists, the terminal sets and the order,
+    # and builds nothing else (the depth is this test's own)
+    for queried in (net, deeper):
+        cached = set(vars(queried)) - {"vertex_count", "edges", "inputs", "outputs"}
+        assert cached == {"successors", "terminal_sets", "order", "depth"}
 
 
 def test_flow_query_on_a_cyclic_network_raises():
@@ -635,14 +621,14 @@ def test_topological_order_and_cycle():
 def test_network_is_frozen():
     net = complete_bipartite(2, 3)
     fresh = complete_bipartite(2, 3)
-    cached = ("order", "depth", "bipartite", "split_graph", "path_matrix")
+    cached = ("successors", "terminal_sets", "order", "depth", "path_matrix")
     assert not set(cached) & set(vars(net))
-    assert net.order and net.depth == 1 and net.bipartite and net.split_graph
+    assert net.successors and net.terminal_sets and net.order and net.depth == 1
     assert net.path_matrix
     assert set(cached) <= set(vars(net))
     for name, value in (("vertex_count", 9), ("edges", ()), ("inputs", (1,)),
-                        ("outputs", (4,)), ("order", None), ("depth", None),
-                        ("bipartite", None), ("split_graph", None),
+                        ("outputs", (4,)), ("successors", None),
+                        ("terminal_sets", None), ("order", None), ("depth", None),
                         ("path_matrix", None)):
         with pytest.raises(FrozenInstanceError):
             setattr(net, name, value)
