@@ -22,9 +22,8 @@ from .network import (
     Network,
     check_fields,
     input_rows,
-    network_from_fields,
+    network_from_dict,
     network_to_dict,
-    validate,
 )
 
 
@@ -33,9 +32,10 @@ class LinearCircuit:
     """A network with a field modulus and one coefficient per edge.
 
     Input 0 carries the secret; the remaining inputs carry randomness.
-    Coefficients are parallel to net.edges. Construction validates the
-    network and refuses a coefficient that is not an int in [0, p) or a
-    threshold outside 1..min(inputs, outputs), so every circuit can run.
+    Coefficients are parallel to net.edges, in the network's own edge
+    order. The network is valid, as every network is; construction refuses
+    a coefficient that is not an int in [0, p) or a threshold outside
+    1..min(inputs, outputs), so every circuit can run.
 
     Every non-input vertex is an addition gate. The gate schedule lists them
     in topological order, each with its (predecessor, coefficient) pairs; it
@@ -49,7 +49,6 @@ class LinearCircuit:
     threshold: int
 
     def __post_init__(self):
-        validate(self.net)
         if len(self.coefficients) != len(self.net.edges):
             raise InvalidArguments("one coefficient per edge required")
         # Field elements are ints in [0, p); bool is an int subclass but no element.
@@ -94,17 +93,17 @@ class SchemeReport:
 def synthesize(
     net: Network, t: int, modulus: FieldModulus, rng_seed: int = 0
 ) -> LinearCircuit:
-    """Draw an independent uniform coefficient in [0, p) for every edge.
-
-    Edges are canonicalized to sorted order first so that circuits
-    serialize bit-exactly. Deterministic given the seed.
+    """Draw an independent uniform coefficient in [0, p) for every edge of
+    `net`, in the stable sorted order of the edges that a circuit file lists
+    them in, so the file depends only on the seed and the edge multiset.
     """
     if len(net.inputs) < t:
         raise TooFewInputs(f"network has {len(net.inputs)} inputs, need >= {t}")
-    net = net.edge_sorted()
     rng = random.Random(rng_seed)
-    coeffs = tuple(rng.randrange(modulus.p) for _ in net.edges)
-    return LinearCircuit(net, modulus, coeffs, t)
+    coeffs = [0] * len(net.edges)
+    for i in sorted(range(len(net.edges)), key=net.edges.__getitem__):
+        coeffs[i] = rng.randrange(modulus.p)
+    return LinearCircuit(net, modulus, tuple(coeffs), t)
 
 
 def evaluate(circ: LinearCircuit, x) -> list:
@@ -305,10 +304,10 @@ def circuit_to_dict(circ: LinearCircuit) -> dict:
 
 
 def circuit_from_dict(doc: dict) -> LinearCircuit:
-    """Read a circuit document, with its (edge, coefficient) pairs sorted
-    stably by edge; input 0 must carry the secret, and every coefficient
+    """Read a circuit document, keeping its (edge, coefficient) pairs in the
+    document's order; input 0 must carry the secret, and every coefficient
     must be an integer in [0, p)."""
-    net = network_from_fields(doc, "circuit")
+    net = network_from_dict(doc, "circuit")
     check_fields(doc, "circuit", modulus=int, threshold=int, coefficients=list)
     if doc.get("secret_input", 0) != 0:
         raise InvalidArguments(
@@ -316,12 +315,6 @@ def circuit_from_dict(doc: dict) -> LinearCircuit:
         )
     modulus = FieldModulus(doc["modulus"])
     coefficients = tuple(doc["coefficients"])
-    if len(coefficients) != len(net.edges):
-        raise InvalidArguments("one coefficient per edge required")
-    order = sorted(range(len(net.edges)), key=net.edges.__getitem__)
-    if order != list(range(len(order))):
-        net = net.edge_sorted()
-        coefficients = tuple(coefficients[i] for i in order)
     return LinearCircuit(net, modulus, coefficients, doc["threshold"])
 
 

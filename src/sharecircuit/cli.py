@@ -132,9 +132,7 @@ def _cmd_entropy_verify(args):
     if defn.verdict == "proved":
         bounds = infocheck.verify_entropy_bounds(dist, t, args.tol)
         print(f"entropy_bounds={bounds.verdict}")
-        residual = (
-            infocheck.han_check(dist, range(1, n + 1), args.tol) if n >= 2 else 0.0
-        )
+        residual = infocheck.han_check(dist, range(1, n + 1)) if n >= 2 else 0.0
         print(f"han_residual={residual:.9f}")
         if not bounds.ok:
             return _print_result(bounds.verdict, bounds.subsets_checked, bounds.witness)

@@ -10,9 +10,10 @@ from .network import (
     DEFAULT_BUDGET,
     Network,
     VerificationReport,
-    validate,
     verify_concentrator,
 )
+
+MAX_RETRIES = 32  # seeded attempts before build_depth1 gives up
 
 
 @dataclass
@@ -21,7 +22,6 @@ class ConcentratorParams:
     n: int  # outputs
     k: int  # capacity: every k-subset of inputs must reach k outputs
     degree: int | None = None  # per-input out-edges; derived when None
-    max_retries: int = 32
     rng_seed: int = 0
     budget: int = DEFAULT_BUDGET
 
@@ -67,19 +67,18 @@ def build_depth1(params: ConcentratorParams):
     inputs = tuple(range(m))
     outputs = tuple(range(m, m + n))
     last_report = None
-    for attempt in range(params.max_retries):
+    for attempt in range(MAX_RETRIES):
         rng = random.Random(params.rng_seed + attempt)
         edges = []
         for i in inputs:
             for j in rng.sample(range(m, m + n), degree):
                 edges.append((i, j))
         net = Network(m + n, edges, inputs, outputs)
-        validate(net)
         report = verify_concentrator(net, k, params.budget, params.rng_seed + attempt)
         if report.verdict != "refuted":
             return net, report
         last_report = report
     raise RetriesExhausted(
-        f"no ({m}, {n}, {k})-concentrator found in {params.max_retries} attempts",
+        f"no ({m}, {n}, {k})-concentrator found in {MAX_RETRIES} attempts",
         witness=last_report.witness if last_report else None,
     )

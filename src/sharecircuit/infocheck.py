@@ -159,10 +159,10 @@ def verify_entropy_bounds(
     return VerificationReport(f"entropy_bounds(t={t})", "proved", checked)
 
 
-def han_check(dist: JointDistribution, variables, tol: float = 1e-9) -> float:
+def han_check(dist: JointDistribution, variables) -> float:
     """Residual of the subadditivity inequality
     sum_j H(Y_{vars minus j}) - (|vars|-1) H(Y_vars); nonnegative for every
-    distribution (callers assert >= -tol)."""
+    distribution, up to the caller's floating-point tolerance."""
     variables = tuple(sorted(set(variables)))
     if len(variables) < 2:
         raise InvalidArguments("need at least two variables")

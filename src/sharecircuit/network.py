@@ -1,9 +1,9 @@
-"""Directed-acyclic (m,n)-network model: validation, vertex-disjoint path
-counts by augmenting paths, connectivity verification sweeps, the weighted
-path pass (a gate schedule under per-edge weights and the rows over the
-inputs it gives) behind both a circuit's transfer matrix and the sweeps'
-path-matrix certificate, and the composition operators used by the graph
-builders."""
+"""Directed-acyclic (m,n)-network model, valid from the moment it is built:
+vertex-disjoint path counts by augmenting paths, connectivity verification
+sweeps, the weighted path pass (a gate schedule under per-edge weights and
+the rows over the inputs it gives) behind both a circuit's transfer matrix
+and the sweeps' path-matrix certificate, and the composition operators used
+by the graph builders."""
 
 import json
 import random
@@ -39,12 +39,20 @@ class Network:
     """DAG with designated ordered input and output vertices.
 
     Multi-edges are allowed (parallel composition can create them);
-    vertex-disjointness is unaffected since vertex capacities bind.
+    vertex-disjointness is unaffected since vertex capacities bind. The edge
+    order is whatever the caller gave: nothing computed from a network
+    depends on it, and only the serialized form sorts the edges.
 
-    The successor lists, the terminal sets, the topological order, the depth
-    and the path matrix of the pair sweeps are computed on first use and
-    cached; the network is frozen so that they never go stale, and equality
-    and hashing see only its fields.
+    Construction validates: it raises TerminalNotInNetwork on an edge or a
+    terminal out of range, DuplicateTerminal on a terminal listed twice or
+    both an input and an output, DanglingInputOutput on an edge into an
+    input, and CyclicGraph on a directed cycle. So every network that
+    exists is valid, and no caller checks one again.
+
+    The successor lists, the terminal sets and the topological order are
+    computed at construction, the depth and the path matrix of the pair
+    sweeps on first use, and all are cached; the network is frozen so that
+    they never go stale, and equality and hashing see only its fields.
     """
 
     vertex_count: int
@@ -53,10 +61,30 @@ class Network:
     outputs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "vertex_count", int(self.vertex_count))
+        n = int(self.vertex_count)
+        object.__setattr__(self, "vertex_count", n)
         object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
         object.__setattr__(self, "inputs", tuple(int(v) for v in self.inputs))
         object.__setattr__(self, "outputs", tuple(int(v) for v in self.outputs))
+        for u, v in self.edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise TerminalNotInNetwork(f"edge ({u}, {v}) out of range")
+        for name, seq in (("input", self.inputs), ("output", self.outputs)):
+            seen = set()
+            for v in seq:
+                if not 0 <= v < n:
+                    raise TerminalNotInNetwork(f"{name} vertex {v} out of range")
+                if v in seen:
+                    raise DuplicateTerminal(f"{name} vertex {v} listed twice")
+                seen.add(v)
+        inputs, outputs = self.terminal_sets
+        if not inputs.isdisjoint(outputs):
+            raise DuplicateTerminal("inputs and outputs must be disjoint")
+        heads = {v for _, v in self.edges}
+        for v in self.inputs:
+            if v in heads:
+                raise DanglingInputOutput(f"input vertex {v} has incoming edges")
+        self.order  # raises CyclicGraph
 
     @cached_property
     def successors(self) -> tuple:
@@ -107,15 +135,6 @@ class Network:
             incoming[v].append((u, w))
         inputs = set(self.inputs)
         return tuple((v, tuple(incoming[v])) for v in self.order if v not in inputs)
-
-    def edge_sorted(self) -> "Network":
-        """This network with its edges in sorted order. The vertices and the
-        edge multiset are the same, so a cached topological order carries
-        over."""
-        net = Network(self.vertex_count, sorted(self.edges), self.inputs, self.outputs)
-        if "order" in vars(self):
-            vars(net)["order"] = self.order
-        return net
 
 
 def input_rows(net: Network, gates, p: int, targets) -> list:
@@ -226,30 +245,6 @@ def topological_order(net: Network) -> list:
     return order
 
 
-def validate(net: Network) -> None:
-    """Check all Network invariants; raises on the first violation."""
-    for u, v in net.edges:
-        if not (0 <= u < net.vertex_count and 0 <= v < net.vertex_count):
-            raise TerminalNotInNetwork(f"edge ({u}, {v}) out of range")
-    for name, seq in (("input", net.inputs), ("output", net.outputs)):
-        seen = set()
-        for v in seq:
-            if not 0 <= v < net.vertex_count:
-                raise TerminalNotInNetwork(f"{name} vertex {v} out of range")
-            if v in seen:
-                raise DuplicateTerminal(f"{name} vertex {v} listed twice")
-            seen.add(v)
-    if set(net.inputs) & set(net.outputs):
-        raise DuplicateTerminal("inputs and outputs must be disjoint")
-    indeg = [0] * net.vertex_count
-    for _, v in net.edges:
-        indeg[v] += 1
-    for v in net.inputs:
-        if indeg[v] != 0:
-            raise DanglingInputOutput(f"input vertex {v} has incoming edges")
-    net.order  # raises CyclicGraph
-
-
 def max_vertex_disjoint_paths(net: Network, S, T) -> int:
     """Maximum number of vertex-disjoint paths from S (inputs) to T (outputs),
     a vertex listed twice counting once; by Menger's theorem, the size of a
@@ -258,9 +253,8 @@ def max_vertex_disjoint_paths(net: Network, S, T) -> int:
     One augmenting-path search per input of S over the network's successor
     lists (`_kernels.maxflow_unit`), at every depth; on a depth-1 network it
     is a bipartite matching. Raises TerminalNotInNetwork unless S is a set
-    of inputs and T a set of outputs, and CyclicGraph on a cyclic network.
+    of inputs and T a set of outputs.
     """
-    net.order  # raises CyclicGraph
     S, T = tuple(S), tuple(T)
     inputs, outputs = net.terminal_sets
     if not (inputs.issuperset(S) and outputs.issuperset(T)):
@@ -303,7 +297,6 @@ def _sweep(net, name, lo, hi, slack, budget, rng_seed, all_outputs=False):
     (BENCH_one_flow_kernel.json). The all-outputs sweep runs no
     certificate: the builders sweep depth-1 graphs, where a flow query is a
     bipartite matching and costs less than a dense elimination."""
-    validate(net)
     xs, ys = sorted(net.inputs), sorted(net.outputs)
     limit = len(xs) if all_outputs else min(len(xs), len(ys))
     if not slack <= hi <= limit:
@@ -453,20 +446,15 @@ def check_fields(doc, what: str, **fields) -> None:
             raise InvalidArguments(f"{what} needs a field {name!r} of type {kind.__name__}")
 
 
-def network_from_fields(doc, what: str) -> Network:
-    """The (unvalidated) network that a graph or circuit document holds;
-    raises InvalidArguments when the document is not shaped like one."""
+def network_from_dict(doc, what: str = "network") -> Network:
+    """The network that a graph or circuit document holds, with its edges in
+    the document's order; raises InvalidArguments when the document is not
+    shaped like one, and what `Network` raises when it is not valid."""
     check_fields(doc, what, vertex_count=int, edges=list, inputs=list, outputs=list)
     try:
         return Network(doc["vertex_count"], doc["edges"], doc["inputs"], doc["outputs"])
     except TypeError as exc:
         raise InvalidArguments(f"{what} has a malformed edge or terminal list: {exc}") from None
-
-
-def network_from_dict(doc: dict) -> Network:
-    net = network_from_fields(doc, "network")
-    validate(net)
-    return net
 
 
 def write_network(net: Network, path) -> None:

@@ -25,7 +25,8 @@ from .network import (
 
 
 def _child_seed(seed: int, index: int) -> int:
-    # Deterministic per-child stream so parallel construction reproduces.
+    # A child's seed depends only on its parent's seed and its index, so each
+    # child draws from a stream of its own, whatever its siblings drew.
     return (seed * 1_000_003 + index + 1) & 0xFFFFFFFF
 
 

@@ -88,15 +88,14 @@ def test_synthesize_basic():
 
 
 def test_synthesize_computes_one_topological_order(monkeypatch):
-    # the edge-sorted copy reuses the order that validating the given
-    # network cached, and its gate schedule still runs every edge forward
+    # the circuit keeps the given network, whose order was computed when it
+    # was built, and its gate schedule runs every edge forward
     calls = []
     monkeypatch.setattr(network, "topological_order",
                         lambda net: calls.append(net) or topological_order(net))
     net = Network(5, [(3, 4), (0, 2), (2, 3), (1, 3), (0, 4), (1, 2)], (0, 1), (3, 4))
     circ = synthesize(net, 2, GF101, rng_seed=3)
-    assert len(calls) == 1
-    assert circ.net.edges == tuple(sorted(net.edges))
+    assert calls == [net] and circ.net is net
     position = {v: i for i, v in enumerate(circ.net.order)}
     assert all(position[u] < position[v] for u, v in circ.net.edges)
     M = transfer_matrix(circ)
@@ -299,16 +298,17 @@ def test_path_matrix_is_the_transfer_matrix_under_its_weights():
 def test_linear_circuit_refuses_a_circuit_that_cannot_run():
     net = Network(4, [(0, 2), (1, 2), (2, 3)], (0, 1), (3,))
     LinearCircuit(net, GF7, (1, 6, 2), 1)
-    cyclic = Network(4, [(0, 2), (2, 3), (3, 2)], (0, 1), (3,))
-    twice = Network(4, [(0, 2), (1, 2), (2, 3)], (0, 0), (3,))
-    for bad, coeffs, error in ((cyclic, (1, 1, 1), CyclicGraph),
-                               (twice, (1, 1, 1), DuplicateTerminal),
-                               (net, (1, 7, 2), InvalidArguments),
-                               (net, (1, True, 2), InvalidArguments)):
+    # a cyclic network or one with a terminal listed twice cannot be built,
+    # so no circuit can hold one
+    for edges, inputs, error in (([(0, 2), (2, 3), (3, 2)], (0, 1), CyclicGraph),
+                                 ([(0, 2), (1, 2), (2, 3)], (0, 0), DuplicateTerminal)):
         with pytest.raises(error):
-            LinearCircuit(bad, GF7, coeffs, 1)
-    with pytest.raises(CyclicGraph):
-        synthesize(cyclic, 1, GF7)
+            LinearCircuit(Network(4, edges, inputs, (3,)), GF7, (1, 1, 1), 1)
+        with pytest.raises(error):
+            synthesize(Network(4, edges, inputs, (3,)), 1, GF7)
+    for coeffs in ((1, 7, 2), (1, True, 2)):
+        with pytest.raises(InvalidArguments):
+            LinearCircuit(net, GF7, coeffs, 1)
 
 
 def test_linear_circuit_is_frozen():
@@ -328,6 +328,42 @@ def test_circuit_from_dict_pairs_coefficients_with_unsorted_edges():
     assert evaluate(circ, [0, 1]) == [3]
     out = circuit_to_dict(circ)
     assert out["edges"] == [[0, 2], [1, 2]] and out["coefficients"] == [5, 3]
+
+
+def test_synthesize_file_does_not_depend_on_edge_order(tmp_path):
+    # a two-layer graph with parallel edges and an input-to-output skip
+    base = network.serial_compose(complete_bipartite(3, 4), complete_bipartite(4, 5))
+    net = Network(base.vertex_count, sorted(base.edges + ((0, 7), (0, 7), (1, 3), (2, 8))),
+                  base.inputs, base.outputs)
+    rng = random.Random(7)
+    for seed in range(20):
+        write_circuit(synthesize(net, 3, GF101, rng_seed=seed), tmp_path / "sorted.json")
+        shuffled = Network(net.vertex_count, rng.sample(net.edges, len(net.edges)),
+                           net.inputs, net.outputs)
+        assert shuffled.edges != net.edges
+        circ = synthesize(shuffled, 3, GF101, rng_seed=seed)
+        assert circ.net is shuffled
+        write_circuit(circ, tmp_path / "shuffled.json")
+        assert (tmp_path / "shuffled.json").read_bytes() == (tmp_path / "sorted.json").read_bytes()
+
+
+def test_circuit_file_does_not_depend_on_its_pair_order(tmp_path):
+    # the reader keeps the document's (edge, coefficient) pairs as they are
+    # and the writer sorts them, so shuffling the pairs moves no byte
+    net = network.serial_compose(complete_bipartite(3, 4), complete_bipartite(4, 5))
+    write_circuit(synthesize(net, 3, GF101, rng_seed=1), tmp_path / "sorted.json")
+    doc = json.loads((tmp_path / "sorted.json").read_text())
+    rng = random.Random(8)
+    for _ in range(20):
+        pairs = list(zip(doc["edges"], doc["coefficients"]))
+        rng.shuffle(pairs)
+        shuffled = dict(doc, edges=[e for e, _ in pairs], coefficients=[c for _, c in pairs])
+        (tmp_path / "shuffled.json").write_text(json.dumps(shuffled))
+        circ = read_circuit(tmp_path / "shuffled.json")
+        assert [list(e) for e in circ.net.edges] == shuffled["edges"]
+        assert list(circ.coefficients) == shuffled["coefficients"]
+        write_circuit(circ, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "sorted.json").read_bytes()
 
 
 def test_circuit_from_dict_secret_input():

@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
+from sharecircuit import concentrator
 from sharecircuit.concentrator import ConcentratorParams, build_depth1, degree_for
 from sharecircuit.errors import InvalidArguments, RetriesExhausted
-from sharecircuit.network import validate
 
 
 def hall_condition_holds(net, k):
@@ -33,7 +33,6 @@ def test_degree_for_examples():
 def test_build_depth1_small_proved():
     params = ConcentratorParams(m=8, n=6, k=3, rng_seed=1)
     net, report = build_depth1(params)
-    validate(net)
     assert report.verdict == "proved"
     assert net.depth == 1
     assert len(net.inputs) == 8 and len(net.outputs) == 6
@@ -63,23 +62,23 @@ def test_build_depth1_deterministic():
     assert sorted(net1.edges) == sorted(net2.edges)
 
 
-def test_build_depth1_retries_exhausted():
+def test_build_depth1_retries_exhausted(monkeypatch):
     # degree 1, k = 2: two inputs sharing their single output always exist
     # for m > n, so every attempt is refuted
-    params = ConcentratorParams(m=6, n=3, k=2, degree=1, max_retries=4, rng_seed=0)
-    with pytest.raises(RetriesExhausted) as err:
+    monkeypatch.setattr(concentrator, "MAX_RETRIES", 4)
+    params = ConcentratorParams(m=6, n=3, k=2, degree=1, rng_seed=0)
+    with pytest.raises(RetriesExhausted, match="in 4 attempts") as err:
         build_depth1(params)
     assert err.value.witness is not None
 
 
-def test_single_draw_success_rate():
+def test_single_draw_success_rate(monkeypatch):
     # at the derived degree a single sample should almost always verify
+    monkeypatch.setattr(concentrator, "MAX_RETRIES", 1)
     successes = 0
     for seed in range(100):
         try:
-            _, report = build_depth1(
-                ConcentratorParams(m=16, n=12, k=4, rng_seed=seed, max_retries=1)
-            )
+            _, report = build_depth1(ConcentratorParams(m=16, n=12, k=4, rng_seed=seed))
             successes += report.ok
         except RetriesExhausted:
             pass

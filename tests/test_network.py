@@ -31,7 +31,6 @@ from sharecircuit.network import (
     reverse,
     serial_compose,
     topological_order,
-    validate,
     verify_concentrator,
     verify_partial_sc,
     verify_superconcentrator,
@@ -114,7 +113,6 @@ def concentrator_oracle(
 ) -> VerificationReport:
     """Check that every c-subset of inputs has c vertex-disjoint paths to
     the outputs; exhaustive when the subset count fits the budget."""
-    validate(net)
     m = len(net.inputs)
     total = comb(m, c)
     exhaustive = total <= budget
@@ -142,7 +140,6 @@ def superconcentrator_oracle(
 ) -> VerificationReport:
     """Check that every equal-size input/output subset pair is joined by
     that many vertex-disjoint paths."""
-    validate(net)
     m, n = len(net.inputs), len(net.outputs)
     kmax = min(m, n)
     total = sum(comb(m, k) * comb(n, k) for k in range(1, kmax + 1))
@@ -182,7 +179,6 @@ def partial_sc_oracle(
 ) -> VerificationReport:
     """Check the (p, q)-partial superconcentrator property: equal-size
     subset pairs with size k in [q, p] need at least k - q disjoint paths."""
-    validate(net)
     m, n = len(net.inputs), len(net.outputs)
     if not q <= p <= min(m, n):
         raise ArityMismatch(f"need q <= p <= min(inputs, outputs), got p={p}, q={q}")
@@ -562,7 +558,6 @@ def test_depth1_matching_matches_the_split_graph_oracle():
     seen = Counter()
     for i in range(320):
         net = depth1_network(rng)
-        validate(net)
         assert net.depth <= 1
         xs, ys = list(net.inputs), list(net.outputs)
         some_ys = rng.sample(ys, rng.randrange(1, len(ys) + 1))
@@ -606,8 +601,10 @@ def test_depth1_queries_check_terminals_without_a_split_graph():
 
 
 def test_flow_query_on_a_cyclic_network_raises():
+    # no flow query can see a cyclic network: building one raises
     with pytest.raises(CyclicGraph):
-        max_vertex_disjoint_paths(Network(3, [(0, 1), (1, 2), (2, 1)], (0,), (2,)), (0,), (2,))
+        cyclic = Network(3, [(0, 1), (1, 2), (2, 1)], (0,), (2,))
+        max_vertex_disjoint_paths(cyclic, (0,), (2,))
 
 
 def test_topological_order_and_cycle():
@@ -621,10 +618,12 @@ def test_topological_order_and_cycle():
 def test_network_is_frozen():
     net = complete_bipartite(2, 3)
     fresh = complete_bipartite(2, 3)
-    cached = ("successors", "terminal_sets", "order", "depth", "path_matrix")
-    assert not set(cached) & set(vars(net))
-    assert net.successors and net.terminal_sets and net.order and net.depth == 1
-    assert net.path_matrix
+    # validating fills the successor lists, the terminal sets and the order
+    built = ("successors", "terminal_sets", "order")
+    cached = built + ("depth", "path_matrix")
+    assert set(vars(net)) - {"vertex_count", "edges", "inputs", "outputs"} == set(built)
+    assert net.order == tuple(topological_order(net))
+    assert net.depth == 1 and net.path_matrix
     assert set(cached) <= set(vars(net))
     for name, value in (("vertex_count", 9), ("edges", ()), ("inputs", (1,)),
                         ("outputs", (4,)), ("successors", None),
@@ -634,7 +633,7 @@ def test_network_is_frozen():
             setattr(net, name, value)
     # equality and hashing see the fields, never the cached values
     assert net == fresh and hash(net) == hash(fresh)
-    assert not set(cached) & set(vars(fresh))
+    assert not {"depth", "path_matrix"} & set(vars(fresh))
     assert net != complete_bipartite(2, 2)
 
 
@@ -647,28 +646,29 @@ def test_one_topological_order_per_network(monkeypatch):
 
     monkeypatch.setattr(network, "topological_order", counted)
     net = Network(5, [(3, 4), (0, 2), (2, 3), (1, 3), (0, 4)], (0, 1), (4,))
-    validate(net)
-    assert net.depth == 3 and net.order == tuple(topological_order(net))
-    validate(net)
     assert list(calls.values()) == [1]
-    circ = circuit_from_dict(circuit_to_dict(synthesize(net, 1, FieldModulus(7))))
-    assert calls[id(circ.net)] == 1
-    cyclic = Network(3, [(0, 1), (1, 2), (2, 1)], (0,), (2,))
+    assert net.depth == 3 and net.order == tuple(topological_order(net))
+    max_vertex_disjoint_paths(net, net.inputs, net.outputs)
+    circ = synthesize(net, 1, FieldModulus(7))
+    assert circ.net is net and list(calls.values()) == [1]
+    again = circuit_from_dict(circuit_to_dict(circ))
+    assert calls[id(net)] == 1 and calls[id(again.net)] == 1
     for _ in range(2):
         with pytest.raises(CyclicGraph):
-            validate(cyclic)
+            Network(3, [(0, 1), (1, 2), (2, 1)], (0,), (2,))
 
 
 def test_validate_errors():
+    # a network validates itself when it is built
     with pytest.raises(TerminalNotInNetwork):
-        validate(Network(2, [(0, 3)], (0,), (1,)))
+        Network(2, [(0, 3)], (0,), (1,))
     with pytest.raises(DuplicateTerminal):
-        validate(Network(3, [(0, 2)], (0, 0), (2,)))
+        Network(3, [(0, 2)], (0, 0), (2,))
     with pytest.raises(DuplicateTerminal):
-        validate(Network(2, [], (0,), (0,)))
+        Network(2, [], (0,), (0,))
     with pytest.raises(DanglingInputOutput):
-        validate(Network(2, [(1, 0)], (0,), (1,)))
-    validate(Network(2, [(0, 1)], (0,), (1,)))
+        Network(2, [(1, 0)], (0,), (1,))
+    Network(2, [(0, 1)], (0,), (1,))
 
 
 def test_disjoint_paths_examples():
@@ -698,15 +698,26 @@ def test_disjoint_paths_match_brute_force_oracle():
 
 
 def test_disjoint_paths_reverse_symmetry():
+    # reversing turns outputs into inputs, so it needs outputs that are sinks
+    covered = 0
     for seed in range(100):
         rng = random.Random(10_000 + seed)
         net = random_dag(rng)
-        if net is None:
+        if net is None or any(u in net.outputs for u, _ in net.edges):
             continue
         rev = reverse(net)
         forward = max_vertex_disjoint_paths(net, net.inputs, net.outputs)
         backward = max_vertex_disjoint_paths(rev, rev.inputs, rev.outputs)
         assert forward == backward
+        covered += 1
+    assert covered == 79
+
+
+def test_reverse_refuses_an_output_with_an_out_edge():
+    # output 2 feeds output 3, so reversed, input 2 would have an in-edge
+    net = Network(4, [(0, 2), (1, 3), (2, 3)], (0, 1), (2, 3))
+    with pytest.raises(DanglingInputOutput, match="input vertex 2 has incoming edges"):
+        reverse(net)
 
 
 def test_disjoint_paths_monotone_in_terminals():
@@ -795,7 +806,6 @@ def test_serial_compose_identifies_boundary():
     top = complete_bipartite(2, 3)
     bottom = complete_bipartite(3, 2)
     net = serial_compose(top, bottom)
-    validate(net)
     assert len(net.inputs) == 2 and len(net.outputs) == 2
     assert net.vertex_count == 2 + 3 + 2
     assert len(net.edges) == 6 + 6
@@ -809,7 +819,6 @@ def test_parallel_union_shares_terminals():
     a = complete_bipartite(3, 2)
     b = complete_bipartite(3, 2)
     net = parallel_union([a, b], 3, 2)
-    validate(net)
     assert net.inputs == (0, 1, 2)
     assert net.outputs == (3, 4)
     assert len(net.edges) == 12  # edge multiset is the union

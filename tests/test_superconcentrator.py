@@ -6,7 +6,6 @@ import pytest
 from sharecircuit.cli import main
 from sharecircuit.errors import InvalidArguments, PreconditionViolation
 from sharecircuit.network import (
-    validate,
     verify_partial_sc,
     verify_superconcentrator,
 )
@@ -30,7 +29,6 @@ def test_partial_sc_guarantee_examples():
 
 def test_partial_sc_depth2_proved():
     net = build_partial_sc_depth2(9, 9, 1.5, rng_seed=1)
-    validate(net)
     assert net.depth == 2
     p, q = partial_sc_guarantee(9, 1.5)
     report = verify_partial_sc(net, p, q)
@@ -58,7 +56,6 @@ def test_sc_depth2_base_case_small_n():
 
 def test_sc_depth2_square_proved():
     net = build_sc_depth2(8, 8, rng_seed=1)
-    validate(net)
     report = verify_superconcentrator(net)
     assert report.verdict == "proved"
     assert report.subsets_checked == sum(
@@ -90,7 +87,6 @@ def test_sc_depth2_argument_errors():
 def test_sc_depth2_linear_proved():
     # m >= n^(2+eps) with eps = 1: n = 3, m = 27
     net = build_sc_depth2_linear(81, 3, 1.0, rng_seed=1)
-    validate(net)
     assert net.depth == 2
     report = verify_superconcentrator(net)
     assert report.verdict == "proved"
@@ -105,7 +101,6 @@ def test_sc_depth2_linear_precondition():
 
 def test_sc_depth3_linear_proved():
     net = build_sc_depth3_linear(23, 4, 0.5, rng_seed=1)
-    validate(net)
     assert net.depth <= 3
     report = verify_superconcentrator(net)
     assert report.verdict == "proved"
@@ -125,7 +120,6 @@ def test_sc_depth3_linear_precondition():
 
 def test_sc_general_proved():
     net = build_sc_general(15, 5, 3, 0.5, rng_seed=1)
-    validate(net)
     assert net.depth <= 4
     report = verify_superconcentrator(net)
     assert report.verdict == "proved"
