@@ -2,7 +2,6 @@
 network, transfer-matrix extraction, threshold-scheme rank validation, and
 the share / reconstruct protocol."""
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +23,8 @@ from .network import (
     input_rows,
     network_from_dict,
     network_to_dict,
+    read_json,
+    write_json,
 )
 
 
@@ -319,14 +320,11 @@ def circuit_from_dict(doc: dict) -> LinearCircuit:
 
 
 def write_circuit(circ: LinearCircuit, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(circuit_to_dict(circ), fh)
-        fh.write("\n")
+    write_json(circuit_to_dict(circ), path)
 
 
 def read_circuit(path) -> LinearCircuit:
-    with open(path) as fh:
-        return circuit_from_dict(json.load(fh))
+    return circuit_from_dict(read_json(path))
 
 
 def write_shares(shares: ShareVector, path, indices=None) -> None:
@@ -335,18 +333,18 @@ def write_shares(shares: ShareVector, path, indices=None) -> None:
         "modulus": shares.modulus.p,
         "shares": [[i, shares.values[j]] for j, i in enumerate(idx)],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def read_shares(path) -> tuple:
     """Returns (modulus, list of (index, value))."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     check_fields(doc, "share file", modulus=int, shares=list)
-    try:
-        entries = [(int(i), int(v)) for i, v in doc["shares"]]
-    except TypeError as exc:
-        raise InvalidArguments(f"share file entries must be [index, value] pairs: {exc}") from None
-    return FieldModulus(doc["modulus"]), entries
+    for entry in doc["shares"]:
+        # Indices and values are ints; bool is an int subclass but neither.
+        if not (type(entry) is list and len(entry) == 2
+                and type(entry[0]) is type(entry[1]) is int):
+            raise InvalidArguments(
+                f"share file entries must be [index, value] pairs of integers, got {entry!r}"
+            )
+    return FieldModulus(doc["modulus"]), [tuple(entry) for entry in doc["shares"]]

@@ -1,8 +1,12 @@
 """Command-line front door: graph builders, circuit synthesizer, and the
 connectivity / rank / entropy verifiers, with reproducible seeds.
 
+Every command's arguments are declared once, in COMMANDS. A call builds the
+parser of its own command only; -h, no arguments or an unknown command build
+every command's, so that help and `invalid choice` list them all.
+
 Exit codes: 0 on success (proved or sampled_pass), 2 on refuted (witness
-printed), 1 on usage or I/O errors.
+printed) or on a usage error, 1 on an input or I/O error.
 """
 
 import argparse
@@ -40,10 +44,7 @@ def _cmd_gen_concentrator(args):
 
 def _cmd_gen_sc(args):
     n, m = args.inputs, args.outputs
-    if args.depth == "auto":
-        depth = superconcentrator.recommended_depth(m, n)
-    else:
-        depth = int(args.depth)
+    depth = superconcentrator.recommended_depth(m, n) if args.depth == "auto" else int(args.depth)
     net = superconcentrator.build_sc(n, m, depth, args.epsilon, args.seed, args.budget)
     network.write_network(net, args.out)
     print(f"target_depth={depth} built_depth={net.depth} edges={len(net.edges)}")
@@ -162,103 +163,85 @@ def _cmd_bench(args):
             m = n
             net = superconcentrator.build_sc_depth2(n, m, args.seed, args.budget)
             denom = m * math.log2(m) * math.log2(n)
-        elif args.builder == "sc-depth2-linear":
+        else:  # sc-depth2-linear, the only other choice
             m = math.ceil(n**2.5)
             net = superconcentrator.build_sc_depth2_linear(
                 m, n, 0.5, args.seed, args.budget
             )
             denom = m
-        else:
-            raise ShareCircuitError(f"unknown builder {args.builder!r}")
         writer.writerow([args.builder, n, m, len(net.edges), f"{len(net.edges) / denom:.4f}"])
     return 0
 
 
-def build_parser():
+_SEED = ("--seed", {"type": int, "default": DEFAULT_SEED})
+_BUDGET = ("--budget", {"type": int, "default": DEFAULT_BUDGET})
+_REQUIRED_INT = {"type": int, "required": True}
+_REQUIRED = {"required": True}
+
+# Command name -> (handler, argument specs); each spec is the (name or flag,
+# add_argument keywords) of one argument, in the order help lists them.
+COMMANDS = {
+    "gen-concentrator": (_cmd_gen_concentrator, [
+        ("--m", {**_REQUIRED_INT, "help": "input count"}),
+        ("--n", {**_REQUIRED_INT, "help": "output count"}),
+        ("--k", {**_REQUIRED_INT, "help": "capacity"}),
+        ("--degree", {"type": int, "default": None}), _SEED, _BUDGET, ("--out", {"default": None}),
+    ]),
+    "gen-sc": (_cmd_gen_sc, [
+        ("--inputs", _REQUIRED_INT), ("--outputs", _REQUIRED_INT),
+        ("--depth", {"default": "auto"}), ("--epsilon", {"type": float, "default": 0.5}),
+        _SEED, _BUDGET, ("--out", _REQUIRED),
+    ]),
+    "verify-graph": (_cmd_verify_graph, [
+        ("file", {}), ("--property", {**_REQUIRED, "help": "sc | concentrator:k | partial:p,q"}),
+        _BUDGET, _SEED,
+    ]),
+    "synth-ss": (_cmd_synth_ss, [
+        ("--graph", _REQUIRED), ("--t", _REQUIRED_INT),
+        ("--modulus", {"type": int, "default": DEFAULT_PRIME}), _SEED, ("--out", _REQUIRED),
+    ]),
+    "verify-ss": (_cmd_verify_ss, [("--circuit", _REQUIRED), _BUDGET, _SEED]),
+    "share": (_cmd_share, [
+        ("--circuit", _REQUIRED), ("--secret", _REQUIRED_INT), _SEED, ("--out", _REQUIRED),
+    ]),
+    "reconstruct": (_cmd_reconstruct, [("--circuit", _REQUIRED), ("--shares", _REQUIRED)]),
+    "entropy-verify": (_cmd_entropy_verify, [
+        ("--circuit", _REQUIRED), ("--t", {"type": int, "default": None}),
+        ("--tol", {"type": float, "default": 1e-9}),
+    ]),
+    "lambda": (_cmd_lambda, [("d", {"type": int}), ("n", {"type": int})]),
+    "alpha": (_cmd_alpha, [("m", {"type": int}), ("n", {"type": int})]),
+    "bench": (_cmd_bench, [
+        ("--builder", {"default": "sc-depth2", "choices": ["sc-depth2", "sc-depth2-linear"]}),
+        ("--sizes", {"default": "8,16,32,64"}), _SEED, ("--budget", {"type": int, "default": 500}),
+    ]),
+}
+
+
+def build_parser(command=None):
+    """The parser of every command, or of `command` alone. That one names
+    every command in its usage, which `unrecognized arguments` prints; the
+    full parser keeps the default, so that its errors say `argument command`."""
     parser = argparse.ArgumentParser(
         prog="sharecircuit",
         description="Threshold secret-sharing circuits from superconcentrator-like graphs",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar=command and "{%s}" % ",".join(COMMANDS)
+    )
+    for name in [command] if command else COMMANDS:
+        func, specs = COMMANDS[name]
+        p = sub.add_parser(name)
         p.set_defaults(func=func)
-        return p
-
-    p = add("gen-concentrator", _cmd_gen_concentrator)
-    p.add_argument("--m", type=int, required=True, help="input count")
-    p.add_argument("--n", type=int, required=True, help="output count")
-    p.add_argument("--k", type=int, required=True, help="capacity")
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--out", default=None)
-
-    p = add("gen-sc", _cmd_gen_sc)
-    p.add_argument("--inputs", type=int, required=True)
-    p.add_argument("--outputs", type=int, required=True)
-    p.add_argument("--depth", default="auto")
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--out", required=True)
-
-    p = add("verify-graph", _cmd_verify_graph)
-    p.add_argument("file")
-    p.add_argument("--property", required=True,
-                   help="sc | concentrator:k | partial:p,q")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    p = add("synth-ss", _cmd_synth_ss)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--modulus", type=int, default=DEFAULT_PRIME)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", required=True)
-
-    p = add("verify-ss", _cmd_verify_ss)
-    p.add_argument("--circuit", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    p = add("share", _cmd_share)
-    p.add_argument("--circuit", required=True)
-    p.add_argument("--secret", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", required=True)
-
-    p = add("reconstruct", _cmd_reconstruct)
-    p.add_argument("--circuit", required=True)
-    p.add_argument("--shares", required=True)
-
-    p = add("entropy-verify", _cmd_entropy_verify)
-    p.add_argument("--circuit", required=True)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
-
-    p = add("lambda", _cmd_lambda)
-    p.add_argument("d", type=int)
-    p.add_argument("n", type=int)
-
-    p = add("alpha", _cmd_alpha)
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-
-    p = add("bench", _cmd_bench)
-    p.add_argument("--builder", default="sc-depth2",
-                   choices=["sc-depth2", "sc-depth2-linear"])
-    p.add_argument("--sizes", default="8,16,32,64")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--budget", type=int, default=500)
-
+        for flag, kwargs in specs:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ShareCircuitError, OSError, ValueError) as exc:

@@ -61,17 +61,23 @@ class Network:
     outputs: tuple
 
     def __post_init__(self):
-        n = int(self.vertex_count)
-        object.__setattr__(self, "vertex_count", n)
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
-        object.__setattr__(self, "inputs", tuple(int(v) for v in self.inputs))
-        object.__setattr__(self, "outputs", tuple(int(v) for v in self.outputs))
+        # Vertices are ints; bool is an int subclass but no vertex.
+        n = self.vertex_count
+        if type(n) is not int:
+            raise InvalidArguments(f"vertex_count must be an integer, got {n!r}")
+        object.__setattr__(self, "edges", tuple((u, v) for u, v in self.edges))
+        object.__setattr__(self, "inputs", tuple(self.inputs))
+        object.__setattr__(self, "outputs", tuple(self.outputs))
         for u, v in self.edges:
+            if type(u) is not int or type(v) is not int:
+                raise InvalidArguments(f"edge endpoints must be integers, got {[u, v]!r}")
             if not (0 <= u < n and 0 <= v < n):
                 raise TerminalNotInNetwork(f"edge ({u}, {v}) out of range")
         for name, seq in (("input", self.inputs), ("output", self.outputs)):
             seen = set()
             for v in seq:
+                if type(v) is not int:
+                    raise InvalidArguments(f"{name} vertices must be integers, got {v!r}")
                 if not 0 <= v < n:
                     raise TerminalNotInNetwork(f"{name} vertex {v} out of range")
                 if v in seen:
@@ -457,12 +463,24 @@ def network_from_dict(doc, what: str = "network") -> Network:
         raise InvalidArguments(f"{what} has a malformed edge or terminal list: {exc}") from None
 
 
-def write_network(net: Network, path) -> None:
+def read_json(path):
+    """The JSON document in a file; the one load path of every reader."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise InvalidArguments(f"{path}: JSON nested too deeply to read") from None
+
+
+def write_json(doc, path) -> None:
+    # json.dumps encodes in C; json.dump would take the pure-Python encoder.
     with open(path, "w") as fh:
-        json.dump(network_to_dict(net), fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
+
+
+def write_network(net: Network, path) -> None:
+    write_json(network_to_dict(net), path)
 
 
 def read_network(path) -> Network:
-    with open(path) as fh:
-        return network_from_dict(json.load(fh))
+    return network_from_dict(read_json(path))

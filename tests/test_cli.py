@@ -1,4 +1,7 @@
+import argparse
 import hashlib
+import importlib.util
+import itertools
 import json
 import re
 import shlex
@@ -6,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from sharecircuit.cli import main
+from sharecircuit.cli import COMMANDS, build_parser, main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 RESULT_RE = re.compile(r"^RESULT verdict=(\S+) checked=\d+ witness=\S+$", re.M)
 # Exit codes the CLI documents for each verdict.
 EXIT_CODE = {"proved": 0, "sampled_pass": 0, "ok": 0, "refuted": 2}
@@ -207,28 +212,62 @@ def shared_circuit(capsys, tmp_path):
 
 def test_malformed_input_files_are_errors(capsys, tmp_path):
     circ, shares = shared_circuit(capsys, tmp_path)
+    graph = tmp_path / "g.json"
     a_list = tmp_path / "list.json"
     a_list.write_text("[1, 2]")
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    names = itertools.count()
 
-    def without(path, key):
+    def edited(path, *keys, value=None):
+        """A copy of the JSON file at path, with doc[keys...] set to value,
+        or deleted when value is None."""
         doc = json.loads(path.read_text())
-        del doc[key]
-        out = tmp_path / f"no-{key}.json"
+        *parents, last = keys
+        target = doc
+        for key in parents:
+            target = target[key]
+        if value is None:
+            del target[last]
+        else:
+            target[last] = value
+        out = tmp_path / f"edited{next(names)}.json"
         out.write_text(json.dumps(doc))
         return str(out)
 
+    # A reader that truncated these would read another, valid graph or
+    # share file: 2.9 as 2, false as 0, "1" as 1.
+    not_integers = [(("edges", 0, 1), 2.9), (("edges", 0, 0), False), (("edges", 0, 1), "1"),
+                    (("inputs", 0), 0.0), (("vertex_count",), True)]
+    bad_shares = [(("shares", 0, 1), 2.9), (("shares", 1, 0), True), (("shares", 1, 0), "1"),
+                  (("shares", 0), [0, 1, 2])]
+    typed = [("verify-graph", edited(graph, *keys, value=value), "--property", "sc")
+             for keys, value in not_integers]
+    typed += [("verify-ss", "--circuit", edited(circ, *keys, value=value))
+              for keys, value in not_integers]
+    typed += [("reconstruct", "--circuit", str(circ), "--shares",
+               edited(shares, *keys, value=value)) for keys, value in bad_shares]
+    too_deep = [("verify-graph", str(nested), "--property", "sc"),
+                ("verify-ss", "--circuit", str(nested)),
+                ("reconstruct", "--circuit", str(circ), "--shares", str(nested))]
     cases = [
-        ("verify-ss", "--circuit", without(circ, "coefficients")),
+        ("verify-ss", "--circuit", edited(circ, "coefficients")),
         ("verify-graph", str(a_list), "--property", "sc"),
         ("verify-ss", "--circuit", str(a_list)),
-        ("reconstruct", "--circuit", str(circ), "--shares", without(shares, "shares")),
+        ("reconstruct", "--circuit", str(circ), "--shares", edited(shares, "shares")),
         ("bench", "--sizes", "1"),
         ("bench", "--builder", "sc-depth2-linear", "--sizes", "0"),
+        *typed,
+        *too_deep,
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)
-        assert code == 1 and err.startswith("error:"), argv
-        assert "RESULT" not in out, argv
+        assert code == 1 and err.startswith("error:"), (argv, err)
+        assert "RESULT" not in out and "secret=" not in out, argv
+        if argv in typed:
+            assert "integer" in err, (argv, err)
+        if argv in too_deep:
+            assert "nested too deeply" in err, (argv, err)
 
 
 @pytest.mark.parametrize("bad", ["x", None, 2.5, -5, 10**30, True],
@@ -298,3 +337,99 @@ def test_readme_walkthrough(capsys, tmp_path, monkeypatch):
     assert ("reconstruct", "shares.json") in verdicts
     small = verdicts[("verify-ss", "small.json")]
     assert small == verdicts[("entropy-verify", "small.json")]
+
+
+def usage_errors(name, specs):
+    """Argument lists that stop `name` in argparse: -h, a missing required
+    argument, a bad int and an unrecognized extra argument after the
+    required ones."""
+    required = [(flag, kwargs) for flag, kwargs in specs
+                if kwargs.get("required") or not flag.startswith("-")]
+    filled = []
+    for flag, kwargs in required:
+        value = "1" if kwargs.get("type") is int else "x"
+        filled += [value] if flag[0] != "-" else [flag, value]
+    cases = [[name, "-h"], [name, *filled, "--bogus"]]
+    if required:
+        cases.append([name])
+    ints = [flag for flag, kwargs in specs if kwargs.get("type") is int]
+    if ints:
+        cases.append([name, "x"] if ints[0][0] != "-" else [name, ints[0], "x"])
+    return cases
+
+
+def parse_outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr) of `parse(argv)`, which must stop in argparse."""
+    with pytest.raises(SystemExit) as stop:
+        parse(argv)
+    out = capsys.readouterr()
+    return stop.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [["-h"], [], ["nope"], ["--bogus"]] + [
+    argv for name, (_, specs) in COMMANDS.items() for argv in usage_errors(name, specs)
+], ids=" ".join)
+def test_cli_output_matches_the_full_parser(capsys, argv):
+    """main builds one command's parser where it can; what it prints and its
+    exit code are those of the parser of every command."""
+    got = parse_outcome(capsys, main, argv)
+    want = parse_outcome(capsys, build_parser().parse_args, argv)
+    assert got == want
+    code, out, err = got
+    assert (code, bool(out), bool(err)) == ((0, True, False) if "-h" in argv else (2, False, True))
+    # The full parser names the command argument `command`, not a metavar.
+    pinned = {(): "required: command\n", ("nope",): "argument command: invalid choice: 'nope'"}
+    assert pinned.get(tuple(argv), "") in err
+
+
+def benchmark_argvs(tmp_path, monkeypatch):
+    """The argument lists that one set-up and one operation of every
+    benchmark workload pass to the CLI."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    seen = []
+
+    def recording_main(argv):
+        seen.append(argv)
+        return main(argv)
+
+    monkeypatch.setattr(workloads, "main", recording_main)
+    for name, workload in workloads.WORKLOADS.items():
+        (tmp_path / name).mkdir()
+        wl = workload(workloads.Runner(tmp_path / name), 1)
+        wl.setup()
+        wl.op(0)
+    return seen
+
+
+def test_readme_and_benchmark_argv_parse_alike(tmp_path, monkeypatch):
+    argvs = readme_commands() + benchmark_argvs(tmp_path, monkeypatch)
+    assert {argv[0] for argv in argvs} == set(COMMANDS)
+    for argv in argvs:
+        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+
+def test_main_builds_only_the_parsers_it_needs(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+
+    def parsers_built(*argv):
+        built.clear()
+        try:
+            main(list(argv))
+        except SystemExit:
+            pass
+        capsys.readouterr()
+        return len(built)
+
+    assert parsers_built("lambda", "4", "16") == 2
+    assert parsers_built("gen-sc", "-h") == parsers_built("share", "--bogus") == 2
+    every = 1 + len(COMMANDS)
+    assert parsers_built("-h") == parsers_built("nope") == parsers_built() == every

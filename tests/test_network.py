@@ -15,6 +15,7 @@ from sharecircuit.errors import (
     CyclicGraph,
     DanglingInputOutput,
     DuplicateTerminal,
+    InvalidArguments,
     TerminalNotInNetwork,
 )
 from sharecircuit.field import FieldModulus
@@ -668,6 +669,13 @@ def test_validate_errors():
         Network(2, [], (0,), (0,))
     with pytest.raises(DanglingInputOutput):
         Network(2, [(1, 0)], (0,), (1,))
+    # vertices are ints: no float, bool or string is truncated or parsed into one
+    for args in ((2.0, [(0, 1)], (0,), (1,)), (True, [], (0,), ()),
+                 (3, [(0, 2.9)], (0,), (2,)), (3, [(False, 2)], (0,), (2,)),
+                 (3, [(0, "2")], (0,), (2,)), (3, [(0, 2)], (0.0,), (2,)),
+                 (3, [(0, 2)], (0,), (True,))):
+        with pytest.raises(InvalidArguments, match="integer"):
+            Network(*args)
     Network(2, [(0, 1)], (0,), (1,))
 
 
