@@ -1,8 +1,8 @@
 """The kernels of the cost model: vertex-disjoint paths by augmenting paths
 (Menger's theorem, for the connectivity sweeps), and one fraction-free
-row-reduction step over GF(p) (for the sampled threshold conditions and the
-path-matrix certificate of the pair sweeps). GF(p) matrix rank is that step
-applied to each row in turn.
+row-reduction step over GF(p) (for the sampled threshold conditions,
+reconstruction and the path-matrix certificate of the pair sweeps). GF(p)
+matrix rank is that step applied to each row in turn.
 
 All are plain Python over exact integers, so they hold for every prime
 modulus that ``FieldModulus`` accepts, however wide.

@@ -9,13 +9,8 @@ from functools import cached_property
 from math import comb
 
 from . import _kernels
-from .errors import (
-    InvalidArguments,
-    SingularMatrix,
-    SingularSubmatrix,
-    TooFewInputs,
-)
-from .field import FieldModulus, Matrix, check_indices, mat_inverse, mat_vec
+from .errors import InvalidArguments, SingularSubmatrix, TooFewInputs
+from .field import FieldModulus, Matrix, check_indices
 from .network import (
     DEFAULT_BUDGET,
     Network,
@@ -125,7 +120,8 @@ def evaluate(circ: LinearCircuit, x) -> list:
 def transfer_matrix(circ: LinearCircuit, rows=None) -> Matrix:
     """The n x ell matrix of the circuit's linear map (entry (i, j) is the sum
     over all input-j to output-i paths of the edge-coefficient products), by
-    one pass over its gate schedule, `network.input_rows`.
+    one pass over its gate schedule, `network.input_rows`, in which each
+    vertex's row is one packed integer: one big-int multiply-add per edge.
 
     Given `rows`, a strictly increasing sequence of output indices, returns
     only those rows, and the pass visits only the ancestors of those outputs.
@@ -269,8 +265,12 @@ def share(circ: LinearCircuit, s: int, rng_seed: int = 0) -> ShareVector:
 
 
 def reconstruct(circ: LinearCircuit, T, y_T) -> int:
-    """Recover the secret from the t shares held by coalition T: the first
-    coordinate of M_T^{-1} y_T."""
+    """Recover the secret from the t shares (taken mod p) of coalition T by
+    one fraction-free elimination (`_kernels.reduce_row`) of the rows
+    [M_T,R | M_T,s | y_T], randomness columns first as in `_walk_coalitions`.
+    M_T is invertible iff every row pivots left of the share column; then
+    the row that pivots on the secret column is (0, ..., 0, a, a*s), and
+    the secret costs one field inverse."""
     t = circ.threshold
     T = sorted(T)
     if len(T) != t or len(y_T) != t:
@@ -278,13 +278,14 @@ def reconstruct(circ: LinearCircuit, T, y_T) -> int:
     M_T = transfer_matrix(circ, T)
     if M_T.rows != M_T.cols:
         raise InvalidArguments("reconstruction requires ell = t inputs")
-    try:
-        inv = mat_inverse(M_T, circ.modulus)
-    except SingularMatrix as exc:
-        raise SingularSubmatrix(
-            f"M_T singular for coalition {T}; circuit not validated?"
-        ) from exc
-    return mat_vec(inv, list(y_T), circ.modulus)[0]
+    p = circ.modulus.p
+    basis = []
+    for i, y in enumerate(y_T):
+        row = M_T.row(i)
+        if _kernels.reduce_row(basis, [*row[1:], row[0], y % p], p) in (-1, t):
+            raise SingularSubmatrix(f"M_T singular for coalition {T}; circuit not validated?")
+    a, b = next(r[t - 1:] for c, r in basis if c == t - 1)
+    return b * pow(a, -1, p) % p
 
 
 def failure_bound(depth: int, n: int, t: int, modulus: FieldModulus) -> float:
@@ -337,9 +338,11 @@ def write_shares(shares: ShareVector, path, indices=None) -> None:
 
 
 def read_shares(path) -> tuple:
-    """Returns (modulus, list of (index, value))."""
+    """Returns (modulus, list of (index, value)); every value is a field
+    element, an int in [0, modulus)."""
     doc = read_json(path)
     check_fields(doc, "share file", modulus=int, shares=list)
+    modulus = FieldModulus(doc["modulus"])
     for entry in doc["shares"]:
         # Indices and values are ints; bool is an int subclass but neither.
         if not (type(entry) is list and len(entry) == 2
@@ -347,4 +350,8 @@ def read_shares(path) -> tuple:
             raise InvalidArguments(
                 f"share file entries must be [index, value] pairs of integers, got {entry!r}"
             )
-    return FieldModulus(doc["modulus"]), [tuple(entry) for entry in doc["shares"]]
+        if not 0 <= entry[1] < modulus.p:
+            raise InvalidArguments(
+                f"share values must lie in [0, modulus) = [0, {modulus.p}), got {entry!r}"
+            )
+    return modulus, [tuple(entry) for entry in doc["shares"]]

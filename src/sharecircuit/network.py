@@ -65,7 +65,12 @@ class Network:
         n = self.vertex_count
         if type(n) is not int:
             raise InvalidArguments(f"vertex_count must be an integer, got {n!r}")
-        object.__setattr__(self, "edges", tuple((u, v) for u, v in self.edges))
+        try:
+            edges = tuple((u, v) for u, v in self.edges)
+        except (TypeError, ValueError):
+            bad = next(e for e in self.edges if type(e) not in (list, tuple) or len(e) != 2)
+            raise InvalidArguments(f"edges must be [tail, head] pairs, got {bad!r}") from None
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
         for u, v in self.edges:
@@ -148,26 +153,34 @@ def input_rows(net: Network, gates, p: int, targets) -> list:
     gate schedule of `net` (see `Network.gates`): entry j of a vertex's row
     is the sum, over the paths from input j to the vertex, of the products
     of their weights. One pass, in topological order, over the gates that
-    are ancestors of `targets`, in which every vertex carries its row and
-    input j carries the j-th unit vector: at most E * len(inputs)
-    multiply-adds."""
+    are ancestors of `targets`, in which input j carries the j-th unit
+    vector and each row is one int with entry j in bits [width*j,
+    width*(j+1)) (Kronecker substitution): a gate costs one big-int
+    multiply-add per incoming edge and one reduction of its slots mod p.
+    The weights must lie in [0, p). Then so do the entries, and a slot of a
+    gate with deg incoming edges stays at most deg * (p-1)^2 < 2^width for
+    width = 2 * p.bit_length() + maxdeg.bit_length(), maxdeg the largest
+    in-degree among the gates visited, parallel edges counted: no slot
+    carries into the next."""
     needed = set(targets)
     ancestors = []
     for v, preds in reversed(gates):
         if v in needed:
             ancestors.append((v, preds))
             needed.update(u for u, _ in preds)
-    ell = len(net.inputs)
+    maxdeg = max((len(preds) for _, preds in ancestors), default=0)
+    width = 2 * p.bit_length() + maxdeg.bit_length()
+    mask = (1 << width) - 1
+    shifts = range(0, width * len(net.inputs), width)
     row = [None] * net.vertex_count
-    for j, v in enumerate(net.inputs):
-        row[v] = [0] * ell
-        row[v][j] = 1
+    for j, v in zip(shifts, net.inputs):
+        row[v] = 1 << j
     for v, preds in reversed(ancestors):
-        acc = [0] * ell
+        acc = 0
         for u, w in preds:
-            acc = [a + w * b for a, b in zip(acc, row[u])]
-        row[v] = [a % p for a in acc]
-    return [row[v] for v in targets]
+            acc += w * row[u]
+        row[v] = sum((acc >> j & mask) % p << j for j in shifts)
+    return [[row[v] >> j & mask for j in shifts] for v in targets]
 
 
 @dataclass(frozen=True)
@@ -300,7 +313,10 @@ def _sweep(net, name, lo, hi, slack, budget, rng_seed, all_outputs=False):
     sweep has at least one such pair per input. The augmenting-path kernel
     that answers flow queries now is cheaper than Dinic was, so on some
     networks the largest certified sizes would be decided sooner by flow
-    (BENCH_one_flow_kernel.json). The all-outputs sweep runs no
+    (BENCH_one_flow_kernel.json). Against that kernel, building the matrix
+    by the packed path pass costs about 2-4 flow queries per input on
+    build_sc_depth2(8, 8) and build_sc(5, 30, 5, 0.5, 1, 200)
+    (BENCH_packed_path_pass.json). The all-outputs sweep runs no
     certificate: the builders sweep depth-1 graphs, where a flow query is a
     bipartite matching and costs less than a dense elimination."""
     xs, ys = sorted(net.inputs), sorted(net.outputs)

@@ -35,6 +35,7 @@ from sharecircuit.errors import (
 )
 from sharecircuit.field import FieldModulus, Matrix, mat_inverse, mat_vec, submatrix
 from sharecircuit.network import Network, complete_bipartite, topological_order
+from sharecircuit.superconcentrator import build_sc, recommended_depth
 
 GF7 = FieldModulus(7)
 GF101 = FieldModulus(101)
@@ -196,10 +197,10 @@ def share_by_matrix(circ, s, rng_seed):
     return [sum(a * b for a, b in zip(row, x)) % p for row in M]
 
 
-def reconstruct_by_matrix(circ, T, y_T):
-    """Oracle: invert the rows of the full M that belong to T; None when
-    they are singular."""
-    M = transfer_by_columns(circ)
+def reconstruct_by_matrix(circ, T, y_T, M=None):
+    """Oracle: invert the rows of the full M (by default the column
+    oracle's) that belong to T; None when they are singular."""
+    M = transfer_by_columns(circ) if M is None else M
     M_T = Matrix.from_rows([M[i] for i in sorted(T)])
     try:
         inv = mat_inverse(M_T, circ.modulus)
@@ -260,6 +261,54 @@ def test_schedule_pass_matches_column_oracle(p):
             recovered += 1
             assert reconstruct(circ, T, y_T) == want == s
     assert recovered and singular and skip_edges and parallel_edges
+
+
+@pytest.mark.parametrize("p", [3, 7, 2**61 - 1, 2**89 - 1, 2**127 - 1])
+def test_packed_rows_hold_the_slot_bound_at_its_worst_case(p):
+    # Every input feeds vertex 3 with weight p - 1, so each of its entries is
+    # p - 1; vertex 4 takes 127 parallel edges of weight p - 1 from it, so
+    # each of its slots sums 127 * (p-1)^2, the largest value that an
+    # in-degree of 7 bits allows. For p >= 7 near a power of two that needs
+    # every bit of its slot: one bit narrower and it carries into the next.
+    ell, deg = 3, 127
+    edges = [(j, 3) for j in range(ell)] + [(3, 4)] * deg + [(4, 5), (3, 5), (5, 6)]
+    net = Network(7, edges, tuple(range(ell)), (4, 5, 6))
+    circ = LinearCircuit(net, FieldModulus(p), (p - 1,) * len(edges), 1)
+    assert net.depth == 4
+    assert deg * (p - 1) ** 2 >= 2 ** (2 * p.bit_length() + deg.bit_length() - 1) or p == 3
+    M = transfer_by_columns(circ)
+    assert network.input_rows(net, circ.schedule, p, net.outputs) == M
+    assert M[0] == [deg % p] * ell
+    assert [list(transfer_matrix(circ).row(i)) for i in range(3)] == M
+
+
+def test_reconstruct_matches_the_inverse_oracle_at_deal_size():
+    # The deal benchmark's shape: t = 16 inputs, n = 64 outputs.
+    net = build_sc(16, 64, recommended_depth(64, 16), 0.5, 1, 100)
+    circ = synthesize(net, 16, FieldModulus(2**61 - 1), rng_seed=2)
+    p = circ.modulus.p
+    M = transfer_by_columns(circ)
+    rng = random.Random(16)
+    for trial in range(200):
+        s = rng.randrange(p)
+        y = share(circ, s, rng_seed=trial).values
+        T = sorted(rng.sample(range(64), 16))
+        y_T = [y[i] for i in T]
+        assert reconstruct(circ, T, y_T) == reconstruct_by_matrix(circ, T, y_T, M) == s
+        if trial < 16:
+            # The library takes share values mod p; read_shares refuses them.
+            y_T[trial] += p
+            assert reconstruct(circ, T, y_T) == s
+    # Over GF(7), output 3's row (2, 6) is twice output 2's (1, 3), and
+    # output 4's is (1, 1). Shares consistent with that leave a zero row,
+    # others a row that pivots on the share column: both are singular.
+    net = Network(5, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)], (0, 1), (2, 3, 4))
+    small = LinearCircuit(net, GF7, (1, 3, 2, 6, 1, 1), 2)
+    assert reconstruct(small, [0, 2], [3, 2]) == 5  # (s, r) = (5, 4)
+    for y_T in ([1, 2], [1, 3]):
+        with pytest.raises(SingularSubmatrix) as info:
+            reconstruct(small, [1, 0], y_T)
+        assert str(info.value) == "M_T singular for coalition [0, 1]; circuit not validated?"
 
 
 def test_path_matrix_is_the_transfer_matrix_under_its_weights():

@@ -247,6 +247,18 @@ def test_malformed_input_files_are_errors(capsys, tmp_path):
               for keys, value in not_integers]
     typed += [("reconstruct", "--circuit", str(circ), "--shares",
                edited(shares, *keys, value=value)) for keys, value in bad_shares]
+    # Share values that are no field elements: taken as they are, value + p
+    # still gives the dealt secret and -5 gives another one, with exit 0.
+    doc = json.loads(shares.read_text())
+    p, (index, value) = doc["modulus"], doc["shares"][0]
+    out_of_field = {("reconstruct", "--circuit", str(circ), "--shares",
+                     edited(shares, "shares", 0, 1, value=bad)): [index, bad]
+                    for bad in (value + p, -5)}
+    # Edges that are not [tail, head] pairs, in a graph and a circuit file.
+    misshapen = {}
+    for bad in ([0], [0, 1, 2], 7):
+        misshapen[("verify-graph", edited(graph, "edges", 0, value=bad), "--property", "sc")] = bad
+        misshapen[("verify-ss", "--circuit", edited(circ, "edges", 0, value=bad))] = bad
     too_deep = [("verify-graph", str(nested), "--property", "sc"),
                 ("verify-ss", "--circuit", str(nested)),
                 ("reconstruct", "--circuit", str(circ), "--shares", str(nested))]
@@ -259,6 +271,8 @@ def test_malformed_input_files_are_errors(capsys, tmp_path):
         ("bench", "--builder", "sc-depth2-linear", "--sizes", "0"),
         *typed,
         *too_deep,
+        *out_of_field,
+        *misshapen,
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)
@@ -268,6 +282,11 @@ def test_malformed_input_files_are_errors(capsys, tmp_path):
             assert "integer" in err, (argv, err)
         if argv in too_deep:
             assert "nested too deeply" in err, (argv, err)
+        if argv in out_of_field:
+            entry = out_of_field[argv]
+            assert f"share values must lie in [0, modulus) = [0, {p}), got {entry}" in err, err
+        if argv in misshapen:
+            assert f"edges must be [tail, head] pairs, got {misshapen[argv]}" in err, err
 
 
 @pytest.mark.parametrize("bad", ["x", None, 2.5, -5, 10**30, True],

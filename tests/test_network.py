@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import Counter, deque
 from dataclasses import FrozenInstanceError, astuple
 from itertools import combinations
@@ -676,6 +677,11 @@ def test_validate_errors():
                  (3, [(0, 2)], (0,), (True,))):
         with pytest.raises(InvalidArguments, match="integer"):
             Network(*args)
+    # an edge is a [tail, head] pair, and the message names the one that is not
+    for bad in ([0], [0, 1, 2], 7, ()):
+        message = f"edges must be [tail, head] pairs, got {bad!r}"
+        with pytest.raises(InvalidArguments, match=re.escape(message) + "$"):
+            Network(3, [(0, 2), bad], (0,), (2,))
     Network(2, [(0, 1)], (0,), (1,))
 
 
