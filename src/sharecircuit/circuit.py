@@ -265,22 +265,24 @@ def share(circ: LinearCircuit, s: int, rng_seed: int = 0) -> ShareVector:
 
 
 def reconstruct(circ: LinearCircuit, T, y_T) -> int:
-    """Recover the secret from the t shares (taken mod p) of coalition T by
-    one fraction-free elimination (`_kernels.reduce_row`) of the rows
+    """Recover the secret from the t shares y_T (taken mod p) of coalition T,
+    y_T[j] being the share of output T[j], with T in any order, by one
+    fraction-free elimination (`_kernels.reduce_row`) of the rows
     [M_T,R | M_T,s | y_T], randomness columns first as in `_walk_coalitions`.
     M_T is invertible iff every row pivots left of the share column; then
     the row that pivots on the secret column is (0, ..., 0, a, a*s), and
     the secret costs one field inverse."""
     t = circ.threshold
-    T = sorted(T)
     if len(T) != t or len(y_T) != t:
         raise InvalidArguments(f"need exactly t = {t} shares")
+    shares = sorted(zip(T, y_T))  # T in increasing order, each share kept with its index
+    T = [i for i, _ in shares]
     M_T = transfer_matrix(circ, T)
     if M_T.rows != M_T.cols:
         raise InvalidArguments("reconstruction requires ell = t inputs")
     p = circ.modulus.p
     basis = []
-    for i, y in enumerate(y_T):
+    for i, (_, y) in enumerate(shares):
         row = M_T.row(i)
         if _kernels.reduce_row(basis, [*row[1:], row[0], y % p], p) in (-1, t):
             raise SingularSubmatrix(f"M_T singular for coalition {T}; circuit not validated?")
@@ -328,12 +330,8 @@ def read_circuit(path) -> LinearCircuit:
     return circuit_from_dict(read_json(path))
 
 
-def write_shares(shares: ShareVector, path, indices=None) -> None:
-    idx = list(indices) if indices is not None else list(range(len(shares.values)))
-    doc = {
-        "modulus": shares.modulus.p,
-        "shares": [[i, shares.values[j]] for j, i in enumerate(idx)],
-    }
+def write_shares(shares: ShareVector, path) -> None:
+    doc = {"modulus": shares.modulus.p, "shares": [[i, v] for i, v in enumerate(shares.values)]}
     write_json(doc, path)
 
 

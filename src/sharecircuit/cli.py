@@ -122,13 +122,15 @@ def _cmd_entropy_verify(args):
     t = args.t if args.t is not None else circ.threshold
     dist = infocheck.enumerate_distribution(circ)
     n = dist.variable_count - 1
+    # The verifier refuses a t outside [1, n] before anything is printed.
+    # Entropies are memoised, so the lines below recompute none it used.
+    defn = infocheck.verify_threshold_definition(dist, t, args.tol)
     h_s = infocheck.entropy(dist, [0])
     print(f"H(S)={h_s:.9f}")
     for size in (t, t - 1):
         for T in itertools.combinations(range(1, n + 1), size):
             h = infocheck.cond_entropy(dist, [0], T) if T else h_s
             print(f"H(S|Y_{{{','.join(map(str, T))}}})={h:.9f}")
-    defn = infocheck.verify_threshold_definition(dist, t, args.tol)
     print(f"threshold_definition={defn.verdict}")
     if defn.verdict == "proved":
         bounds = infocheck.verify_entropy_bounds(dist, t, args.tol)

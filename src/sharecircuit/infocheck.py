@@ -1,12 +1,11 @@
-"""Exact information-theoretic oracle: enumerate the joint distribution of
-(secret, shares) for a small circuit over a small field, compute entropies
-in base q, and verify the threshold-scheme entropy conditions."""
+"""Exact information-theoretic oracle: count the joint outcomes of (secret,
+shares) for a small circuit over a small field, compute entropies in base q,
+and verify the threshold-scheme entropy conditions by one coalition sweep."""
 
-import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import lcm, log
+from itertools import chain, combinations, product
+from math import log
 from operator import itemgetter
 
 from .circuit import LinearCircuit, evaluate
@@ -18,57 +17,46 @@ MAX_STATES = 10**7
 
 @dataclass
 class JointDistribution:
-    """Exact probability table over tuples (S, Y_1, ..., Y_n); S is
-    variable 0. Probabilities are exact rationals; entropies go to float
-    only at the final logarithm.
-
-    `weights` holds the table as integers over the common denominator
-    `denominator`, in the table's order, so that marginals are integer sums.
-    `_entropies` memoises `entropy` per sorted variable set; the table is
-    not to be changed once the distribution is built.
-    """
+    """Exact distribution over tuples (S, Y_1, ..., Y_n), S being variable 0:
+    the positive integer count of each tuple that occurs, a probability
+    being a count over their sum `total`. Marginals are integer sums;
+    entropies go to float only at the final logarithm. `_entropies` memoises
+    `entropy` per sorted variable set; the counts are not to be changed once
+    the distribution is built."""
 
     variable_count: int
     alphabet: int
-    table: dict  # tuple -> Fraction
-    denominator: int = field(init=False, repr=False, compare=False)
-    weights: tuple = field(init=False, repr=False, compare=False)
+    counts: dict  # tuple -> positive int
+    total: int = field(init=False, repr=False, compare=False)
     _entropies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        probs = [Fraction(p) for p in self.table.values()]
-        D = lcm(*(p.denominator for p in probs))
-        weights = [p.numerator * (D // p.denominator) for p in probs]
-        if sum(weights) != D:
-            raise InvalidArguments("probabilities must sum to exactly 1")
-        self.denominator = D
-        self.weights = tuple(zip(self.table, weights))
+        if not self.counts:
+            raise InvalidArguments("the distribution needs at least one tuple")
+        # bool is an int subclass but not a count.
+        if any(type(c) is not int or c < 1 for c in self.counts.values()):
+            raise InvalidArguments("every count must be a positive int")
+        self.total = sum(self.counts.values())
 
 
 def enumerate_distribution(circ: LinearCircuit) -> JointDistribution:
-    """Exhaust all uniform input assignments (s, r) in GF(q)^ell and
-    accumulate the induced joint distribution of (s, y_1, ..., y_n)."""
+    """Exhaust all uniform input assignments (s, r) in GF(q)^ell and count
+    the induced tuples (s, y_1, ..., y_n)."""
     q = circ.modulus.p
     ell = len(circ.net.inputs)
     states = q**ell
     if states > MAX_STATES:
         raise StateSpaceTooLarge(f"q^ell = {states} exceeds {MAX_STATES}")
-    counts = defaultdict(int)
-    for x in itertools.product(range(q), repeat=ell):
-        y = evaluate(circ, list(x))
-        counts[(x[0], *y)] += 1
-    n = len(circ.net.outputs)
-    table = {tup: Fraction(c, states) for tup, c in counts.items()}
-    return JointDistribution(n + 1, q, table)
+    counts = Counter((x[0], *evaluate(circ, list(x))) for x in product(range(q), repeat=ell))
+    return JointDistribution(len(circ.net.outputs) + 1, q, counts)
 
 
 def _marginal(dist: JointDistribution, idx: tuple) -> dict:
-    """Marginal weights over `dist.denominator`, keyed by the values of the
-    variables in idx."""
+    """Marginal counts, keyed by the values of the variables in idx."""
     key = itemgetter(*idx)
     marg = defaultdict(int)
-    for tup, w in dist.weights:
-        marg[key(tup)] += w
+    for tup, c in dist.counts.items():
+        marg[key(tup)] += c
     return marg
 
 
@@ -85,12 +73,11 @@ def entropy(dist: JointDistribution, A) -> float:
     if any(not 0 <= i < dist.variable_count for i in idx):
         raise InvalidArguments("variable index out of range")
     lq = log(dist.alphabet)
-    D = dist.denominator
+    total = dist.total
     h = 0.0
     for c in _marginal(dist, idx).values():
-        if c > 0:
-            pf = c / D  # the correctly rounded float of the rational c / D
-            h -= pf * log(pf) / lq
+        pf = c / total  # the correctly rounded float of the rational c / total
+        h -= pf * log(pf) / lq
     dist._entropies[idx] = h
     return h
 
@@ -106,29 +93,32 @@ def cond_entropy(dist: JointDistribution, A, B) -> float:
     return entropy(dist, A | B) - entropy(dist, B)
 
 
+def _coalition_sweep(dist: JointDistribution, t: int, name: str, fails) -> VerificationReport:
+    """Check every coalition T of shares of size t, then every one of size
+    t-1, each size in lexicographic order, and refute at the first T for
+    which fails(T, H(S)) holds, with T as the witness."""
+    n = dist.variable_count - 1
+    if not 1 <= t <= n:
+        raise InvalidArguments(f"need 1 <= t <= {n}, got t={t}")
+    name = f"{name}(t={t})"
+    h_s = entropy(dist, [0])
+    shares = range(1, n + 1)
+    for checked, T in enumerate(chain(combinations(shares, t), combinations(shares, t - 1)), 1):
+        if fails(T, h_s):
+            return VerificationReport(name, "refuted", checked, witness=(T,))
+    return VerificationReport(name, "proved", checked)
+
+
 def verify_threshold_definition(
     dist: JointDistribution, t: int, tol: float = 1e-9
 ) -> VerificationReport:
     """Exhaustively check H(S | Y_T) = 0 for all |T| = t (correctness) and
     H(S | Y_T) = H(S) for all |T| = t-1 (privacy)."""
-    n = dist.variable_count - 1
-    if not 1 <= t <= n:
-        raise InvalidArguments(f"need 1 <= t <= {n}, got t={t}")
-    h_s = entropy(dist, [0])
-    checked = 0
-    for T in itertools.combinations(range(1, n + 1), t):
-        checked += 1
-        if abs(cond_entropy(dist, [0], T)) > tol:
-            return VerificationReport(
-                f"threshold_definition(t={t})", "refuted", checked, witness=(T,)
-            )
-    for T in itertools.combinations(range(1, n + 1), t - 1):
-        checked += 1
-        if abs(cond_entropy(dist, [0], T) - h_s) > tol:
-            return VerificationReport(
-                f"threshold_definition(t={t})", "refuted", checked, witness=(T,)
-            )
-    return VerificationReport(f"threshold_definition(t={t})", "proved", checked)
+    def fails(T, h_s):
+        h = cond_entropy(dist, [0], T)
+        return abs(h if len(T) == t else h - h_s) > tol
+
+    return _coalition_sweep(dist, t, "threshold_definition", fails)
 
 
 def verify_entropy_bounds(
@@ -136,27 +126,13 @@ def verify_entropy_bounds(
 ) -> VerificationReport:
     """Check the share-entropy lower bounds implied by the threshold
     definition: H(Y_T) >= t H(S) for |T| = t and H(Y_T | S) >= (t-1) H(S)
-    for |T| = t-1."""
-    n = dist.variable_count - 1
-    if not 1 <= t <= n:
-        raise InvalidArguments(f"need 1 <= t <= {n}, got t={t}")
-    h_s = entropy(dist, [0])
-    checked = 0
-    for T in itertools.combinations(range(1, n + 1), t):
-        checked += 1
-        if entropy(dist, T) < t * h_s - tol:
-            return VerificationReport(
-                f"entropy_bounds(t={t})", "refuted", checked, witness=(T,)
-            )
-    for T in itertools.combinations(range(1, n + 1), t - 1):
-        if not T:
-            continue
-        checked += 1
-        if cond_entropy(dist, T, [0]) < (t - 1) * h_s - tol:
-            return VerificationReport(
-                f"entropy_bounds(t={t})", "refuted", checked, witness=(T,)
-            )
-    return VerificationReport(f"entropy_bounds(t={t})", "proved", checked)
+    for |T| = t-1, which holds trivially for the empty coalition."""
+    def fails(T, h_s):
+        if len(T) == t:
+            return entropy(dist, T) < t * h_s - tol
+        return bool(T) and cond_entropy(dist, T, [0]) < (t - 1) * h_s - tol
+
+    return _coalition_sweep(dist, t, "entropy_bounds", fails)
 
 
 def han_check(dist: JointDistribution, variables) -> float:

@@ -4,7 +4,6 @@ PASS/FAIL line. Tolerances are pinned here and must not be loosened."""
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -225,9 +224,7 @@ def _random_distribution(rng):
     weights = [rng.randrange(0, 5) for _ in tuples]
     if sum(weights) == 0:
         weights[0] = 1
-    total = sum(weights)
-    table = {t: Fraction(w, total) for t, w in zip(tuples, weights) if w}
-    return JointDistribution(v, q, table)
+    return JointDistribution(v, q, {t: w for t, w in zip(tuples, weights) if w})
 
 
 def test_criterion_8_shannon_inequality_suite(desk_corpus):

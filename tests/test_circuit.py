@@ -305,7 +305,9 @@ def test_reconstruct_matches_the_inverse_oracle_at_deal_size():
     net = Network(5, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)], (0, 1), (2, 3, 4))
     small = LinearCircuit(net, GF7, (1, 3, 2, 6, 1, 1), 2)
     assert reconstruct(small, [0, 2], [3, 2]) == 5  # (s, r) = (5, 4)
-    for y_T in ([1, 2], [1, 3]):
+    # T = [1, 0] takes y_T in its own order: [2, 1] gives output 3 the share
+    # 2 and output 2 the share 1, consistent with the rows; [3, 1] does not.
+    for y_T in ([2, 1], [3, 1]):
         with pytest.raises(SingularSubmatrix) as info:
             reconstruct(small, [1, 0], y_T)
         assert str(info.value) == "M_T singular for coalition [0, 1]; circuit not validated?"
@@ -557,6 +559,9 @@ def test_share_reconstruct_worked_example():
     assert reconstruct(circ, [0, 1], [2, 0]) == 4
     assert reconstruct(circ, [1, 2], [0, 5]) == 4
     assert reconstruct(circ, [0, 2], [2, 5]) == 4
+    # T in any order, each share listed in the same order as its index
+    assert reconstruct(circ, [1, 0], [0, 2]) == 4
+    assert reconstruct(circ, [2, 0], [5, 2]) == 4
 
 
 def test_share_reconstruct_round_trip_random():

@@ -175,6 +175,10 @@ def test_entropy_verify(capsys, tmp_path):
     assert "threshold_definition=proved" in out
     assert "entropy_bounds=proved" in out
     assert "han_residual=" in out
+    # A t outside [1, n] is refused before anything is printed.
+    for t in (0, -1, 4):
+        code, out, err = run(capsys, "entropy-verify", "--circuit", str(circ), f"--t={t}")
+        assert (code, out, err) == (1, "", f"error: need 1 <= t <= 3, got t={t}\n"), t
 
 
 def test_bench_csv(capsys):

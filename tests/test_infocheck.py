@@ -1,7 +1,7 @@
 import itertools
 import math
 import random
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from math import log
 
@@ -26,29 +26,29 @@ from sharecircuit.network import Network, complete_bipartite, serial_compose
 
 def xor_distribution():
     """(2,2) one-time-pad: S uniform bit, Y1 = R, Y2 = S xor R."""
-    table = {}
-    for s in range(2):
-        for r in range(2):
-            table[(s, r, s ^ r)] = Fraction(1, 4)
-    return JointDistribution(3, 2, table)
+    counts = {(s, r, s ^ r): 1 for s in range(2) for r in range(2)}
+    return JointDistribution(3, 2, counts)
 
 
 def leaky_distribution():
     """Both shares equal the secret: correct for t=1 but not private for t=2."""
-    table = {(s, s, s): Fraction(1, 2) for s in range(2)}
-    return JointDistribution(3, 2, table)
+    return JointDistribution(3, 2, {(s, s, s): 1 for s in range(2)})
 
 
-def random_distribution(rng):
+def random_counts(rng):
+    """(variable count, alphabet, counts) of a random table, as built into a
+    `JointDistribution` by `random_distribution`."""
     v = rng.randrange(2, 5)
     q = rng.randrange(2, 4)
     tuples = list(itertools.product(range(q), repeat=v))
     weights = [rng.randrange(0, 5) for _ in tuples]
     if sum(weights) == 0:
         weights[0] = 1
-    total = sum(weights)
-    table = {t: Fraction(w, total) for t, w in zip(tuples, weights) if w}
-    return JointDistribution(v, q, table)
+    return v, q, {t: w for t, w in zip(tuples, weights) if w}
+
+
+def random_distribution(rng):
+    return JointDistribution(*random_counts(rng))
 
 
 def linear_circuit_gf3():
@@ -57,9 +57,16 @@ def linear_circuit_gf3():
     return LinearCircuit(net, FieldModulus(3), (1, 1, 1, 2), 2)
 
 
-def test_distribution_must_sum_to_one():
-    with pytest.raises(InvalidArguments):
-        JointDistribution(1, 2, {(0,): Fraction(1, 2)})
+def test_distribution_refuses_bad_counts():
+    # Counts are positive ints; bool is an int subclass but not a count.
+    for bad in (0, -1, True, 1.0, Fraction(1, 2), Fraction(1)):
+        with pytest.raises(InvalidArguments, match="positive int"):
+            JointDistribution(1, 2, {(0,): 1, (1,): bad})
+    with pytest.raises(InvalidArguments, match="at least one tuple"):
+        JointDistribution(1, 2, {})
+    dist = JointDistribution(1, 2, {(0,): 3, (1,): 1})
+    assert dist.total == 4
+    assert entropy(dist, [0]) == pytest.approx(-(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25)))
 
 
 def test_entropy_examples():
@@ -77,13 +84,10 @@ def test_entropy_examples():
 
 def test_entropy_base_is_alphabet_size():
     # uniform pair of independent trits has entropy exactly 2 digits
-    table = {
-        (a, b): Fraction(1, 9) for a in range(3) for b in range(3)
-    }
-    dist = JointDistribution(2, 3, table)
+    dist = JointDistribution(2, 3, {(a, b): 1 for a in range(3) for b in range(3)})
     assert entropy(dist, [0, 1]) == pytest.approx(2.0)
     # consistency with bits: H_q = H_2 / log2(q)
-    h_bits = -sum(float(p) * math.log2(float(p)) for p in table.values())
+    h_bits = -sum(c / 9 * math.log2(c / 9) for c in dist.counts.values())
     assert entropy(dist, [0, 1]) == pytest.approx(h_bits / math.log2(3))
 
 
@@ -119,12 +123,27 @@ def test_verify_threshold_definition_bad_t():
 def test_verify_entropy_bounds_xor():
     report = verify_entropy_bounds(xor_distribution(), 2)
     assert report.verdict == "proved"
+    assert report.subsets_checked == 1 + 2
+
+
+def test_both_verifiers_count_the_empty_coalition_at_t1():
+    # The leaky table is a t = 1 scheme: both sweeps check the two
+    # singletons and then the empty coalition.
+    leaky = leaky_distribution()
+    for verify in (verify_threshold_definition, verify_entropy_bounds):
+        report = verify(leaky, 1)
+        assert (report.verdict, report.subsets_checked) == ("proved", 3), verify
+    # A constant share refutes the bound H(Y_1) >= H(S) at the first
+    # coalition, before the empty one is reached.
+    constant = JointDistribution(3, 2, {(s, 0, s): 1 for s in range(2)})
+    report = verify_entropy_bounds(constant, 1)
+    assert (report.verdict, report.subsets_checked, report.witness) == ("refuted", 1, ((1,),))
 
 
 def test_enumerate_distribution_gf3():
     dist = enumerate_distribution(linear_circuit_gf3())
     assert dist.variable_count == 3 and dist.alphabet == 3
-    assert sum(dist.table.values()) == 1
+    assert dist.total == 9 == sum(dist.counts.values())
     assert entropy(dist, [0]) == pytest.approx(1.0)
     assert verify_threshold_definition(dist, 2).verdict == "proved"
     assert verify_entropy_bounds(dist, 2).verdict == "proved"
@@ -140,11 +159,10 @@ def test_enumerate_distribution_state_guard():
 def test_han_check_examples():
     # independent uniform bits: residual = n*(n-1) - (n-1)*n ... for n = 2
     # variables each of entropy 1: sum H(single) = 2, (n-1) H(pair) = 2
-    table = {(a, b): Fraction(1, 4) for a in range(2) for b in range(2)}
-    dist = JointDistribution(2, 2, table)
+    dist = JointDistribution(2, 2, {(a, b): 1 for a in range(2) for b in range(2)})
     assert han_check(dist, [0, 1]) == pytest.approx(0.0)
     # fully correlated pair: 1 + 1 - 1 = 1
-    dist = JointDistribution(2, 2, {(a, a): Fraction(1, 2) for a in range(2)})
+    dist = JointDistribution(2, 2, {(a, a): 1 for a in range(2)})
     assert han_check(dist, [0, 1]) == pytest.approx(1.0)
     with pytest.raises(InvalidArguments):
         han_check(dist, [0])
@@ -184,12 +202,15 @@ def test_conditioning_reduces_entropy_random():
         assert cond_entropy(dist, [a], [c]) >= cond_entropy(dist, [a], [b, c]) - 1e-9
 
 
-# The enumeration and the entropy as they were before tuples were counted
-# with integers and entropies memoised per distribution. Kept verbatim
-# (renamed) as the oracle for both.
+# Oracles for the enumeration and the entropy, over exact rationals. They
+# share no code with the library's: the oracle's table holds each tuple's
+# probability as a Fraction, and each entropy term is the float of a
+# marginal's Fraction.
+
+OracleDistribution = namedtuple("OracleDistribution", "variable_count alphabet table")
 
 
-def oracle_enumerate_distribution(circ: LinearCircuit) -> JointDistribution:
+def oracle_enumerate_distribution(circ: LinearCircuit) -> OracleDistribution:
     """Exhaust all uniform input assignments (s, r) in GF(q)^ell and
     accumulate the induced joint distribution of (s, y_1, ..., y_n)."""
     q = circ.modulus.p
@@ -203,19 +224,18 @@ def oracle_enumerate_distribution(circ: LinearCircuit) -> JointDistribution:
         y = evaluate(circ, list(x))
         table[(x[0], *y)] += weight
     n = len(circ.net.outputs)
-    return JointDistribution(n + 1, q, dict(table))
+    return OracleDistribution(n + 1, q, dict(table))
 
 
-def oracle_marginal(dist: JointDistribution, idx: tuple) -> dict:
-    """Marginal weights over `dist.denominator`, keyed by the values of the
-    variables in idx."""
-    marg = defaultdict(int)
-    for tup, w in dist.weights:
+def oracle_marginal(dist: OracleDistribution, idx: tuple) -> dict:
+    """Marginal probabilities, keyed by the values of the variables in idx."""
+    marg = defaultdict(Fraction)
+    for tup, w in dist.table.items():
         marg[tuple(tup[i] for i in idx)] += w
     return marg
 
 
-def oracle_entropy(dist: JointDistribution, A) -> float:
+def oracle_entropy(dist: OracleDistribution, A) -> float:
     """Marginal Shannon entropy of the variables in A, in base-q digits
     (a uniform field element has entropy exactly 1)."""
     idx = tuple(sorted(set(A)))
@@ -224,11 +244,10 @@ def oracle_entropy(dist: JointDistribution, A) -> float:
     if any(not 0 <= i < dist.variable_count for i in idx):
         raise InvalidArguments("variable index out of range")
     lq = log(dist.alphabet)
-    D = dist.denominator
     h = 0.0
-    for c in oracle_marginal(dist, idx).values():
-        if c > 0:
-            pf = c / D  # the correctly rounded float of the rational c / D
+    for w in oracle_marginal(dist, idx).values():
+        if w > 0:
+            pf = float(w)  # the correctly rounded float of the rational w
             h -= pf * log(pf) / lq
     return h
 
@@ -261,17 +280,19 @@ def test_memoised_entropy_matches_the_fraction_oracle(capsys, monkeypatch, tmp_p
     # Binary alphabets come from tables, as no circuit runs over GF(2).
     alphabets = set()
     for seed in range(40):
-        rng = random.Random(3000 + seed)
-        dist = random_distribution(rng)
-        alphabets.add(dist.alphabet)
-        assert_entropies_match(dist, JointDistribution(dist.variable_count, dist.alphabet,
-                                                       dist.table))
+        v, q, counts = random_counts(random.Random(3000 + seed))
+        alphabets.add(q)
+        total = sum(counts.values())
+        want = OracleDistribution(v, q, {k: Fraction(c, total) for k, c in counts.items()})
+        assert_entropies_match(JointDistribution(v, q, counts), want)
     assert 2 in alphabets
     verdicts = set()
     stdout = []
     for i, circ in enumerate(seeded_circuits()):
         dist, want = enumerate_distribution(circ), oracle_enumerate_distribution(circ)
-        assert dist.table == want.table and dist.weights == want.weights
+        # The same tuples in the same order, so marginals sum in the same order.
+        assert list(dist.counts) == list(want.table)
+        assert all(Fraction(c, dist.total) == want.table[k] for k, c in dist.counts.items())
         assert_entropies_match(dist, want)
         path = tmp_path / f"c{i}.json"
         write_circuit(circ, path)

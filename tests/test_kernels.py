@@ -234,3 +234,28 @@ def test_gf_rank_matches_fraction_free_oracle(p):
         assert rank == oracle_rank(rows, cols, entries, p), (seed, rows, cols)
         deficient += rank < min(rows, cols)
     assert deficient >= 50  # the planted dependencies are really exercised
+
+
+@pytest.mark.parametrize("p", [3, 7, 2**61 - 1, 2**89 - 1])
+def test_reduce_row_keeps_an_echelon_basis(p):
+    # One reduce_row per row of a seeded matrix, checked after every step.
+    zero_rows = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        rows, cols, entries = random_rank_instance(rng, p)
+        basis = []
+        for r in range(rows):
+            before = [(c, list(b)) for c, b in basis]
+            row = [x % p for x in entries[r * cols:(r + 1) * cols]]
+            pivot = _kernels.reduce_row(basis, row, p)
+            if pivot == -1:
+                assert basis == before, (seed, r)
+                zero_rows += 1
+                continue
+            assert basis[:-1] == before, (seed, r)
+            c, b = basis[-1]
+            assert c == pivot == next(j for j, x in enumerate(b) if x), (seed, r)
+            assert all(0 <= x < p for x in b), (seed, r)
+            assert all(b[c0] == 0 for c0, _ in before), (seed, r)
+        assert len(basis) == oracle_rank(rows, cols, entries, p), seed
+    assert zero_rows >= 50  # the planted dependencies are really exercised
