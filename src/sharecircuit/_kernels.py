@@ -1,13 +1,18 @@
 """The kernels of the cost model: vertex-disjoint paths by augmenting paths
 (Menger's theorem, for the connectivity sweeps), and one fraction-free
-row-reduction step over GF(p) (for the sampled threshold conditions,
-reconstruction and the path-matrix certificate of the pair sweeps). GF(p)
-matrix rank is that step applied to each row in turn.
+Gaussian elimination over GF(p) on packed rows (for the sampled threshold
+conditions, reconstruction, the path-matrix certificate of the pair sweeps
+and GF(p) matrix rank).
+
+A packed row is one int holding one entry per column in slots of
+`slot_width(p)` bits (Kronecker substitution), so that one row operation is
+a few big-int operations rather than one field operation per entry.
 
 All are plain Python over exact integers, so they hold for every prime
 modulus that ``FieldModulus`` accepts, however wide.
 """
 
+from functools import lru_cache
 from itertools import chain
 
 
@@ -88,33 +93,102 @@ def maxflow_unit(succ, sources, sinks):
     return flow
 
 
-def reduce_row(basis, row, p):
-    """Reduce ``row`` against an echelon basis over GF(p) and return its pivot.
+def slot_width(p):
+    """Bits per slot of a packed row over GF(p): 3 * bits(p) + 6, wide
+    enough for `eliminate`'s slot bound."""
+    return 3 * p.bit_length() + 6
 
-    ``basis`` is a list of (pivot column, row) pairs, each row zero on the
-    pivot columns of the pairs before it; entries lie in [0, p). Each pair
-    (c, b) clears column c by ``row <- b[c]*row - row[c]*b`` (mod p), a
-    nonzero multiple of the reduced row, so no field inverse is needed. A
-    row that reduces to zero leaves the basis as it is and gives -1; any
-    other row is appended with its first nonzero column as pivot, which is
-    returned. The basis has as many pairs as its rows have rank.
+
+def pack(row, p):
+    """The packed row over GF(p) whose slot j holds row[j], an int in [0, p)."""
+    width, acc = slot_width(p), 0
+    for x in reversed(row):
+        acc = acc << width | x
+    return acc
+
+
+def unpack(row, count, p):
+    """The first `count` entries of a packed row, each reduced mod p."""
+    width = slot_width(p)
+    mask = (1 << width) - 1
+    return [(row >> j & mask) % p for j in range(0, count * width, width)]
+
+
+def eliminate(rows, columns, p, limit=None):
+    """Fraction-free Gaussian elimination over GF(p) on a list of packed
+    rows (see `pack`), column first, and return its (column, pivot row)
+    pairs: their number is the rank of the submatrix of `rows` on `columns`,
+    or `limit` when the rank is at least `limit`, as the elimination stops
+    at that pivot.
+
+    Columns are taken in the order given. For column c, each remaining row
+    q has entry b = slot c of q mod p; the first with b != 0 becomes the
+    pivot, with a its entry, and leaves the remaining rows. Every other
+    remaining row with b != 0 becomes q <- a*q + (p-b)*pivot, which clears
+    its column c and is a nonzero multiple of q - (b/a)*pivot, so no field
+    inverse is needed. The pivot row is returned as it was when chosen: zero
+    mod p on the columns pivoted before it, nonzero on its own. The columns
+    not in `columns` are updated alongside but never read, so the rank of
+    any column subset can be read from full rows without repacking them.
+
+    The slot bound. Let bp = bits(p), k = 2*bp + 2, W = slot_width(p) =
+    3*bp + 6 and m = floor(2^k / p). Every slot lies in [0, 2p); the input's
+    do, as its entries lie in [0, p). A row operation multiplies slots by
+    a < p and by p-b < p, so a new slot s is below p*2p + p*2p = 4p^2 <=
+    2^k. Then all slots are reduced at once by Barrett's reduction (Barrett,
+    1986). As p >= 2^(bp-1), m <= 2^(bp+3) and s*m < 2^(3*bp+5) < 2^W, so
+    slot by slot the product q*m holds s*m, with no carry into the next
+    slot. Shifting it right by k and keeping the low W - k bits of each slot
+    leaves e = floor(s*m / 2^k) there. Since m > 2^k/p - 1 and s < 2^k,
+    s/p - 2 < e <= s/p, so 0 <= s - e*p < 2p: subtracting e*p slot by slot
+    borrows from no other slot and puts every slot back in [0, 2p). So a
+    slot is read mod p, and the input rows must have their slots in [0, 2p).
     """
-    for c, b in basis:
-        y = row[c]
-        if y:
-            a = b[c]
-            row = [(a * x - y * z) % p for x, z in zip(row, b)]
-    for c, x in enumerate(row):
-        if x:
-            basis.append((c, row))
-            return c
-    return -1
+    width = slot_width(p)
+    mask = (1 << width) - 1
+    m = None  # the reduction's constants, found at the first row operation
+    pivots = []
+    for c in columns:
+        shift = c * width
+        pivot = None
+        rest = []
+        for q in rows:
+            b = (q >> shift & mask) % p
+            if not b:
+                rest.append(q)
+            elif pivot is None:
+                pivot, a = q, b
+                pivots.append((c, q))
+                if len(pivots) == limit:
+                    return pivots
+            else:
+                if m is None:
+                    k, m, qmask = _barrett(p, max(rows).bit_length() // width + 1)
+                q = a * q + (p - b) * pivot
+                rest.append(q - (q * m >> k & qmask) * p)
+        if pivot is not None:
+            rows = rest
+            if not rows:
+                break
+    return pivots
+
+
+@lru_cache(maxsize=64)
+def _barrett(p, slots):
+    """The constants of `eliminate`'s slot reduction over GF(p) for rows of
+    `slots` slots: k, m, and the mask of the low slot_width(p) - k bits of
+    every slot."""
+    k = 2 * p.bit_length() + 2
+    width = slot_width(p)
+    # 1 at the bottom of each slot
+    ones = ((1 << width * slots) - 1) // ((1 << width) - 1)
+    return k, (1 << k) // p, ones * ((1 << width - k) - 1)
 
 
 def gf_rank(rows, cols, entries, p):
     """Rank of a rows x cols matrix over GF(p), given its row-major flat
-    entry list: one `reduce_row` per row, with the entries reduced mod p."""
-    basis = []
-    for r in range(rows):
-        reduce_row(basis, [x % p for x in entries[r * cols:(r + 1) * cols]], p)
-    return len(basis)
+    entry list: the entries reduced mod p, each row packed, and one
+    `eliminate` over every column."""
+    packed = [pack([x % p for x in entries[r * cols:(r + 1) * cols]], p)
+              for r in range(rows)]
+    return len(eliminate(packed, range(cols), p))

@@ -203,20 +203,16 @@ def _walk_coalitions(M: Matrix, t: int, p: int):
     return recover_checks, privacy_checks, leak
 
 
-def _coalition_holds(rows, T, t: int, p: int) -> bool:
-    """Both rank conditions on one coalition, by one fraction-free elimination
-    over its rows. Their columns are ordered randomness first, secret last,
-    as in `_walk_coalitions`, so a row pivots on the secret column only when
-    its randomness part is reduced to zero. A size-t coalition holds iff its
-    rows give t pivots, one of them on the secret column; a size-(t-1) one
-    iff they give t-1 pivots, none on it."""
-    basis, secret = [], False
-    for i in T:
-        c = _kernels.reduce_row(basis, rows[i], p)
-        if c < 0:
-            return False
-        secret |= c == len(rows[i]) - 1
-    return secret == (len(T) == t)
+def _coalition_holds(rows, T, t: int, ell: int, p: int) -> bool:
+    """Both rank conditions on one coalition, by one `_kernels.eliminate`
+    over its packed rows, column first. Their columns are ordered randomness
+    first, secret last, as in `_walk_coalitions`, so the pivots left of the
+    secret column count rank(M_{T,R}) and all of them rank(M_T). A size-t
+    coalition holds iff its rows give t pivots, one of them on the secret
+    column; a size-(t-1) one iff they give t-1 pivots, none on it."""
+    pivots = _kernels.eliminate([rows[i] for i in T], range(ell), p)
+    secret = bool(pivots) and pivots[-1][0] == ell - 1
+    return len(pivots) == len(T) and secret == (len(T) == t)
 
 
 def validate_scheme(
@@ -227,7 +223,8 @@ def validate_scheme(
 
     When all C(n,t) + C(n,t-1) coalitions fit in the budget the sweep is
     exhaustive (one prefix-tree walk); otherwise budget // 2 coalitions of
-    each size are drawn from rng_seed, each checked by one elimination."""
+    each size are drawn from rng_seed, each checked by one elimination over
+    rows packed once, before the draws."""
     M = transfer_matrix(circ)
     t = circ.threshold
     n = M.rows
@@ -237,7 +234,8 @@ def validate_scheme(
         verdict = "proved" if witness is None else "refuted"
         return SchemeReport(recover_checks, privacy_checks, "exhaustive", verdict, witness)
     rng = random.Random(rng_seed)
-    rows = [M.row(i)[1:] + M.row(i)[:1] for i in range(n)]
+    ell = M.cols
+    rows = [_kernels.pack(M.row(i)[1:] + M.row(i)[:1], p) for i in range(n)]
     outputs = list(range(n))
     recover_checks = privacy_checks = 0
     for size in (t, t - 1):
@@ -247,7 +245,7 @@ def validate_scheme(
                 recover_checks += 1
             else:
                 privacy_checks += 1
-            if not _coalition_holds(rows, T, t, p):
+            if not _coalition_holds(rows, T, t, ell, p):
                 return SchemeReport(
                     recover_checks, privacy_checks, "sampled", "refuted", witness=T
                 )
@@ -267,11 +265,11 @@ def share(circ: LinearCircuit, s: int, rng_seed: int = 0) -> ShareVector:
 def reconstruct(circ: LinearCircuit, T, y_T) -> int:
     """Recover the secret from the t shares y_T (taken mod p) of coalition T,
     y_T[j] being the share of output T[j], with T in any order, by one
-    fraction-free elimination (`_kernels.reduce_row`) of the rows
-    [M_T,R | M_T,s | y_T], randomness columns first as in `_walk_coalitions`.
-    M_T is invertible iff every row pivots left of the share column; then
-    the row that pivots on the secret column is (0, ..., 0, a, a*s), and
-    the secret costs one field inverse."""
+    `_kernels.eliminate` of the packed rows [M_T,R | M_T,s | y_T], randomness
+    columns first as in `_walk_coalitions`, over the columns of M_T. M_T is
+    invertible iff that gives t pivots; then the last pivot row, on the
+    secret column, is (0, ..., 0, a, a*s) mod p, and the secret costs one
+    field inverse."""
     t = circ.threshold
     if len(T) != t or len(y_T) != t:
         raise InvalidArguments(f"need exactly t = {t} shares")
@@ -281,12 +279,14 @@ def reconstruct(circ: LinearCircuit, T, y_T) -> int:
     if M_T.rows != M_T.cols:
         raise InvalidArguments("reconstruction requires ell = t inputs")
     p = circ.modulus.p
-    basis = []
+    rows = []
     for i, (_, y) in enumerate(shares):
         row = M_T.row(i)
-        if _kernels.reduce_row(basis, [*row[1:], row[0], y % p], p) in (-1, t):
-            raise SingularSubmatrix(f"M_T singular for coalition {T}; circuit not validated?")
-    a, b = next(r[t - 1:] for c, r in basis if c == t - 1)
+        rows.append(_kernels.pack([*row[1:], row[0], y % p], p))
+    pivots = _kernels.eliminate(rows, range(t), p)
+    if len(pivots) < t:
+        raise SingularSubmatrix(f"M_T singular for coalition {T}; circuit not validated?")
+    a, b = _kernels.unpack(pivots[-1][1], t + 1, p)[t - 1:]
     return b * pow(a, -1, p) % p
 
 

@@ -44,11 +44,29 @@ def _cmd_gen_concentrator(args):
 
 def _cmd_gen_sc(args):
     n, m = args.inputs, args.outputs
-    depth = superconcentrator.recommended_depth(m, n) if args.depth == "auto" else int(args.depth)
+    if args.depth == "auto":
+        depth = superconcentrator.recommended_depth(m, n)
+    else:
+        try:
+            depth = int(args.depth)
+        except ValueError:
+            raise ShareCircuitError(
+                f"--depth {args.depth!r} must have the form --depth auto|<int>") from None
     net = superconcentrator.build_sc(n, m, depth, args.epsilon, args.seed, args.budget)
     network.write_network(net, args.out)
     print(f"target_depth={depth} built_depth={net.depth} edges={len(net.edges)}")
     return _print_result("ok", len(net.edges))
+
+
+def _property_args(prop, form):
+    """The integers after the colon of `prop`, as many as `form` names."""
+    try:
+        values = [int(x) for x in prop.split(":", 1)[1].split(",")]
+    except ValueError:
+        values = []
+    if len(values) != form.count("<"):
+        raise ShareCircuitError(f"property {prop!r} must have the form {form}")
+    return values
 
 
 def _cmd_verify_graph(args):
@@ -57,10 +75,10 @@ def _cmd_verify_graph(args):
     if prop == "sc":
         report = network.verify_superconcentrator(net, args.budget, args.seed)
     elif prop.startswith("concentrator:"):
-        c = int(prop.split(":", 1)[1])
+        c, = _property_args(prop, "concentrator:<k>")
         report = network.verify_concentrator(net, c, args.budget, args.seed)
     elif prop.startswith("partial:"):
-        p, q = (int(x) for x in prop.split(":", 1)[1].split(","))
+        p, q = _property_args(prop, "partial:<p>,<q>")
         report = network.verify_partial_sc(net, p, q, args.budget, args.seed)
     else:
         raise ShareCircuitError(f"unknown property {prop!r}")
@@ -195,7 +213,7 @@ COMMANDS = {
         _SEED, _BUDGET, ("--out", _REQUIRED),
     ]),
     "verify-graph": (_cmd_verify_graph, [
-        ("file", {}), ("--property", {**_REQUIRED, "help": "sc | concentrator:k | partial:p,q"}),
+        ("file", {}), ("--property", {**_REQUIRED, "help": "sc | concentrator:<k> | partial:<p>,<q>"}),
         _BUDGET, _SEED,
     ]),
     "synth-ss": (_cmd_synth_ss, [

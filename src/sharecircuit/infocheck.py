@@ -5,7 +5,7 @@ and verify the threshold-scheme entropy conditions by one coalition sweep."""
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, combinations, product
-from math import log
+from math import inf, log
 from operator import itemgetter
 
 from .circuit import LinearCircuit, evaluate
@@ -109,11 +109,22 @@ def _coalition_sweep(dist: JointDistribution, t: int, name: str, fails) -> Verif
     return VerificationReport(name, "proved", checked)
 
 
+def _check_tol(tol) -> None:
+    """A tolerance must be finite and >= 0: every check compares against it,
+    and no comparison with NaN holds, so a NaN tolerance would pass every
+    coalition, as would an infinite one, and a negative one fail them all."""
+    if not 0 <= tol < inf:
+        raise InvalidArguments(f"need a tolerance 0 <= tol < inf, got {tol!r}")
+
+
 def verify_threshold_definition(
     dist: JointDistribution, t: int, tol: float = 1e-9
 ) -> VerificationReport:
     """Exhaustively check H(S | Y_T) = 0 for all |T| = t (correctness) and
-    H(S | Y_T) = H(S) for all |T| = t-1 (privacy)."""
+    H(S | Y_T) = H(S) for all |T| = t-1 (privacy). Raises InvalidArguments
+    unless 0 <= tol < inf."""
+    _check_tol(tol)
+
     def fails(T, h_s):
         h = cond_entropy(dist, [0], T)
         return abs(h if len(T) == t else h - h_s) > tol
@@ -126,7 +137,10 @@ def verify_entropy_bounds(
 ) -> VerificationReport:
     """Check the share-entropy lower bounds implied by the threshold
     definition: H(Y_T) >= t H(S) for |T| = t and H(Y_T | S) >= (t-1) H(S)
-    for |T| = t-1, which holds trivially for the empty coalition."""
+    for |T| = t-1, which holds trivially for the empty coalition. Raises
+    InvalidArguments unless 0 <= tol < inf."""
+    _check_tol(tol)
+
     def fails(T, h_s):
         if len(T) == t:
             return entropy(dist, T) < t * h_s - tol

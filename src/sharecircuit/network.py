@@ -2,8 +2,9 @@
 vertex-disjoint path counts by augmenting paths, connectivity verification
 sweeps, the weighted path pass (a gate schedule under per-edge weights and
 the rows over the inputs it gives) behind both a circuit's transfer matrix
-and the sweeps' path-matrix certificate, and the composition operators used
-by the graph builders."""
+and the sweeps' path-matrix certificate, whose rows are packed once and
+ranked by the packed GF(p) elimination of `_kernels`, and the composition
+operators used by the graph builders."""
 
 import json
 import random
@@ -13,7 +14,7 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 
-from ._kernels import maxflow_unit, reduce_row
+from ._kernels import eliminate, maxflow_unit, pack
 from .errors import (
     ArityMismatch,
     CyclicGraph,
@@ -186,10 +187,11 @@ def input_rows(net: Network, gates, p: int, targets) -> list:
 @dataclass(frozen=True)
 class PathMatrix:
     """The transfer matrix M of a network under random edge weights over
-    GF(p): ``rows[y][column[x]]`` is the sum, over the paths from input x to
-    output y, of the products of their edge weights. It is the matrix a
-    `LinearCircuit` with these weights as coefficients would have, computed
-    by the same pass, `input_rows`.
+    GF(p): entry column[x] of the row ``rows[y]`` is the sum, over the paths
+    from input x to output y, of the products of their edge weights. It is
+    the matrix a `LinearCircuit` with these weights as coefficients would
+    have, computed by the same pass, `input_rows`, and each row is kept
+    packed for `_kernels.eliminate` (see `_kernels.pack`).
 
     By the Lindstrom-Gessel-Viennot lemma, det M[Y, X] is a signed sum over
     the systems of |X| vertex-disjoint paths from X to Y, so it is zero
@@ -200,30 +202,28 @@ class PathMatrix:
 
     p: int
     column: dict  # input vertex -> column index
-    rows: dict  # output vertex -> its row over the inputs
+    rows: dict  # output vertex -> its packed row over the inputs
 
     @classmethod
     def build(cls, net: Network) -> "PathMatrix":
         """The outputs' rows under one weight per edge, drawn in edge order
-        from the certificate's own stream."""
+        from the certificate's own stream, each packed once."""
         p = CERTIFICATE_PRIME
         rng = random.Random(CERTIFICATE_SEED)
         gates = net.gates([rng.randrange(p) for _ in net.edges])
-        rows = input_rows(net, gates, p, net.outputs)
+        rows = [pack(row, p) for row in input_rows(net, gates, p, net.outputs)]
         return cls(p, {x: j for j, x in enumerate(net.inputs)}, dict(zip(net.outputs, rows)))
 
     def certifies(self, X, Y, r: int) -> bool:
         """True when rank M[Y, X] >= r, which proves r vertex-disjoint paths
-        from X to Y; False proves nothing. One fraction-free elimination over
-        the rows of Y, stopped as soon as the answer is known."""
-        cols = [self.column[x] for x in X]
-        basis = []
-        for i, y in enumerate(Y):
-            if len(basis) >= r or len(basis) + len(Y) - i < r:
-                break
-            row = self.rows[y]
-            reduce_row(basis, [row[j] for j in cols], self.p)
-        return len(basis) >= r
+        from X to Y; False proves nothing. One `_kernels.eliminate` over the
+        full packed rows of Y, pivoting on the columns of X only, stopped at
+        the r-th pivot."""
+        if r <= 0:
+            return True
+        rows, column = self.rows, self.column
+        cols = [column[x] for x in X]
+        return len(eliminate([rows[y] for y in Y], cols, self.p, r)) == r
 
 
 @dataclass
@@ -305,18 +305,15 @@ def _sweep(net, name, lo, hi, slack, budget, rng_seed, all_outputs=False):
     A pair may first be offered to the network's path matrix: rank
     M[Y, X] >= k - slack proves it, and no flow runs. Otherwise max-flow
     decides, so every refutation and every report is the flow sweep's. The
-    certificate is meant for where it costs less than the flows it saves.
-    The rule was measured against Dinic's algorithm on the split graph: a
-    k x k elimination cost less than one flow query while k^3 <= E (E
-    edges), and building the matrix about as much as one flow query per
-    input. So the sizes with k^3 <= E are certified, and only when the
-    sweep has at least one such pair per input. The augmenting-path kernel
-    that answers flow queries now is cheaper than Dinic was, so on some
-    networks the largest certified sizes would be decided sooner by flow
-    (BENCH_one_flow_kernel.json). Against that kernel, building the matrix
-    by the packed path pass costs about 2-4 flow queries per input on
-    build_sc_depth2(8, 8) and build_sc(5, 30, 5, 0.5, 1, 200)
-    (BENCH_packed_path_pass.json). The all-outputs sweep runs no
+    certificate is meant for where it costs less than the flows it saves:
+    the sizes with k^3 <= E (E edges) are certified, and only when the sweep
+    has at least one such pair per input. The rule was fitted to Dinic's
+    algorithm on the split graph. Against the augmenting-path kernel and the
+    packed elimination (BENCH_packed_elimination.json), a certificate costs
+    0.3-0.8 of a flow query per pair at k <= 5 and 0.7-1.0 at k = 6-7 on
+    build_sc_depth2(8, 8) (E = 384), 0.2-0.4 of one at every k on
+    build_sc(5, 30, 5, 0.5, 1, 200), and building the matrix about 2-4 flow
+    queries per input; so the rule stands. The all-outputs sweep runs no
     certificate: the builders sweep depth-1 graphs, where a flow query is a
     bipartite matching and costs less than a dense elimination."""
     xs, ys = sorted(net.inputs), sorted(net.outputs)

@@ -10,6 +10,7 @@ from scipy.stats import chisquare
 
 from sharecircuit.circuit import (
     LinearCircuit,
+    SchemeReport,
     circuit_from_dict,
     circuit_to_dict,
     evaluate,
@@ -330,10 +331,10 @@ def test_path_matrix_is_the_transfer_matrix_under_its_weights():
         assert paths.column == {x: j for j, x in enumerate(net.inputs)}
         n = len(net.outputs)
         M = transfer_by_columns(circ)
-        assert [paths.rows[y] for y in net.outputs] == M
+        assert [paths.rows[y] for y in net.outputs] == [_kernels.pack(row, p) for row in M]
         for rows in (range(n), sorted(rng.sample(range(n), rng.randrange(n)))):
             got = transfer_matrix(circ, rows)
-            assert [list(got.row(k)) for k in range(got.rows)] == [
+            assert [_kernels.pack(got.row(k), p) for k in range(got.rows)] == [
                 paths.rows[net.outputs[i]] for i in rows], (trial, rows)
         inputs, outputs = set(net.inputs), set(net.outputs)
         live = set(outputs)
@@ -548,6 +549,69 @@ def test_validate_scheme_matches_coalition_oracle(p):
     # ell = t + 1; refutations at both stages.
     assert outcomes[(True, False, "proved")] and outcomes[(True, True, "proved")]
     assert outcomes[(False, False, "proved")] and outcomes[(False, True, "proved")]
+    assert outcomes[(False, False, "recovery")] and outcomes[(False, True, "recovery")]
+    assert outcomes[(False, False, "privacy")] and outcomes[(False, True, "privacy")]
+
+
+def sampled_by_list_elimination(circ, budget, rng_seed):
+    """Oracle for sampled validate_scheme: its draws, each coalition checked
+    by list-row fraction-free elimination, one row at a time, over the
+    columns ordered randomness first, secret last. A row pivots on the
+    secret column only when its randomness part reduces to zero."""
+    M = transfer_matrix(circ)
+    t, n, p = circ.threshold, M.rows, circ.modulus.p
+    rows = [list(M.row(i)[1:] + M.row(i)[:1]) for i in range(n)]
+
+    def holds(T):
+        basis, secret = [], False
+        for i in T:
+            row = rows[i]
+            for c, b in basis:
+                if row[c]:
+                    row = [(b[c] * x - row[c] * z) % p for x, z in zip(row, b)]
+            c = next((c for c, x in enumerate(row) if x), None)
+            if c is None:
+                return False
+            basis.append((c, row))
+            secret |= c == M.cols - 1
+        return secret == (len(T) == t)
+
+    rng = random.Random(rng_seed)
+    checks = {t: 0, t - 1: 0}
+    for size in (t, t - 1):
+        for _ in range(max(1, budget // 2)):
+            T = tuple(sorted(rng.sample(range(n), size)))
+            checks[size] += 1
+            if not holds(T):
+                return SchemeReport(checks[t], checks[t - 1], "sampled", "refuted", T)
+    return SchemeReport(checks[t], checks[t - 1], "sampled", "sampled_pass")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 2**61 - 1])
+def test_sampled_validate_scheme_matches_list_elimination(p):
+    # Packed rows and column-first elimination give the same report, field by
+    # field, as eliminating list rows one at a time, on matrices with planted
+    # failures (t = 1 and ell > t included) and on random DAG circuits.
+    rng = random.Random(p + 1)
+    outcomes = Counter()
+    for trial in range(240):
+        if trial % 3:
+            t = 1 + trial % 4
+            ell = t + trial // 4 % 2
+            n = rng.randrange(t + 2, t + 7)
+            circ = matrix_circuit(drawn_rows(rng, p, t, ell, n), p, t)
+        else:
+            circ = random_dag_circuit(rng, p)
+            t, ell, n = circ.threshold, circ.threshold, len(circ.net.outputs)
+        budget = rng.choice((2, 6, 20))
+        if comb(n, t) + comb(n, t - 1) <= budget:
+            continue
+        report = validate_scheme(circ, budget, rng_seed=trial)
+        assert report == sampled_by_list_elimination(circ, budget, trial), trial
+        stage = "privacy" if report.privacy_checks else "recovery"
+        outcomes[(t == 1, ell > t, report.verdict if report.ok else stage)] += 1
+    assert outcomes[(True, False, "sampled_pass")] and outcomes[(True, True, "sampled_pass")]
+    assert outcomes[(False, False, "sampled_pass")] and outcomes[(False, True, "sampled_pass")]
     assert outcomes[(False, False, "recovery")] and outcomes[(False, True, "recovery")]
     assert outcomes[(False, False, "privacy")] and outcomes[(False, True, "privacy")]
 

@@ -181,6 +181,39 @@ def test_entropy_verify(capsys, tmp_path):
         assert (code, out, err) == (1, "", f"error: need 1 <= t <= 3, got t={t}\n"), t
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
+def test_entropy_verify_refuses_a_tolerance_outside_zero_to_inf(capsys, tmp_path, tol):
+    # Over GF(3) at seed 1 the (2, 3) circuit is refuted at the default
+    # tolerance; NaN and inf would prove it, and a negative tolerance would
+    # refute another coalition.
+    graph, circ = tmp_path / "g.json", tmp_path / "c.json"
+    run(capsys, "gen-sc", "--inputs", "2", "--outputs", "3", "--out", str(graph))
+    run(capsys, "synth-ss", "--graph", str(graph), "--t", "2",
+        "--modulus", "3", "--seed", "1", "--out", str(circ))
+    code, out, _ = run(capsys, "entropy-verify", "--circuit", str(circ))
+    assert code == 2 and "RESULT verdict=refuted checked=2 witness=((1,3),)" in out
+    code, out, err = run(capsys, "entropy-verify", "--circuit", str(circ), f"--tol={tol}")
+    assert (code, out) == (1, "") and err.startswith("error: need a tolerance 0 <= tol < inf")
+
+
+@pytest.mark.parametrize("argv, form", [
+    (("verify-graph", "{graph}", "--property", "partial:1"), "partial:<p>,<q>"),
+    (("verify-graph", "{graph}", "--property", "partial:1,x"), "partial:<p>,<q>"),
+    (("verify-graph", "{graph}", "--property", "partial:1,1,1"), "partial:<p>,<q>"),
+    (("verify-graph", "{graph}", "--property", "concentrator:x"), "concentrator:<k>"),
+    (("verify-graph", "{graph}", "--property", "concentrator:"), "concentrator:<k>"),
+    (("gen-sc", "--inputs", "2", "--outputs", "3", "--depth", "x", "--out", "{out}"),
+     "--depth auto|<int>"),
+])
+def test_malformed_property_or_depth_names_the_expected_form(capsys, tmp_path, argv, form):
+    graph, out_path = tmp_path / "g.json", tmp_path / "out.json"
+    run(capsys, "gen-sc", "--inputs", "2", "--outputs", "3", "--out", str(graph))
+    argv = [a.format(graph=graph, out=out_path) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and "RESULT" not in out and not out_path.exists()
+    assert err.startswith("error:") and form in err and "Traceback" not in err
+
+
 def test_bench_csv(capsys):
     code, out, _ = run(capsys, "bench", "--builder", "sc-depth2",
                        "--sizes", "8,16")

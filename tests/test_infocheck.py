@@ -120,6 +120,17 @@ def test_verify_threshold_definition_bad_t():
         verify_threshold_definition(xor_distribution(), 3)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+def test_verifiers_refuse_a_tolerance_outside_zero_to_inf(tol):
+    # NaN or inf would prove the leaky table, and a negative tolerance would
+    # refute the xor scheme: each comparison against tol decides nothing.
+    for dist in (xor_distribution(), leaky_distribution()):
+        for verify in (verify_threshold_definition, verify_entropy_bounds):
+            with pytest.raises(InvalidArguments, match="0 <= tol < inf"):
+                verify(dist, 2, tol)
+    assert verify_threshold_definition(xor_distribution(), 2, 0.0).verdict == "proved"
+
+
 def test_verify_entropy_bounds_xor():
     report = verify_entropy_bounds(xor_distribution(), 2)
     assert report.verdict == "proved"

@@ -236,26 +236,83 @@ def test_gf_rank_matches_fraction_free_oracle(p):
     assert deficient >= 50  # the planted dependencies are really exercised
 
 
-@pytest.mark.parametrize("p", [3, 7, 2**61 - 1, 2**89 - 1])
+def reduce_row(basis, row, p):
+    """Oracle: one list-row step of fraction-free elimination. Reduce `row`
+    (entries in [0, p)) against an echelon basis of (pivot column, row)
+    pairs, each row zero on the pivot columns of the pairs before it, by
+    row <- b[c]*row - row[c]*b (mod p) for each pair (c, b); append it with
+    its first nonzero column as pivot and return that column, or return -1
+    and leave the basis as it is when it reduces to zero."""
+    for c, b in basis:
+        y = row[c]
+        if y:
+            a = b[c]
+            row = [(a * x - y * z) % p for x, z in zip(row, b)]
+    for c, x in enumerate(row):
+        if x:
+            basis.append((c, row))
+            return c
+    return -1
+
+
+def packed_instance(rng, p):
+    """A rows x cols matrix with entries in [0, p): up to 12 x 12, and up to
+    40 x 40 in every fifth draw. Most draws plant dependent rows (copies,
+    zero rows, multiples and sums of two others), and some fill most
+    entries, or all of them, with p - 1, the slot bound's worst case."""
+    top = 41 if rng.random() < 0.2 else 13
+    rows, cols = rng.randrange(1, top), rng.randrange(1, top)
+    kind = rng.choice(("uniform", "uniform", "dense", "all"))
+    mat = [[p - 1 if kind == "all" or kind == "dense" and rng.random() < 0.9
+            else rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(rng.randrange(rows)):
+        i, j, h = (rng.randrange(rows) for _ in range(3))
+        plant = rng.choice(("copy", "zero", "multiple", "sum"))
+        if plant == "copy":
+            mat[i] = mat[j][:]
+        elif plant == "zero":
+            mat[i] = [0] * cols
+        elif plant == "multiple":
+            k = rng.randrange(1, p)
+            mat[i] = [k * x % p for x in mat[j]]
+        else:
+            mat[i] = [(x + y) % p for x, y in zip(mat[j], mat[h])]
+    return mat
+
+
+# Every prime of the rank test above, and 5, 2^31 - 1, 2^127 - 1 and 2^521 - 1.
+@pytest.mark.parametrize("p", [3, 5, 7, 101, 2**31 - 1, 2**61 - 1, 2**64 - 59, 2**89 - 1,
+                               2**127 - 1, 2**521 - 1])
 def test_reduce_row_keeps_an_echelon_basis(p):
-    # One reduce_row per row of a seeded matrix, checked after every step.
-    zero_rows = 0
-    for seed in range(300):
+    # The list-row step is the oracle. Fed the rows one at a time on a column
+    # subset (or on all columns), its basis has the kernel's rank and pivot
+    # columns: every echelon basis of a row space has the same pivot columns.
+    # Every pivot row the kernel returns keeps its slots in [0, 2p), is zero
+    # mod p on the pivot columns before its own and nonzero on its own, and a
+    # limit stops the kernel at that many pivots, the full run's first ones.
+    width = _kernels.slot_width(p)
+    mask = (1 << width) - 1
+    seen = Counter()
+    for seed in range(150):
         rng = random.Random(seed)
-        rows, cols, entries = random_rank_instance(rng, p)
+        mat = packed_instance(rng, p)
+        cols = len(mat[0])
+        columns = range(cols)
+        if seed % 3 == 0:
+            columns = sorted(rng.sample(range(cols), rng.randrange(cols + 1)))
         basis = []
-        for r in range(rows):
-            before = [(c, list(b)) for c, b in basis]
-            row = [x % p for x in entries[r * cols:(r + 1) * cols]]
-            pivot = _kernels.reduce_row(basis, row, p)
-            if pivot == -1:
-                assert basis == before, (seed, r)
-                zero_rows += 1
-                continue
-            assert basis[:-1] == before, (seed, r)
-            c, b = basis[-1]
-            assert c == pivot == next(j for j, x in enumerate(b) if x), (seed, r)
-            assert all(0 <= x < p for x in b), (seed, r)
-            assert all(b[c0] == 0 for c0, _ in before), (seed, r)
-        assert len(basis) == oracle_rank(rows, cols, entries, p), seed
-    assert zero_rows >= 50  # the planted dependencies are really exercised
+        for row in mat:
+            pivot = reduce_row(basis, [row[c] for c in columns], p)
+            seen["zero row"] += pivot == -1
+        packed = [_kernels.pack(row, p) for row in mat]
+        pivots = _kernels.eliminate(packed, columns, p)
+        assert [c for c, _ in pivots] == sorted(columns[c] for c, _ in basis), seed
+        for i, (c, q) in enumerate(pivots):
+            slots = [q >> j & mask for j in range(0, width * cols, width)]
+            assert q >> width * cols == 0 and max(slots) < 2 * p, (seed, c)
+            assert slots[c] % p and not any(slots[c0] % p for c0, _ in pivots[:i]), (seed, c)
+        limit = rng.randrange(1, len(pivots) + 2)
+        assert _kernels.eliminate(packed, columns, p, limit) == pivots[:limit], (seed, limit)
+        seen["wide"] += cols > 12
+        seen["p - 1"] += all(x == p - 1 for row in mat for x in row) and len(pivots) == 1
+    assert seen["zero row"] >= 50 and seen["wide"] >= 10 and seen["p - 1"] >= 5, seen

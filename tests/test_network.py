@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from sharecircuit import network
+from sharecircuit import _kernels, network
 from sharecircuit.circuit import circuit_from_dict, circuit_to_dict, synthesize
 from sharecircuit.concentrator import ConcentratorParams, build_depth1
 from sharecircuit.errors import (
@@ -277,6 +277,51 @@ def test_sweep_matches_the_three_verifier_oracle():
     for prop in ("concentrator", "sc", "partial"):
         for mode in ("exhaustive", "sampled"):
             assert outcomes[prop, mode, True] and outcomes[prop, mode, False], (prop, mode)
+
+
+def rank_by_inverses(mat, p):
+    """Oracle: rank over GF(p) by Gauss-Jordan elimination with field
+    inverses, one row swap per pivot."""
+    mat = [row[:] for row in mat]
+    rank = 0
+    for c in range(len(mat[0]) if mat else 0):
+        r = next((r for r in range(rank, len(mat)) if mat[r][c] % p), None)
+        if r is None:
+            continue
+        mat[rank], mat[r] = mat[r], mat[rank]
+        inv = pow(mat[rank][c], -1, p)
+        mat[rank] = [x * inv % p for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][c] % p:
+                f = mat[i][c]
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("prime", [3, 7, network.CERTIFICATE_PRIME])
+def test_certifies_iff_the_minor_has_rank_r(monkeypatch, prime):
+    # certifies(X, Y, r) stops its elimination at the r-th pivot; its answer
+    # is still whether rank M[Y, X] >= r, for every r from 0 to past |X|.
+    monkeypatch.setattr(network, "CERTIFICATE_PRIME", prime)
+    rng = random.Random(prime)
+    seen = Counter()
+    for i in range(200):
+        net = sweep_network(rng, i)
+        if net is None:
+            continue
+        paths = network.PathMatrix.build(net)
+        ell = len(net.inputs)
+        rows = {y: _kernels.unpack(paths.rows[y], ell, prime) for y in net.outputs}
+        for _ in range(5):
+            X = rng.sample(net.inputs, rng.randrange(ell + 1))
+            Y = rng.sample(net.outputs, rng.randrange(len(net.outputs) + 1))
+            rank = rank_by_inverses([[rows[y][paths.column[x]] for x in X] for y in Y], prime)
+            for r in range(len(X) + 2):
+                assert paths.certifies(X, Y, r) == (rank >= r), (i, X, Y, r)
+                seen[rank >= r] += 1
+            seen["deficient"] += rank < min(len(X), len(Y))
+    assert seen[True] >= 200 and seen[False] >= 200 and seen["deficient"] >= 20, seen
 
 
 @pytest.mark.parametrize("prime", [3, network.CERTIFICATE_PRIME])
