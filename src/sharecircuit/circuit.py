@@ -14,6 +14,7 @@ from .field import FieldModulus, Matrix, check_indices
 from .network import (
     DEFAULT_BUDGET,
     Network,
+    check_budget,
     check_fields,
     input_rows,
     network_from_dict,
@@ -224,7 +225,9 @@ def validate_scheme(
     When all C(n,t) + C(n,t-1) coalitions fit in the budget the sweep is
     exhaustive (one prefix-tree walk); otherwise budget // 2 coalitions of
     each size are drawn from rng_seed, each checked by one elimination over
-    rows packed once, before the draws."""
+    rows packed once, before the draws. Raises InvalidArguments when the
+    budget is below 0."""
+    check_budget(budget)
     M = transfer_matrix(circ)
     t = circ.threshold
     n = M.rows
@@ -254,11 +257,16 @@ def validate_scheme(
 
 def share(circ: LinearCircuit, s: int, rng_seed: int = 0) -> ShareVector:
     """y = M (s, r_1, ..., r_{ell-1})^T with fresh uniform randomness, by one
-    forward evaluation of the circuit."""
+    forward evaluation of the circuit. The secret s is a field element, an
+    int in [0, p): InvalidArguments otherwise, as reduction mod p would hand
+    back another secret than the one dealt."""
     p = circ.modulus.p
+    # bool is an int subclass but no field element.
+    if type(s) is not int or not 0 <= s < p:
+        raise InvalidArguments(f"the secret must be an integer in [0, {p}), got {s!r}")
     rng = random.Random(rng_seed)
     ell = len(circ.net.inputs)
-    x = [s % p] + [rng.randrange(p) for _ in range(ell - 1)]
+    x = [s] + [rng.randrange(p) for _ in range(ell - 1)]
     return ShareVector(tuple(evaluate(circ, x)), circ.modulus)
 
 

@@ -10,6 +10,7 @@ from .network import (
     DEFAULT_BUDGET,
     Network,
     VerificationReport,
+    check_budget,
     verify_concentrator,
 )
 
@@ -32,6 +33,7 @@ class ConcentratorParams:
             raise InvalidArguments(f"need 0 <= k <= min(m, n), got k={self.k}")
         if self.degree is not None and self.degree < 1:
             raise InvalidArguments("degree must be >= 1")
+        check_budget(self.budget)
 
 
 def degree_for(m: int, n: int, k: int) -> int:

@@ -1,69 +1,143 @@
 """Exact information-theoretic oracle: count the joint outcomes of (secret,
 shares) for a small circuit over a small field, compute entropies in base q,
-and verify the threshold-scheme entropy conditions by one coalition sweep."""
+and verify the threshold-scheme entropy conditions by one coalition sweep.
 
-from collections import Counter, defaultdict
+Each outcome is one packed int, variable i in bits [w*i, w*(i+1)) for
+w = bits(q - 1), so the marginal of a variable set A is one C-level count of
+the outcomes under A's bit mask. A set whose marginal is injective on the
+table makes every superset's marginal the table relabelled, whose entropy is
+H(all variables): such supersets are not counted again. The enumeration
+evaluates each gate once per block of input assignments, over a column."""
+
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations, product
-from math import inf, log
-from operator import itemgetter
+from functools import reduce
+from itertools import chain, combinations, islice, product, repeat
+from math import gcd, inf, log
+from operator import add, and_, floordiv, lshift, mod, mul, sub
 
-from .circuit import LinearCircuit, evaluate
+from .circuit import LinearCircuit
 from .errors import InvalidArguments, StateSpaceTooLarge
 from .network import VerificationReport
 
 MAX_STATES = 10**7
+BLOCK_CELLS = 1 << 18  # column entries live at once while enumerating or packing
 
 
 @dataclass
 class JointDistribution:
     """Exact distribution over tuples (S, Y_1, ..., Y_n), S being variable 0:
     the positive integer count of each tuple that occurs, a probability
-    being a count over their sum `total`. Marginals are integer sums;
-    entropies go to float only at the final logarithm. `_entropies` memoises
-    `entropy` per sorted variable set; the counts are not to be changed once
-    the distribution is built."""
+    being a count over their sum `total`. Every tuple holds `variable_count`
+    ints in [0, alphabet); `total` is at most MAX_STATES.
+
+    `outcomes` packs each tuple (x_0, x_1, ...) into the int
+    sum x_i << w*i, with w = bits(alphabet - 1), so the marginal of a
+    variable set is a count of the outcomes under its mask. It holds each
+    tuple c / g times, c its count and g the gcd of the counts, in the order
+    of `counts`. A marginal count over len(outcomes) is then the same
+    rational as the summed counts over `total`, so every float is the same
+    as with g = 1; and a linear circuit's table, whose tuples all occur
+    q^(ell - rank) times, has one outcome per tuple. Marginals are integer
+    counts; entropies go to float only at the final logarithm. `_entropies`
+    memoises `entropy` per sorted variable set, and `_injective` holds the
+    masks of the sets whose marginal has one key per tuple; the counts are
+    not to be changed once the distribution is built."""
 
     variable_count: int
     alphabet: int
     counts: dict  # tuple -> positive int
     total: int = field(init=False, repr=False, compare=False)
+    outcomes: list = field(init=False, repr=False, compare=False)
+    _width: int = field(init=False, repr=False, compare=False)
     _entropies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _injective: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.counts:
+        v, q, counts = self.variable_count, self.alphabet, self.counts
+        # bool is an int subclass but no count, variable or symbol.
+        if type(v) is not int or type(q) is not int or v < 1 or q < 2:
+            raise InvalidArguments(
+                f"need variable_count >= 1 and alphabet >= 2, got {v!r} and {q!r}")
+        if not counts:
             raise InvalidArguments("the distribution needs at least one tuple")
-        # bool is an int subclass but not a count.
-        if any(type(c) is not int or c < 1 for c in self.counts.values()):
+        if any(type(c) is not int or c < 1 for c in counts.values()):
             raise InvalidArguments("every count must be a positive int")
-        self.total = sum(self.counts.values())
+        if set(map(type, counts)) != {tuple} or set(map(len, counts)) != {v}:
+            raise InvalidArguments(f"every tuple must hold {v} symbols")
+        w = self._width = (q - 1).bit_length()
+        # Pack a block of tuples at a time, so one column of it is live at once.
+        codes, tuples = [], iter(counts)
+        while block := list(islice(tuples, max(1, BLOCK_CELLS // v))):
+            packed = repeat(0)
+            for i, column in enumerate(zip(*block)):
+                if not set(map(type, column)) <= {int} or not 0 <= min(column) <= max(column) < q:
+                    raise InvalidArguments(f"every symbol must be an int in [0, {q})")
+                packed = list(map(add, packed, map(lshift, column, repeat(w * i))))
+            codes += packed
+        self.total = sum(counts.values())
+        if self.total > MAX_STATES:
+            raise StateSpaceTooLarge(f"{self.total} outcomes exceed {MAX_STATES}")
+        unit = gcd(*counts.values())
+        if self.total > unit * len(codes):
+            units = map(floordiv, counts.values(), repeat(unit))
+            codes = list(chain.from_iterable(map(repeat, codes, units)))
+        self.outcomes = codes
 
 
 def enumerate_distribution(circ: LinearCircuit) -> JointDistribution:
     """Exhaust all uniform input assignments (s, r) in GF(q)^ell and count
-    the induced tuples (s, y_1, ..., y_n)."""
+    the induced tuples (s, y_1, ..., y_n), in product order.
+
+    The assignments go in blocks, slices of product order. A block is a
+    column per vertex: the inputs' columns are the block transposed, and a
+    gate's column is sum c * column(u) mod q over its (u, c) pairs, one pass
+    over the gate schedule per block. A block has at most BLOCK_CELLS
+    entries over all the vertices, so one block's columns are the only ones
+    live."""
     q = circ.modulus.p
-    ell = len(circ.net.inputs)
+    net = circ.net
+    ell = len(net.inputs)
     states = q**ell
     if states > MAX_STATES:
         raise StateSpaceTooLarge(f"q^ell = {states} exceeds {MAX_STATES}")
-    counts = Counter((x[0], *evaluate(circ, list(x))) for x in product(range(q), repeat=ell))
-    return JointDistribution(len(circ.net.outputs) + 1, q, counts)
+    assignments = product(range(q), repeat=ell)
+    size = max(1, BLOCK_CELLS // net.vertex_count)
+    counts = Counter()
+    while block := list(islice(assignments, size)):
+        columns = dict(zip(net.inputs, zip(*block)))
+        for v, preds in circ.schedule:
+            terms = [map(mul, columns[u], repeat(c)) for u, c in preds]
+            column = terms.pop() if terms else repeat(0, len(block))
+            for term in terms:
+                column = list(map(add, column, term))
+            columns[v] = list(map(mod, column, repeat(q)))
+        counts.update(zip(columns[net.inputs[0]], *map(columns.get, net.outputs)))
+    return JointDistribution(len(net.outputs) + 1, q, counts)
 
 
-def _marginal(dist: JointDistribution, idx: tuple) -> dict:
-    """Marginal counts, keyed by the values of the variables in idx."""
-    key = itemgetter(*idx)
-    marg = defaultdict(int)
-    for tup, c in dist.counts.items():
-        marg[key(tup)] += c
-    return marg
+def _entropy_of(counts, total: int, alphabet: int) -> float:
+    """Shannon entropy in base `alphabet` of integer counts over `total`,
+    summed in the order given."""
+    lq = log(alphabet)
+    # c / total is the correctly rounded float of the rational c / total.
+    term = {c: c / total * log(c / total) / lq for c in set(counts)}
+    return reduce(sub, map(term.__getitem__, counts), 0.0)
 
 
 def entropy(dist: JointDistribution, A) -> float:
     """Marginal Shannon entropy of the variables in A, in base-q digits
     (a uniform field element has entropy exactly 1). Computed once per
-    variable set and distribution."""
+    variable set and distribution.
+
+    The marginal is one count of the outcomes under A's mask; its keys come
+    in order of first occurrence, which is the order of the first tuples of
+    `counts` that show them. When it has one key per tuple, A's projection
+    is injective on the table and its mask is recorded. The marginal of any
+    superset B of such a set is then injective too, so its keys are the
+    tuples relabelled, in the same order with the same outcome counts, and H(B)
+    sums the same floats in the same order as H(all variables): it is that
+    sum, bit for bit, with no count."""
     idx = tuple(sorted(set(A)))
     h = dist._entropies.get(idx)
     if h is not None:
@@ -72,12 +146,17 @@ def entropy(dist: JointDistribution, A) -> float:
         raise InvalidArguments("variable set must be nonempty")
     if any(not 0 <= i < dist.variable_count for i in idx):
         raise InvalidArguments("variable index out of range")
-    lq = log(dist.alphabet)
-    total = dist.total
-    h = 0.0
-    for c in _marginal(dist, idx).values():
-        pf = c / total  # the correctly rounded float of the rational c / total
-        h -= pf * log(pf) / lq
+    w = dist._width
+    mask = sum(((1 << w) - 1) << w * i for i in idx)
+    everything = tuple(range(dist.variable_count))
+    if any(m & mask == m for m in dist._injective):
+        h = dist._entropies[everything]
+    else:
+        marginal = Counter(map(and_, dist.outcomes, repeat(mask))).values()
+        h = _entropy_of(marginal, len(dist.outcomes), dist.alphabet)
+        if len(marginal) == len(dist.counts):
+            dist._injective.append(mask)
+            dist._entropies[everything] = h
     dist._entropies[idx] = h
     return h
 
@@ -90,7 +169,9 @@ def cond_entropy(dist: JointDistribution, A, B) -> float:
         raise InvalidArguments("A must be nonempty")
     if not B:
         return entropy(dist, A)
-    return entropy(dist, A | B) - entropy(dist, B)
+    # H(B) first: when B's marginal is injective, H(A u B) needs no count.
+    h_b = entropy(dist, B)
+    return entropy(dist, A | B) - h_b
 
 
 def _coalition_sweep(dist: JointDistribution, t: int, name: str, fails) -> VerificationReport:

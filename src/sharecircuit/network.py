@@ -294,6 +294,13 @@ def _sample_subsets(rng, universe, size, count):
     return sorted(seen)
 
 
+def check_budget(budget: int) -> None:
+    """A budget counts the checks a sweep may make exhaustively, so it is
+    at least 0; a sweep over budget 0 still draws one check per size."""
+    if budget < 0:
+        raise InvalidArguments(f"need a budget >= 0, got {budget}")
+
+
 def _sweep(net, name, lo, hi, slack, budget, rng_seed, all_outputs=False):
     """The connectivity sweep behind every verifier. For each size k in
     lo..hi, each k-subset X of the inputs, paired with each k-subset Y of
@@ -316,6 +323,7 @@ def _sweep(net, name, lo, hi, slack, budget, rng_seed, all_outputs=False):
     queries per input; so the rule stands. The all-outputs sweep runs no
     certificate: the builders sweep depth-1 graphs, where a flow query is a
     bipartite matching and costs less than a dense elimination."""
+    check_budget(budget)
     xs, ys = sorted(net.inputs), sorted(net.outputs)
     limit = len(xs) if all_outputs else min(len(xs), len(ys))
     if not slack <= hi <= limit:

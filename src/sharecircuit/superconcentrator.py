@@ -17,6 +17,7 @@ from .errors import InvalidArguments, PreconditionViolation
 from .network import (
     DEFAULT_BUDGET,
     Network,
+    check_budget,
     complete_bipartite,
     parallel_union,
     reverse,
@@ -173,7 +174,9 @@ def build_sc(
     5. the depth-2 union as the last resort.
 
     This is the one table that picks a builder; the recursion calls it for
-    its inner layer."""
+    its inner layer. Raises InvalidArguments when the budget is below 0,
+    complete bipartite graphs included, which sweep nothing."""
+    check_budget(budget)
     if not 1 <= n <= m:
         raise InvalidArguments(f"need 1 <= n <= m, got n={n}, m={m}")
     least = 1 if n <= 4 else 2

@@ -639,6 +639,16 @@ def test_share_reconstruct_round_trip_random():
         assert reconstruct(circ, T, [shares.values[i] for i in T]) == s
 
 
+@pytest.mark.parametrize("secret", [-1, 7, 8, 7 * 10**20 + 4, True, False, 4.0],
+                         ids=["negative", "p", "p_plus_1", "large", "true", "false", "float"])
+def test_share_refuses_a_secret_outside_the_field(secret):
+    # Reduction mod p would deal shares of another secret than the one given.
+    circ = shamir_like_circuit([1, 2, 3])
+    with pytest.raises(InvalidArguments, match=r"secret must be an integer in \[0, 7\)"):
+        share(circ, secret)
+    assert [reconstruct(circ, [0, 1], share(circ, s).values[:2]) for s in (0, 6)] == [0, 6]
+
+
 def test_reconstruct_errors():
     circ = shamir_like_circuit([1, 2, 3])
     with pytest.raises(InvalidArguments):

@@ -214,6 +214,40 @@ def test_malformed_property_or_depth_names_the_expected_form(capsys, tmp_path, a
     assert err.startswith("error:") and form in err and "Traceback" not in err
 
 
+def test_share_refuses_a_secret_outside_the_field(capsys, tmp_path):
+    # Over the default prime p, -1 and p + 1 once reconstructed as p - 1 and 1.
+    circ, _ = shared_circuit(capsys, tmp_path)
+    out_path = tmp_path / "out.json"
+    for secret in ("-1", "2305843009213693951", "2305843009213693952"):
+        code, out, err = run(capsys, "share", "--circuit", str(circ), "--secret", secret,
+                             "--out", str(out_path))
+        assert (code, out) == (1, "") and not out_path.exists(), secret
+        assert err == ("error: the secret must be an integer in [0, 2305843009213693951), "
+                       f"got {secret}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-ss", "--circuit", "{circ}", "--budget", "-7"),
+    ("gen-sc", "--inputs", "8", "--outputs", "32", "--budget", "-5", "--out", "{out}"),
+    ("gen-sc", "--inputs", "3", "--outputs", "6", "--budget", "-1", "--out", "{out}"),
+    ("verify-graph", "{graph}", "--property", "sc", "--budget", "-1"),
+    ("gen-concentrator", "--m", "12", "--n", "8", "--k", "4", "--budget", "-3",
+     "--out", "{out}"),
+], ids=["verify-ss", "gen-sc", "gen-sc-complete-bipartite", "verify-graph", "gen-concentrator"])
+def test_negative_budget_is_an_error(capsys, tmp_path, argv):
+    # Each once ran a sampled sweep, or none, and exited 0; budget 0 is legal.
+    graph, circ, out_path = tmp_path / "g.json", tmp_path / "c.json", tmp_path / "out.json"
+    run(capsys, "gen-sc", "--inputs", "3", "--outputs", "16", "--out", str(graph))
+    run(capsys, "synth-ss", "--graph", str(graph), "--t", "3", "--out", str(circ))
+    assert run(capsys, "verify-ss", "--circuit", str(circ))[0] == 0
+    argv = [a.format(graph=graph, circ=circ, out=out_path) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and not out_path.exists()
+    assert err.startswith("error: need a budget >= 0, got -")
+    budget = argv.index("--budget") + 1
+    assert run(capsys, *argv[:budget], "0", *argv[budget + 1:])[0] in (0, 2)
+
+
 def test_bench_csv(capsys):
     code, out, _ = run(capsys, "bench", "--builder", "sc-depth2",
                        "--sizes", "8,16")

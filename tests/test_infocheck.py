@@ -1,7 +1,7 @@
 import itertools
 import math
 import random
-from collections import defaultdict, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from fractions import Fraction
 from math import log
 
@@ -316,3 +316,146 @@ def test_memoised_entropy_matches_the_fraction_oracle(capsys, monkeypatch, tmp_p
     for i, _ in enumerate(seeded_circuits()):
         cli.main(["entropy-verify", "--circuit", str(tmp_path / f"c{i}.json")])
         assert capsys.readouterr().out == stdout[i], i
+
+
+@pytest.mark.parametrize("v, q, counts", [
+    (2, 2, {(0,): 1}),
+    (2, 2, {(0, 5): 1}),
+    (2, 2, {(0, -1): 1}),
+    (2, 2, {(0, True): 1}),
+    (2, 2, {(0, 1.0): 1}),
+    (2, 2, {(0, 1, 1): 1}),
+    (2, 2, {(0, 1): 1, (1,): 1}),
+    (2, 2, {(0, 1): 1, (1, 0): 1, (1, True): 1}),
+    (2, 2, {(0, 1): 1, "01": 1}),
+    (2, 1, {(0, 0): 1}),
+    (0, 2, {(): 1}),
+    (True, 2, {(0,): 1}),
+    (1, True, {(0,): 1}),
+], ids=["short", "symbol_too_large", "negative_symbol", "bool_symbol", "float_symbol",
+        "long", "mixed_lengths", "bool_beside_int", "not_a_tuple", "alphabet_1",
+        "no_variables", "bool_variable_count", "bool_alphabet"])
+def test_distribution_refuses_malformed_tables(v, q, counts):
+    # Each was accepted, and several then ended entropy() in an IndexError or
+    # a ZeroDivisionError; packing relies on every symbol fitting its slot.
+    with pytest.raises(InvalidArguments):
+        JointDistribution(v, q, counts)
+
+
+def test_distribution_refuses_more_outcomes_than_max_states():
+    JointDistribution(2, 2, {(0, 0): MAX_STATES - 1, (1, 1): 1})
+    with pytest.raises(StateSpaceTooLarge):
+        JointDistribution(2, 2, {(0, 0): MAX_STATES, (1, 1): 1})
+
+
+def test_outcomes_pack_each_tuple_count_over_gcd_times_in_counts_order():
+    # alphabet 5 gives 3 bits per variable
+    codes = [4 | 1 << 6, 3 << 3, 1 | 1 << 3 | 4 << 6]
+    tuples = [(4, 0, 1), (0, 3, 0), (1, 1, 4)]
+    dist = JointDistribution(3, 5, dict(zip(tuples, (2, 1, 3))))
+    assert dist.outcomes == [codes[0]] * 2 + [codes[1]] + [codes[2]] * 3
+    dist = JointDistribution(3, 5, dict(zip(tuples, (4, 2, 6))))
+    assert (dist.total, dist.outcomes) == (12, [codes[0]] * 2 + [codes[1]] + [codes[2]] * 3)
+    dist = JointDistribution(3, 5, dict(zip(tuples, (7, 7, 7))))
+    assert (dist.total, dist.outcomes) == (21, codes)
+    assert entropy(dist, [0]) == entropy(dist, [0, 1, 2]) == pytest.approx(log(3) / log(5))
+
+
+def test_a_common_factor_of_the_counts_leaves_every_entropy_bit_identical():
+    for seed in range(40):
+        v, q, counts = random_counts(random.Random(3000 + seed))
+        total = sum(counts.values())
+        want = OracleDistribution(v, q, {k: Fraction(c, total) for k, c in counts.items()})
+        for factor in (2, 7, 12):
+            dist = JointDistribution(v, q, {k: c * factor for k, c in counts.items()})
+            assert dist.total == factor * total and len(dist.outcomes) <= total
+            assert_entropies_match(dist, want)
+
+
+@pytest.mark.parametrize("cells", [1, 2, 7, 10, 64])
+def test_blocked_enumeration_matches_the_oracle_across_block_boundaries(monkeypatch, cells):
+    # With a few cells per block, blocks hold one or a handful of
+    # assignments, and the counts must still come out in product order.
+    monkeypatch.setattr(infocheck, "BLOCK_CELLS", cells)
+    for circ in seeded_circuits():
+        dist, want = enumerate_distribution(circ), oracle_enumerate_distribution(circ)
+        assert list(dist.counts) == list(want.table)
+        assert all(Fraction(c, dist.total) == want.table[k] for k, c in dist.counts.items())
+        # A linear map hits every image point equally often.
+        assert len(dist.outcomes) == len(dist.counts)
+
+
+def determined_counts(rng):
+    """A table whose variables outside a random base set are functions of
+    the base ones, with random counts 1-4, so the base set and every
+    superset of it have injective marginals."""
+    v = rng.randrange(2, 6)
+    q = rng.randrange(2, 5)
+    base = sorted(rng.sample(range(v), rng.randrange(1, v)))
+    rest = {i: {} for i in range(v) if i not in base}
+    counts = {}
+    for x in itertools.product(range(q), repeat=len(base)):
+        if rng.random() < 0.3:
+            continue
+        values = dict(zip(base, x))
+        for i, f in rest.items():
+            values[i] = f.setdefault(x, rng.randrange(q))
+        counts[tuple(values[i] for i in range(v))] = rng.randrange(1, 5)
+    return v, q, counts or {(0,) * v: 1}
+
+
+def test_injective_shortcut_matches_the_fraction_oracle_in_either_order(monkeypatch):
+    # Subsets first record the injective masks before their supersets come;
+    # supersets first count them before the masks are known. Both orders
+    # must give the oracle's float, bit for bit; the first counts fewer.
+    counted = []
+    monkeypatch.setattr(infocheck, "Counter", lambda it: counted.append(1) or Counter(it))
+    saved = 0
+    for seed in range(60):
+        v, q, counts = determined_counts(random.Random(7000 + seed))
+        total = sum(counts.values())
+        want = OracleDistribution(v, q, {k: Fraction(c, total) for k, c in counts.items()})
+        sets = [A for size in range(1, v + 1) for A in itertools.combinations(range(v), size)]
+        expected = [oracle_entropy(want, A) for A in sets]
+        for order in (sets, sets[::-1]):
+            counted.clear()
+            dist = JointDistribution(v, q, counts)
+            got = {A: entropy(dist, A) for A in order}
+            assert [got[A] for A in sets] == expected, (seed, order is sets)
+            assert dist._injective  # the full set's marginal at least
+            if order is sets:
+                saved += len(sets) - len(counted)
+    assert saved > 0
+
+
+def test_cond_entropy_counts_no_superset_of_an_injective_condition(monkeypatch):
+    # H(B) comes first: (Y_1, Y_2) determines the xor table, so H(S, Y_1, Y_2)
+    # is H(all variables) with no second count, and exactly H(Y_1, Y_2).
+    counted = []
+    monkeypatch.setattr(infocheck, "Counter", lambda it: counted.append(1) or Counter(it))
+    assert cond_entropy(xor_distribution(), [0], [1, 2]) == 0.0
+    assert len(counted) == 1
+
+
+def test_entropy_verify_stdout_matches_the_fraction_oracle_at_benchmark_shape(
+        capsys, monkeypatch, tmp_path):
+    # The pipeline workload's small circuit: K_{3,6} over GF(7), t = 3,
+    # 343 states, at synth seeds 0-4.
+    graph = tmp_path / "k36.json"
+    cli.main(["gen-sc", "--inputs", "3", "--outputs", "6", "--out", str(graph)])
+    paths = []
+    for seed in range(5):
+        paths.append(tmp_path / f"c{seed}.json")
+        cli.main(["synth-ss", "--graph", str(graph), "--t", "3", "--modulus", "7",
+                  "--seed", str(seed), "--out", str(paths[-1])])
+    capsys.readouterr()
+    stdout = []
+    for path in paths:
+        cli.main(["entropy-verify", "--circuit", str(path)])
+        stdout.append(capsys.readouterr().out)
+    assert all(out.count("\n") == 38 for out in stdout)
+    monkeypatch.setattr(infocheck, "enumerate_distribution", oracle_enumerate_distribution)
+    monkeypatch.setattr(infocheck, "entropy", oracle_entropy)
+    for path, out in zip(paths, stdout):
+        cli.main(["entropy-verify", "--circuit", str(path)])
+        assert capsys.readouterr().out == out, path
