@@ -145,21 +145,37 @@ def _walk_coalitions(M: Matrix, t: int, p: int):
     coalition passes, equal to checking every size-t coalition and then every
     size-(t-1) one in that order and stopping at the first failure.
 
-    Columns are reordered randomness first, secret last. A node T carries each
+    Columns are ordered randomness first, secret last. A node T carries each
     later row reduced against the echelon basis of M_T (up to a nonzero
-    scalar), so extending T by one row costs one row reduction per later row
-    and no elimination from scratch. rank(M_T) is |T| while no row reduces to
-    zero, and since a row pivots on the secret column only when its randomness
-    part is zero, rank(M_{T,R}) is the number of pivots left of it: one
-    elimination answers both conditions for any ell >= t. Plain integer
-    arithmetic mod p keeps this exact for every prime.
+    scalar) and cut to the columns that are not pivots of M_T, in that order:
+    a child that pivots on column c clears c from every row below it by one
+    fraction-free reduction and drops it. rank(M_T) is |T| while no row
+    reduces to zero, and since a row pivots on the secret column only when
+    its randomness part is zero, rank(M_{T,R}) is the number of pivots left
+    of it: one elimination answers both conditions for any ell >= t. While
+    the secret is not a pivot it is every row's last entry.
+
+    A node of size t-2 settles its children (the privacy checks) and
+    grandchildren (the recovery checks) itself, in the order a deeper walk
+    would visit them. With ell = t its rows have two entries, and T + (i, j)
+    recovers iff the 2 x 2 determinant of rows i and j is nonzero mod p: one
+    scalar test per size-t coalition. Plain integer arithmetic mod p keeps
+    this exact for every prime.
     """
-    n, s = M.rows, M.cols - 1
+    n = M.rows
+    rows = [list(M.row(j)[1:] + M.row(j)[:1]) for j in range(n)]
+    if t == 1:
+        # The root is the one size-0 privacy coalition, which holds; a single
+        # row recovers iff it pivots on the secret column.
+        for j, r in enumerate(rows):
+            if not (r[-1] and not any(r[:-1])):
+                return j + 1, 0, (j,)
+        return n, 1, None
     recover_checks = privacy_checks = 0
     leak = None  # first size-(t-1) coalition that fails privacy
     # (T, later rows reduced against M_T or None when M_T is singular,
     #  whether M_T has a pivot on the secret column)
-    stack = [((), [(j, M.row(j)[1:] + M.row(j)[:1]) for j in range(n)], False)]
+    stack = [((), list(enumerate(rows)), False)]
     while stack:
         T, later, secret = stack.pop()
         if later is None:
@@ -171,22 +187,45 @@ def _walk_coalitions(M: Matrix, t: int, p: int):
             if last + t - d < n:
                 return recover_checks + 1, 0, T + tuple(range(last + 1, last + 1 + t - d))
             continue
-        if len(T) == t - 1:
-            if leak is None:
-                privacy_checks += 1
-                if secret:
-                    leak = T
-            for j, r in later:
-                recover_checks += 1
-                # The last row must add the one pivot M_T lacks: a randomness
-                # pivot when M_T has the secret pivot, else the secret pivot.
-                if not (any(r) if secret else r[s] and not any(r[:s])):
-                    return recover_checks, 0, T + (j,)
+        if len(T) == t - 2:
+            for pos, (i, r) in enumerate(later):
+                c = 0 if r[0] else next((k for k, x in enumerate(r) if x), None)
+                if c is None:
+                    # M_{T+(i,)} is singular: T + (i, i+1) is the walk's
+                    # first failure, as at a singular node above.
+                    if i + 1 < n:
+                        return recover_checks + 1, 0, T + (i, i + 1)
+                    continue
+                child = secret or c == len(r) - 1
+                if leak is None:
+                    privacy_checks += 1
+                    if child:
+                        leak = T + (i,)
+                rest = later[pos + 1 :]
+                if len(r) == 2:
+                    # Reducing q against r leaves +-(r0 * q1 - q0 * r1) in the
+                    # one free column, which is the pivot M_{T+(i,)} lacks.
+                    r0, r1 = r
+                    for k, (j, (q0, q1)) in enumerate(rest, 1):
+                        if not (r0 * q1 - q0 * r1) % p:
+                            return recover_checks + k, 0, T + (i, j)
+                else:
+                    # The last row must add the one pivot M_{T+(i,)} lacks: a
+                    # randomness pivot when it has the secret pivot, else the
+                    # secret pivot.
+                    a = r[c]
+                    for k, (j, q) in enumerate(rest, 1):
+                        b = q[c]
+                        q = [(a * x - b * y) % p for x, y in zip(q, r)]
+                        del q[c]
+                        if not (any(q) if child else q[-1] and not any(q[:-1])):
+                            return recover_checks + k, 0, T + (i, j)
+                recover_checks += len(rest)
             continue
         # A child must leave room for the rest of a size-(t-1) coalition.
         children = []
         for pos, (i, r) in enumerate(later[: len(later) - (t - 2 - len(T))]):
-            c = next((k for k, x in enumerate(r) if x), None)
+            c = 0 if r[0] else next((k for k, x in enumerate(r) if x), None)
             if c is None:
                 children.append((T + (i,), None, secret))
                 continue
@@ -198,8 +237,11 @@ def _walk_coalitions(M: Matrix, t: int, p: int):
                 b = q[c]
                 if b:
                     q = [(a * x - b * y) % p for x, y in zip(q, r)]
+                    del q[c]
+                else:
+                    q = q[:c] + q[c + 1 :]
                 tail.append((j, q))
-            children.append((T + (i,), tail, secret or c == s))
+            children.append((T + (i,), tail, secret or c == len(r) - 1))
         stack.extend(reversed(children))
     return recover_checks, privacy_checks, leak
 
@@ -300,7 +342,14 @@ def reconstruct(circ: LinearCircuit, T, y_T) -> int:
 
 def failure_bound(depth: int, n: int, t: int, modulus: FieldModulus) -> float:
     """Union bound on the probability that a random coefficient draw fails
-    either rank condition: d * (C(n,t) + C(n,t-1)) / p, capped at 1."""
+    either rank condition: d * (C(n,t) + C(n,t-1)) / p, capped at 1.
+
+    Schwartz-Zippel bounds each coalition's failure by d / p only when that
+    coalition's determinant polynomial in the coefficients is nonzero, which
+    takes the graph's connection properties (enough vertex-disjoint paths
+    from the inputs to every coalition). The bound assumes them and does not
+    check them: on a graph without them every draw fails, whatever it reads.
+    """
     bound = Fraction(depth * (comb(n, t) + comb(n, t - 1)), modulus.p)
     return float(min(bound, Fraction(1)))
 

@@ -616,6 +616,131 @@ def test_sampled_validate_scheme_matches_list_elimination(p):
     assert outcomes[(False, False, "privacy")] and outcomes[(False, True, "privacy")]
 
 
+def walk_by_full_rows(M, t, p):
+    """Oracle for the exhaustive sweep: the prefix-tree walk as it was before
+    rows dropped their pivot columns, kept verbatim. Every node carries full
+    rows reduced against its prefix's echelon basis, and every coalition
+    costs one reduction of a full row."""
+    n, s = M.rows, M.cols - 1
+    recover_checks = privacy_checks = 0
+    leak = None  # first size-(t-1) coalition that fails privacy
+    # (T, later rows reduced against M_T or None when M_T is singular,
+    #  whether M_T has a pivot on the secret column)
+    stack = [((), [(j, M.row(j)[1:] + M.row(j)[:1]) for j in range(n)], False)]
+    while stack:
+        T, later, secret = stack.pop()
+        if later is None:
+            # M_T is singular, so every size-t coalition containing T fails
+            # recovery. The first one below T is the first failure of the
+            # walk. When T has none below it, one still comes later in the
+            # walk, since none before this node failed.
+            last, d = T[-1], len(T)
+            if last + t - d < n:
+                return recover_checks + 1, 0, T + tuple(range(last + 1, last + 1 + t - d))
+            continue
+        if len(T) == t - 1:
+            if leak is None:
+                privacy_checks += 1
+                if secret:
+                    leak = T
+            for j, r in later:
+                recover_checks += 1
+                # The last row must add the one pivot M_T lacks: a randomness
+                # pivot when M_T has the secret pivot, else the secret pivot.
+                if not (any(r) if secret else r[s] and not any(r[:s])):
+                    return recover_checks, 0, T + (j,)
+            continue
+        # A child must leave room for the rest of a size-(t-1) coalition.
+        children = []
+        for pos, (i, r) in enumerate(later[: len(later) - (t - 2 - len(T))]):
+            c = next((k for k, x in enumerate(r) if x), None)
+            if c is None:
+                children.append((T + (i,), None, secret))
+                continue
+            # Fraction-free: r[c] * q - q[c] * r clears column c of q and is
+            # a nonzero multiple of the reduced row, with no field inverse.
+            a = r[c]
+            tail = []
+            for j, q in later[pos + 1 :]:
+                b = q[c]
+                if b:
+                    q = [(a * x - b * y) % p for x, y in zip(q, r)]
+                tail.append((j, q))
+            children.append((T + (i,), tail, secret or c == s))
+        stack.extend(reversed(children))
+    return recover_checks, privacy_checks, leak
+
+
+def scheme_rows(rng, p, t, ell, n, plant):
+    """An n x ell matrix of a scheme that can prove: with ell > t every
+    row's randomness part lies in one random (t-1)-dimensional space, and
+    with t = 1 every row is secret-only. Each row is then replaced, with
+    probability `plant`, by a zero row, a secret-only row, a uniform row, a
+    copy of an earlier row, or a*row_i + b*row_k of two earlier rows; the
+    last makes a failure land at the last level, behind a nonsingular
+    prefix."""
+    basis = [[rng.randrange(p) for _ in range(ell - 1)] for _ in range(t - 1)]
+    rows = []
+    for i in range(n):
+        if ell > t:
+            a = [rng.randrange(p) for _ in range(t - 1)]
+            r = [sum(x * b[c] for x, b in zip(a, basis)) % p for c in range(ell - 1)]
+        else:
+            r = [rng.randrange(p) for _ in range(ell - 1)]
+        row = [rng.randrange(1, p)] + r
+        if rng.random() < plant:
+            kind = rng.choice(("zero", "secret", "uniform", "copy", "combination"))
+            if kind == "zero":
+                row = [0] * ell
+            elif kind == "secret":
+                row = [rng.randrange(1, p)] + [0] * (ell - 1)
+            elif kind == "uniform":
+                row = [rng.randrange(p) for _ in range(ell)]
+            elif kind == "copy" and i:
+                row = list(rows[rng.randrange(i)])
+            elif kind == "combination" and i > 1:
+                j, k = rng.sample(range(i), 2)
+                a, b = rng.randrange(1, p), rng.randrange(1, p)
+                row = [(a * x + b * y) % p for x, y in zip(rows[j], rows[k])]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("p", [3, 7, 101, 2**61 - 1, 2**64 - 59, 2**127 - 1])
+def test_exhaustive_validate_scheme_matches_full_row_walk(p):
+    # The walk over free-column rows, with its 2 x 2 determinant at the last
+    # level, gives the same report as the full-row walk, up to t = 6 and
+    # n = 16, with ell = t, t + 1 and t + 2.
+    rng = random.Random(p + 2)
+    outcomes = Counter()
+    largest_proof = 0
+    for trial in range(180):
+        t = 1 + trial % 6
+        ell = t + trial // 6 % 3
+        n = rng.randrange(t, rng.randrange(t, 17) + 1)
+        circ = matrix_circuit(scheme_rows(rng, p, t, ell, n, rng.choice((0, 0.04, 0.2))), p, t)
+        report = validate_scheme(circ, comb(n, t) + comb(n, t - 1))
+        recover_checks, privacy_checks, witness = walk_by_full_rows(transfer_matrix(circ), t, p)
+        verdict = "proved" if witness is None else "refuted"
+        assert report == SchemeReport(
+            recover_checks, privacy_checks, "exhaustive", verdict, witness), trial
+        stage = "privacy" if report.privacy_checks else "recovery"
+        if stage == "recovery" and t > 1 and not report.ok:
+            M = transfer_matrix(circ, report.witness[:-1])
+            prefix = [_kernels.pack(M.row(i), p) for i in range(M.rows)]
+            if len(_kernels.eliminate(prefix, range(ell), p)) == t - 1:
+                stage = "recovery behind a nonsingular prefix"
+        outcomes[(ell > t, report.verdict if report.ok else stage)] += 1
+        if report.ok and t > 1:
+            largest_proof = max(largest_proof, comb(n, t))
+    for wide in (False, True):
+        assert outcomes[(wide, "proved")] and outcomes[(wide, "privacy")]
+        assert outcomes[(wide, "recovery")]
+        assert outcomes[(wide, "recovery behind a nonsingular prefix")]
+    # Above p = 101 a proof reaches the scale of the scheme-verify circuits.
+    assert p <= 101 or largest_proof >= 462
+
+
 def test_share_reconstruct_worked_example():
     circ = shamir_like_circuit([1, 2, 3])
     # x = (s, r) = (4, 5): shares are (s + r, s + 2r, s + 3r) mod 7
@@ -665,6 +790,19 @@ def test_failure_bound_examples():
     assert failure_bound(5, 10, 5, FieldModulus(3)) == 1.0
     big = FieldModulus(2**61 - 1)
     assert failure_bound(3, 20, 10, big) < 1e-12
+
+
+def test_failure_bound_assumes_the_connection_properties():
+    # Both inputs reach both outputs only through vertex 2, so M has rank 1
+    # and no draw recovers at t = 2, though the bound reads about 2.6e-18:
+    # the bound holds only on graphs with the connection properties.
+    net = network.network_from_dict({"vertex_count": 5, "inputs": [0, 1], "outputs": [3, 4],
+                                     "edges": [[0, 2], [1, 2], [2, 3], [2, 4]]})
+    big = FieldModulus(2**61 - 1)
+    assert failure_bound(net.depth, 2, 2, big) < 1e-17
+    for seed in range(20):
+        report = validate_scheme(synthesize(net, 2, big, rng_seed=seed))
+        assert report.verdict == "refuted" and report.witness == (0, 1)
 
 
 def test_circuit_json_round_trip(tmp_path):

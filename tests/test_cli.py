@@ -79,6 +79,44 @@ def test_gen_sc_benchmark_graphs_are_pinned(capsys, tmp_path, args, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+# (t, outputs, modulus or None for the default prime, synth-ss seeds): the
+# scheme-verify workload's shapes, and small fields where most draws refute.
+VERIFY_SS_CORPUS = [
+    (3, 16, None, range(3)), (4, 12, None, range(3)), (5, 10, None, range(3)),
+    (3, 6, 7, range(10)), (2, 6, 5, range(10)), (2, 4, 3, range(6)), (4, 6, 11, range(6)),
+]
+# sha256 over "stdout|exit code" of every verify-ss run on that corpus, each
+# circuit exhaustive and at --budget 40, in corpus order.
+VERIFY_SS_DIGEST = "596b1f3516f62090df1f70f8405f2f3fbc5400d0b3ad778439b6daf0d156188d"
+
+
+def test_verify_ss_output_is_pinned(capsys, tmp_path):
+    # Any change to the sweeps that moves a verdict, a witness or a count of
+    # checks moves this digest.
+    digest, verdicts = hashlib.sha256(), set()
+    graph, circ = tmp_path / "g.json", tmp_path / "c.json"
+    for t, n, modulus, seeds in VERIFY_SS_CORPUS:
+        run(capsys, "gen-sc", "--inputs", str(t), "--outputs", str(n), "--seed", "1",
+            "--out", str(graph))
+        field = () if modulus is None else ("--modulus", str(modulus))
+        for seed in seeds:
+            code, _, _ = run(capsys, "synth-ss", "--graph", str(graph), "--t", str(t), *field,
+                             "--seed", str(seed), "--out", str(circ))
+            assert code == 0
+            for budget in ((), ("--budget", "40")):
+                code, out, err = run(capsys, "verify-ss", "--circuit", str(circ), *budget)
+                verdict = RESULT_RE.search(out)[1]
+                assert not err and code == EXIT_CODE[verdict]
+                stage = "recovery" if "privacy_checks=0" in out else "privacy"
+                verdicts.add((verdict, bool(budget), stage if verdict == "refuted" else None))
+                digest.update(f"{out}|{code}\n".encode())
+    # Proofs, and refutations at both stages, in both modes.
+    assert verdicts == {("proved", False, None), ("sampled_pass", True, None)} | {
+        ("refuted", sampled, stage) for sampled in (False, True)
+        for stage in ("recovery", "privacy")}
+    assert digest.hexdigest() == VERIFY_SS_DIGEST
+
+
 @pytest.mark.parametrize("args", [
     ("--depth", "0"), ("--depth", "1"), ("--depth", "-3"),
     ("--epsilon", "nan"), ("--epsilon", "inf"), ("--epsilon", "0"), ("--epsilon", "-1"),
