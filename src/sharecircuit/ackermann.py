@@ -31,11 +31,22 @@ def f_star(f, n: int) -> int:
 
 def lam(d: int, n: int) -> int:
     """lambda_d(n): floor sqrt for d=1, ceil log2 for d=2, and the star of
-    lambda_{d-2} for higher d."""
+    lambda_{d-2} for higher d. Exact for every d >= 1, and the star nests at
+    most three levels deep, however large d is.
+
+    For n <= MAX_ARGUMENT, lambda_d(n) repeats with period 2 in d from d = 7
+    on. Every lambda_d is nondecreasing in n, and lambda_5(4) = 2,
+    lambda_5(2^40) = 3, lambda_6(5) = 3 and lambda_6(2^40) = 4, so lambda_7
+    is 0, 1, 1 at n = 1, 2, 3 and 2 above, and lambda_8 is 0, 1, 2, 2 at
+    n = 1..4 and 3 above. Each of these two is its own star on that range,
+    so lambda_9 = lambda_7 and lambda_10 = lambda_8 there, and so on. A
+    larger d is therefore read as 7 or 8, whichever has its parity."""
     if d < 1 or n < 1:
         raise InvalidArguments(f"need d >= 1 and n >= 1, got d={d}, n={n}")
     if n > MAX_ARGUMENT:
         raise InvalidArguments("n exceeds supported bound 2**40")
+    if d > 8:
+        d = 8 - d % 2
     if d == 1:
         return math.isqrt(n)
     if d == 2:

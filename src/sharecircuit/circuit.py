@@ -9,7 +9,7 @@ from functools import cached_property
 from math import comb
 
 from . import _kernels
-from .errors import InvalidArguments, SingularSubmatrix, TooFewInputs
+from .errors import InvalidArguments, SingularSubmatrix
 from .field import FieldModulus, Matrix, check_indices
 from .network import (
     DEFAULT_BUDGET,
@@ -28,11 +28,12 @@ from .network import (
 class LinearCircuit:
     """A network with a field modulus and one coefficient per edge.
 
-    Input 0 carries the secret; the remaining inputs carry randomness.
-    Coefficients are parallel to net.edges, in the network's own edge
-    order. The network is valid, as every network is; construction refuses
-    a coefficient that is not an int in [0, p) or a threshold outside
-    1..min(inputs, outputs), so every circuit can run.
+    Input 0 carries the secret; the remaining inputs carry randomness, so
+    the threshold t is the input count. Coefficients are parallel to
+    net.edges, in the network's own edge order. The network is valid, as
+    every network is; construction refuses a coefficient that is not an int
+    in [0, p) or a network without 1 <= inputs <= outputs, so every circuit
+    can run.
 
     Every non-input vertex is an addition gate. The gate schedule lists them
     in topological order, each with its (predecessor, coefficient) pairs; it
@@ -43,7 +44,6 @@ class LinearCircuit:
     net: Network
     modulus: FieldModulus
     coefficients: tuple
-    threshold: int
 
     def __post_init__(self):
         if len(self.coefficients) != len(self.net.edges):
@@ -55,10 +55,16 @@ class LinearCircuit:
         ):
             bad = next(c for c in coefficients if type(c) is not int or not 0 <= c < p)
             raise InvalidArguments(f"coefficients must be integers in [0, {p}), got {bad!r}")
-        if not 1 <= self.threshold <= min(len(self.net.inputs), len(self.net.outputs)):
+        if not 1 <= len(self.net.inputs) <= len(self.net.outputs):
             raise InvalidArguments(
-                f"need 1 <= t <= min(inputs, outputs), got t={self.threshold}"
+                f"need 1 <= inputs <= outputs, got {len(self.net.inputs)} inputs "
+                f"and {len(self.net.outputs)} outputs"
             )
+
+    @property
+    def threshold(self) -> int:
+        """t, the input count: the secret and t - 1 random elements."""
+        return len(self.net.inputs)
 
     @cached_property
     def schedule(self) -> tuple:
@@ -87,20 +93,16 @@ class SchemeReport:
         return self.verdict in ("proved", "sampled_pass")
 
 
-def synthesize(
-    net: Network, t: int, modulus: FieldModulus, rng_seed: int = 0
-) -> LinearCircuit:
+def synthesize(net: Network, modulus: FieldModulus, rng_seed: int = 0) -> LinearCircuit:
     """Draw an independent uniform coefficient in [0, p) for every edge of
     `net`, in the stable sorted order of the edges that a circuit file lists
     them in, so the file depends only on the seed and the edge multiset.
     """
-    if len(net.inputs) < t:
-        raise TooFewInputs(f"network has {len(net.inputs)} inputs, need >= {t}")
     rng = random.Random(rng_seed)
     coeffs = [0] * len(net.edges)
     for i in sorted(range(len(net.edges)), key=net.edges.__getitem__):
         coeffs[i] = rng.randrange(modulus.p)
-    return LinearCircuit(net, modulus, tuple(coeffs), t)
+    return LinearCircuit(net, modulus, tuple(coeffs))
 
 
 def evaluate(circ: LinearCircuit, x) -> list:
@@ -119,7 +121,7 @@ def evaluate(circ: LinearCircuit, x) -> list:
 
 
 def transfer_matrix(circ: LinearCircuit, rows=None) -> Matrix:
-    """The n x ell matrix of the circuit's linear map (entry (i, j) is the sum
+    """The n x t matrix of the circuit's linear map (entry (i, j) is the sum
     over all input-j to output-i paths of the edge-coefficient products), by
     one pass over its gate schedule, `network.input_rows`, in which each
     vertex's row is one packed integer: one big-int multiply-add per edge.
@@ -152,23 +154,23 @@ def _walk_coalitions(M: Matrix, t: int, p: int):
     fraction-free reduction and drops it. rank(M_T) is |T| while no row
     reduces to zero, and since a row pivots on the secret column only when
     its randomness part is zero, rank(M_{T,R}) is the number of pivots left
-    of it: one elimination answers both conditions for any ell >= t. While
-    the secret is not a pivot it is every row's last entry.
+    of it: one elimination answers both conditions. While the secret is not
+    a pivot it is every row's last entry.
 
     A node of size t-2 settles its children (the privacy checks) and
     grandchildren (the recovery checks) itself, in the order a deeper walk
-    would visit them. With ell = t its rows have two entries, and T + (i, j)
-    recovers iff the 2 x 2 determinant of rows i and j is nonzero mod p: one
-    scalar test per size-t coalition. Plain integer arithmetic mod p keeps
-    this exact for every prime.
+    would visit them. Its rows have two entries, as M has t columns, and
+    T + (i, j) recovers iff the 2 x 2 determinant of rows i and j is nonzero
+    mod p: one scalar test per size-t coalition. Plain integer arithmetic
+    mod p keeps this exact for every prime.
     """
     n = M.rows
     rows = [list(M.row(j)[1:] + M.row(j)[:1]) for j in range(n)]
     if t == 1:
         # The root is the one size-0 privacy coalition, which holds; a single
-        # row recovers iff it pivots on the secret column.
-        for j, r in enumerate(rows):
-            if not (r[-1] and not any(r[:-1])):
+        # row, its secret entry alone, recovers iff that entry is nonzero.
+        for j, (s,) in enumerate(rows):
+            if not s:
                 return j + 1, 0, (j,)
         return n, 1, None
     recover_checks = privacy_checks = 0
@@ -196,30 +198,17 @@ def _walk_coalitions(M: Matrix, t: int, p: int):
                     if i + 1 < n:
                         return recover_checks + 1, 0, T + (i, i + 1)
                     continue
-                child = secret or c == len(r) - 1
                 if leak is None:
                     privacy_checks += 1
-                    if child:
+                    if secret or c == 1:  # the secret is the last of two entries
                         leak = T + (i,)
                 rest = later[pos + 1 :]
-                if len(r) == 2:
-                    # Reducing q against r leaves +-(r0 * q1 - q0 * r1) in the
-                    # one free column, which is the pivot M_{T+(i,)} lacks.
-                    r0, r1 = r
-                    for k, (j, (q0, q1)) in enumerate(rest, 1):
-                        if not (r0 * q1 - q0 * r1) % p:
-                            return recover_checks + k, 0, T + (i, j)
-                else:
-                    # The last row must add the one pivot M_{T+(i,)} lacks: a
-                    # randomness pivot when it has the secret pivot, else the
-                    # secret pivot.
-                    a = r[c]
-                    for k, (j, q) in enumerate(rest, 1):
-                        b = q[c]
-                        q = [(a * x - b * y) % p for x, y in zip(q, r)]
-                        del q[c]
-                        if not (any(q) if child else q[-1] and not any(q[:-1])):
-                            return recover_checks + k, 0, T + (i, j)
+                # Reducing q against r leaves +-(r0 * q1 - q0 * r1) in the one
+                # free column, which is the pivot M_{T+(i,)} lacks.
+                r0, r1 = r
+                for k, (j, (q0, q1)) in enumerate(rest, 1):
+                    if not (r0 * q1 - q0 * r1) % p:
+                        return recover_checks + k, 0, T + (i, j)
                 recover_checks += len(rest)
             continue
         # A child must leave room for the rest of a size-(t-1) coalition.
@@ -246,16 +235,14 @@ def _walk_coalitions(M: Matrix, t: int, p: int):
     return recover_checks, privacy_checks, leak
 
 
-def _coalition_holds(rows, T, t: int, ell: int, p: int) -> bool:
+def _coalition_holds(rows, T, p: int) -> bool:
     """Both rank conditions on one coalition, by one `_kernels.eliminate`
-    over its packed rows, column first. Their columns are ordered randomness
-    first, secret last, as in `_walk_coalitions`, so the pivots left of the
-    secret column count rank(M_{T,R}) and all of them rank(M_T). A size-t
-    coalition holds iff its rows give t pivots, one of them on the secret
-    column; a size-(t-1) one iff they give t-1 pivots, none on it."""
-    pivots = _kernels.eliminate([rows[i] for i in T], range(ell), p)
-    secret = bool(pivots) and pivots[-1][0] == ell - 1
-    return len(pivots) == len(T) and secret == (len(T) == t)
+    over its packed rows. Their columns are ordered randomness first, secret
+    last, as in `_walk_coalitions`, so the first |T| columns are all t of
+    them for a size-t coalition, which holds iff M_T is invertible, and the
+    t-1 randomness columns for a size-(t-1) one, which holds iff M_{T,R} is:
+    either way, iff its rows have full rank on their first |T| columns."""
+    return len(_kernels.eliminate([rows[i] for i in T], range(len(T)), p)) == len(T)
 
 
 def validate_scheme(
@@ -279,7 +266,6 @@ def validate_scheme(
         verdict = "proved" if witness is None else "refuted"
         return SchemeReport(recover_checks, privacy_checks, "exhaustive", verdict, witness)
     rng = random.Random(rng_seed)
-    ell = M.cols
     rows = [_kernels.pack(M.row(i)[1:] + M.row(i)[:1], p) for i in range(n)]
     outputs = list(range(n))
     recover_checks = privacy_checks = 0
@@ -290,7 +276,7 @@ def validate_scheme(
                 recover_checks += 1
             else:
                 privacy_checks += 1
-            if not _coalition_holds(rows, T, t, ell, p):
+            if not _coalition_holds(rows, T, p):
                 return SchemeReport(
                     recover_checks, privacy_checks, "sampled", "refuted", witness=T
                 )
@@ -298,7 +284,7 @@ def validate_scheme(
 
 
 def share(circ: LinearCircuit, s: int, rng_seed: int = 0) -> ShareVector:
-    """y = M (s, r_1, ..., r_{ell-1})^T with fresh uniform randomness, by one
+    """y = M (s, r_1, ..., r_{t-1})^T with fresh uniform randomness, by one
     forward evaluation of the circuit. The secret s is a field element, an
     int in [0, p): InvalidArguments otherwise, as reduction mod p would hand
     back another secret than the one dealt."""
@@ -307,8 +293,7 @@ def share(circ: LinearCircuit, s: int, rng_seed: int = 0) -> ShareVector:
     if type(s) is not int or not 0 <= s < p:
         raise InvalidArguments(f"the secret must be an integer in [0, {p}), got {s!r}")
     rng = random.Random(rng_seed)
-    ell = len(circ.net.inputs)
-    x = [s] + [rng.randrange(p) for _ in range(ell - 1)]
+    x = [s] + [rng.randrange(p) for _ in range(circ.threshold - 1)]
     return ShareVector(tuple(evaluate(circ, x)), circ.modulus)
 
 
@@ -326,8 +311,6 @@ def reconstruct(circ: LinearCircuit, T, y_T) -> int:
     shares = sorted(zip(T, y_T))  # T in increasing order, each share kept with its index
     T = [i for i, _ in shares]
     M_T = transfer_matrix(circ, T)
-    if M_T.rows != M_T.cols:
-        raise InvalidArguments("reconstruction requires ell = t inputs")
     p = circ.modulus.p
     rows = []
     for i, (_, y) in enumerate(shares):
@@ -366,17 +349,19 @@ def circuit_to_dict(circ: LinearCircuit) -> dict:
 
 def circuit_from_dict(doc: dict) -> LinearCircuit:
     """Read a circuit document, keeping its (edge, coefficient) pairs in the
-    document's order; input 0 must carry the secret, and every coefficient
-    must be an integer in [0, p)."""
+    document's order; input 0 must carry the secret, the threshold must be
+    the input count, and every coefficient must be an integer in [0, p)."""
     net = network_from_dict(doc, "circuit")
     check_fields(doc, "circuit", modulus=int, threshold=int, coefficients=list)
     if doc.get("secret_input", 0) != 0:
         raise InvalidArguments(
             f"secret_input must be 0 (input 0 carries the secret), got {doc['secret_input']!r}"
         )
-    modulus = FieldModulus(doc["modulus"])
-    coefficients = tuple(doc["coefficients"])
-    return LinearCircuit(net, modulus, coefficients, doc["threshold"])
+    if doc["threshold"] != len(net.inputs):
+        raise InvalidArguments(
+            f"threshold must equal the input count {len(net.inputs)}, got {doc['threshold']}"
+        )
+    return LinearCircuit(net, FieldModulus(doc["modulus"]), tuple(doc["coefficients"]))
 
 
 def write_circuit(circ: LinearCircuit, path) -> None:

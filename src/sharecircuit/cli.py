@@ -88,13 +88,16 @@ def _cmd_verify_graph(args):
 
 def _cmd_synth_ss(args):
     net = network.read_network(args.graph)
-    circ = circuit.synthesize(net, args.t, FieldModulus(args.modulus), args.seed)
+    if args.t != len(net.inputs):
+        raise ShareCircuitError(
+            f"--t {args.t} must equal the graph's input count {len(net.inputs)}: "
+            "a circuit's threshold is its input count"
+        )
+    circ = circuit.synthesize(net, FieldModulus(args.modulus), args.seed)
     circuit.write_circuit(circ, args.out)
     print(f"inputs={len(net.inputs)} outputs={len(net.outputs)} "
           f"edges={len(net.edges)} modulus={args.modulus}")
-    bound = circuit.failure_bound(
-        net.depth, len(net.outputs), args.t, circ.modulus
-    )
+    bound = circuit.failure_bound(net.depth, len(net.outputs), circ.threshold, circ.modulus)
     print(f"failure_bound={bound:.3e}")
     return _print_result("ok", len(circ.coefficients))
 
@@ -137,11 +140,10 @@ def _cmd_reconstruct(args):
 
 def _cmd_entropy_verify(args):
     circ = circuit.read_circuit(args.circuit)
-    t = args.t if args.t is not None else circ.threshold
+    t = circ.threshold
     dist = infocheck.enumerate_distribution(circ)
     n = dist.variable_count - 1
-    # The verifier refuses a t outside [1, n] before anything is printed.
-    # Entropies are memoised, so the lines below recompute none it used.
+    # Entropies are memoised, so the lines below recompute none the verifier used.
     defn = infocheck.verify_threshold_definition(dist, t, args.tol)
     h_s = infocheck.entropy(dist, [0])
     print(f"H(S)={h_s:.9f}")
@@ -226,8 +228,7 @@ COMMANDS = {
     ]),
     "reconstruct": (_cmd_reconstruct, [("--circuit", _REQUIRED), ("--shares", _REQUIRED)]),
     "entropy-verify": (_cmd_entropy_verify, [
-        ("--circuit", _REQUIRED), ("--t", {"type": int, "default": None}),
-        ("--tol", {"type": float, "default": 1e-9}),
+        ("--circuit", _REQUIRED), ("--tol", {"type": float, "default": 1e-9}),
     ]),
     "lambda": (_cmd_lambda, [("d", {"type": int}), ("n", {"type": int})]),
     "alpha": (_cmd_alpha, [("m", {"type": int}), ("n", {"type": int})]),

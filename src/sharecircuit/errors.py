@@ -51,10 +51,6 @@ class PreconditionViolation(ShareCircuitError):
     pass
 
 
-class TooFewInputs(ShareCircuitError):
-    pass
-
-
 class SingularSubmatrix(ShareCircuitError):
     pass
 

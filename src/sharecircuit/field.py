@@ -11,15 +11,35 @@ from .errors import IndexOutOfRange, InvalidArguments, SingularMatrix
 DEFAULT_PRIME = 2**61 - 1
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to all 13 bases above (Sorenson and Webster,
+# 2017), 1,287,836,182,261 x 2,575,672,364,521: Miller-Rabin to them is exact
+# below it.
+MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 # Every FieldModulus checks its p, and a deal reads three of them; a program
 # meets few distinct moduli, so the 13 exponentiations run once per modulus.
 @lru_cache(maxsize=64, typed=True)
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the 13 prime bases 2..41, which is exact for all
-    n < 3.3e24. Above that bound it is a strong probable-prime test: a
-    composite that is a strong pseudoprime to all 13 bases passes."""
+    """Whether n is prime, decided exactly: below MR_BOUND (about 3.3e24) by
+    Miller-Rabin to the 13 prime bases 2..41, and from it on by the
+    Lucas-Lehmer test, which decides the Mersenne numbers 2^k - 1. Raises
+    InvalidArguments for every other n >= MR_BOUND, which no test here can
+    prove prime."""
+    if n >= MR_BOUND:
+        k = n.bit_length()
+        if n != (1 << k) - 1:
+            raise InvalidArguments(
+                f"modulus {n} is at least {MR_BOUND}, from where only a Mersenne "
+                "prime 2^k - 1 is accepted, as only its primality is proved"
+            )
+        # Lucas-Lehmer: with s_0 = 4 and s_(i+1) = s_i^2 - 2 mod n, n is
+        # prime iff s_(k-2) = 0. Its proof that s_(k-2) = 0 makes n prime
+        # holds for every k > 2, so a composite k needs no test of its own.
+        x = 4
+        for _ in range(k - 2):
+            x = (x * x - 2) % n
+        return x == 0
     if n < 2:
         return False
     for q in _MR_WITNESSES:

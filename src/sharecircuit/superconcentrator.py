@@ -31,6 +31,15 @@ def _child_seed(seed: int, index: int) -> int:
     return (seed * 1_000_003 + index + 1) & 0xFFFFFFFF
 
 
+def _at_least(m: int, factor: int, base: float, exponent: float) -> bool:
+    """m >= factor * base ** exponent in floats, as written; a power that
+    overflows exceeds every m, so it reads as False."""
+    try:
+        return m >= factor * base**exponent
+    except OverflowError:
+        return False
+
+
 def _bipartite_block(n_in: int, n_out: int, mid: int) -> Network:
     """n_in inputs -> complete -> mid middle vertices -> complete -> n_out
     outputs; routes any k <= mid equal-size subset pair disjointly."""
@@ -94,7 +103,7 @@ def build_sc_depth2_linear(
     (m, m/r, n)-concentrator bottom, r = (m/n)^(1/(1+epsilon))."""
     if epsilon <= 0:
         raise InvalidArguments("epsilon must be positive")
-    if m < n ** (2 + epsilon):
+    if not _at_least(m, 1, n, 2 + epsilon):
         raise PreconditionViolation(f"need m >= n^(2+eps): m={m}, n={n}, eps={epsilon}")
     r = (m / n) ** (1 / (1 + epsilon))
     mid = math.ceil(m / r)
@@ -112,7 +121,7 @@ def build_sc_depth3_linear(
     m >= n * (log2 n)^(2+epsilon)."""
     if epsilon <= 0:
         raise InvalidArguments("epsilon must be positive")
-    if n < 2 or m < n * math.log2(n) ** (2 + epsilon):
+    if n < 2 or not _at_least(m, n, math.log2(n), 2 + epsilon):
         raise PreconditionViolation(
             f"need n >= 2 and m >= n*(log2 n)^(2+eps): m={m}, n={n}, eps={epsilon}"
         )
@@ -142,7 +151,7 @@ def build_sc_general(
         raise InvalidArguments("recursion requires d >= 3")
     if epsilon <= 0:
         raise InvalidArguments("epsilon must be positive")
-    if m < n * lam(d, n) ** (1 + epsilon):
+    if not _at_least(m, n, lam(d, n), 1 + epsilon):
         raise PreconditionViolation(
             f"need m >= n*lambda_d(n)^(1+eps): m={m}, n={n}, d={d}, eps={epsilon}"
         )
@@ -186,13 +195,13 @@ def build_sc(
         raise InvalidArguments(f"epsilon must be positive and finite, got {epsilon}")
     if n <= 4:
         return complete_bipartite(n, m)
-    if m >= n ** (2 + epsilon):
+    if _at_least(m, 1, n, 2 + epsilon):
         return build_sc_depth2_linear(m, n, epsilon, rng_seed, budget)
-    if max_depth >= 3 and m >= n * math.log2(n) ** (2 + epsilon):
+    if max_depth >= 3 and _at_least(m, n, math.log2(n), 2 + epsilon):
         return build_sc_depth3_linear(m, n, epsilon, rng_seed, budget)
     for d in range(3, max_depth):
         lam_d = lam(d, n)
-        if m >= n * lam_d ** (1 + epsilon):
+        if _at_least(m, n, lam_d, 1 + epsilon):
             return build_sc_general(m, n, d, epsilon, rng_seed, budget)
         # lambda_d(n) >= 2 for every d once n > 4, so a miss at 2 is final;
         # odd d reach 2 by d = 7 for every n <= 2^40.

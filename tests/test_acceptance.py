@@ -61,7 +61,7 @@ def desk_corpus():
         for q in (3, 5):
             mod = FieldModulus(q)
             for seed in range(40):
-                circ = synthesize(net, t, mod, rng_seed=seed)
+                circ = synthesize(net, mod, rng_seed=seed)
                 rank_ok = validate_scheme(circ).verdict == "proved"
                 dist = enumerate_distribution(circ)
                 ent_ok = (
@@ -78,7 +78,7 @@ def test_criterion_1_end_to_end_threshold_correctness():
     for t, n in ((1, 3), (2, 3), (2, 4), (3, 5), (3, 6)):
         net = build_sc_depth2(t, n)
         ok &= verify_superconcentrator(net).verdict == "proved"
-        circ = synthesize(net, t, p, rng_seed=1)
+        circ = synthesize(net, p, rng_seed=1)
         ok &= validate_scheme(circ).verdict == "proved"
         rng = random.Random(42)
         for _ in range(100):
@@ -113,7 +113,7 @@ def test_criterion_3_failure_probability_bound():
     failures = 0
     trials = 1000
     for seed in range(trials):
-        circ = synthesize(net, 2, mod, rng_seed=seed)
+        circ = synthesize(net, mod, rng_seed=seed)
         failures += not validate_scheme(circ).ok
     bound = failure_bound(1, 4, 2, mod)
     assert bound == pytest.approx(10 / 101)

@@ -63,6 +63,33 @@ def test_lam_is_the_star_of_lam_two_below():
             assert lam(d, n) == f_star(lambda x: lam(d - 2, x), n), (d, n)
 
 
+def test_lam_repeats_with_period_two_from_depth_seven():
+    # lam reads a d above 8 as 7 or 8; the reference nests the star all the
+    # way down, memoised, and agrees up to d = 16.
+    memo = {}
+
+    def reference(d, n):
+        if d <= 2:
+            return lam(d, n)
+        if (d, n) not in memo:
+            memo[d, n] = f_star(lambda x: reference(d - 2, x), n)
+        return memo[d, n]
+
+    rng = random.Random(41)
+    ns = list(range(1, 2**10)) + [rng.randrange(1, 2**40 + 1) for _ in range(200)] + [2**40]
+    for d in range(1, 17):
+        for n in ns:
+            assert lam(d, n) == reference(d, n), (d, n)
+    # The values that pin lambda_7 and lambda_8 between them, as lam's
+    # docstring states: both are nondecreasing in n.
+    assert (lam(5, 4), lam(5, 2**40), lam(6, 5), lam(6, 2**40)) == (2, 3, 3, 4)
+    assert [lam(7, n) for n in (1, 2, 3, 4, 2**40)] == [0, 1, 1, 2, 2]
+    assert [lam(8, n) for n in (1, 2, 3, 4, 5, 2**40)] == [0, 1, 2, 2, 3, 3]
+    # No depth is too deep: `sharecircuit lambda 800 5` once overflowed the
+    # interpreter's stack.
+    assert lam(800, 5) == lam(10**9, 2**40) == 3 and lam(10**9 + 1, 2**40) == 2
+
+
 def test_lam_monotone_decreasing_in_d():
     # within a parity class the sequence is non-increasing in d
     for n in (5, 17, 100, 1024, 10**6):

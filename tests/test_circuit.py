@@ -32,7 +32,6 @@ from sharecircuit.errors import (
     InvalidArguments,
     SingularMatrix,
     SingularSubmatrix,
-    TooFewInputs,
 )
 from sharecircuit.field import FieldModulus, Matrix, mat_inverse, mat_vec, submatrix
 from sharecircuit.network import Network, complete_bipartite, topological_order
@@ -42,7 +41,7 @@ GF7 = FieldModulus(7)
 GF101 = FieldModulus(101)
 
 
-def shamir_like_circuit(xs, p=7, t=2):
+def shamir_like_circuit(xs, p=7):
     """Depth-1 circuit whose transfer matrix has rows (1, x_i)."""
     n = len(xs)
     net = Network(
@@ -52,7 +51,7 @@ def shamir_like_circuit(xs, p=7, t=2):
         tuple(range(2, 2 + n)),
     )
     coeffs = tuple(1 if u == 0 else xs[v - 2] for u, v in net.edges)
-    return LinearCircuit(net, FieldModulus(p), coeffs, t)
+    return LinearCircuit(net, FieldModulus(p), coeffs)
 
 
 def path_enumeration_transfer(circ):
@@ -79,13 +78,13 @@ def path_enumeration_transfer(circ):
 
 def test_synthesize_basic():
     net = complete_bipartite(2, 3)
-    circ = synthesize(net, 2, GF7, rng_seed=0)
+    circ = synthesize(net, GF7, rng_seed=0)
     assert len(circ.coefficients) == 6
     assert all(0 <= c < 7 for c in circ.coefficients)
     assert circ.threshold == 2
-    again = synthesize(net, 2, GF7, rng_seed=0)
+    again = synthesize(net, GF7, rng_seed=0)
     assert again.coefficients == circ.coefficients
-    other = synthesize(net, 2, GF7, rng_seed=1)
+    other = synthesize(net, GF7, rng_seed=1)
     assert other.coefficients != circ.coefficients
 
 
@@ -96,7 +95,7 @@ def test_synthesize_computes_one_topological_order(monkeypatch):
     monkeypatch.setattr(network, "topological_order",
                         lambda net: calls.append(net) or topological_order(net))
     net = Network(5, [(3, 4), (0, 2), (2, 3), (1, 3), (0, 4), (1, 2)], (0, 1), (3, 4))
-    circ = synthesize(net, 2, GF101, rng_seed=3)
+    circ = synthesize(net, GF101, rng_seed=3)
     assert calls == [net] and circ.net is net
     position = {v: i for i, v in enumerate(circ.net.order)}
     assert all(position[u] < position[v] for u, v in circ.net.edges)
@@ -104,16 +103,30 @@ def test_synthesize_computes_one_topological_order(monkeypatch):
     assert [list(M.row(i)) for i in range(M.rows)] == path_enumeration_transfer(circ)
 
 
-def test_synthesize_too_few_inputs():
-    with pytest.raises(TooFewInputs):
-        synthesize(complete_bipartite(2, 3), 3, GF7)
+def test_threshold_is_the_input_count():
+    # The secret and t - 1 random elements are the t inputs, so a network
+    # with no input or with more inputs than outputs holds no circuit.
+    for ell, n in ((1, 1), (1, 4), (2, 3), (3, 3)):
+        net = complete_bipartite(ell, n)
+        assert synthesize(net, GF7).threshold == ell
+        doc = circuit_to_dict(synthesize(net, GF7))
+        assert doc["threshold"] == ell and circuit_from_dict(doc).threshold == ell
+        for bad in (ell - 1, ell + 1):
+            with pytest.raises(InvalidArguments, match=f"input count {ell}, got {bad}"):
+                circuit_from_dict(dict(doc, threshold=bad))
+    for net in (complete_bipartite(3, 2), complete_bipartite(2, 1),
+                Network(2, [], (), (0, 1))):
+        with pytest.raises(InvalidArguments, match="need 1 <= inputs <= outputs"):
+            synthesize(net, GF7)
+        with pytest.raises(InvalidArguments, match="need 1 <= inputs <= outputs"):
+            LinearCircuit(net, GF7, (1,) * len(net.edges))
 
 
 def test_coefficient_uniformity_chi_squared():
     net = complete_bipartite(4, 8)
     counts = [0] * 101
     for seed in range(200):
-        for c in synthesize(net, 2, GF101, rng_seed=seed).coefficients:
+        for c in synthesize(net, GF101, rng_seed=seed).coefficients:
             counts[c] += 1
     result = chisquare(counts)
     assert result.pvalue > 1e-6
@@ -121,7 +134,7 @@ def test_coefficient_uniformity_chi_squared():
 
 def test_evaluate_identity_matching():
     net = Network(4, [(0, 2), (1, 3)], (0, 1), (2, 3))
-    circ = LinearCircuit(net, GF7, (1, 1), 2)
+    circ = LinearCircuit(net, GF7, (1, 1))
     assert evaluate(circ, [3, 5]) == [3, 5]
     M = transfer_matrix(circ)
     assert M.entries == (1, 0, 0, 1)
@@ -129,7 +142,7 @@ def test_evaluate_identity_matching():
 
 def test_transfer_matrix_sums_parallel_edges():
     net = Network(2, [(0, 1), (0, 1)], (0,), (1,))
-    circ = LinearCircuit(net, GF7, (3, 5), 1)
+    circ = LinearCircuit(net, GF7, (3, 5))
     assert transfer_matrix(circ).entries == ((3 + 5) % 7,)
 
 
@@ -138,7 +151,7 @@ def test_transfer_matrix_matches_path_enumeration():
         rng = random.Random(seed)
         # random 3-layer DAG: 2 inputs, hidden layer, outputs
         h = rng.randrange(1, 4)
-        n_out = rng.randrange(1, 4)
+        n_out = rng.randrange(2, 4)
         V = 2 + h + n_out
         edges = []
         for u in range(2):
@@ -156,7 +169,7 @@ def test_transfer_matrix_matches_path_enumeration():
                     edges.append((u, w))
         net = Network(V, sorted(edges), (0, 1), tuple(range(2 + h, V)))
         coeffs = tuple(rng.randrange(7) for _ in edges)
-        circ = LinearCircuit(net, GF7, coeffs, 1)
+        circ = LinearCircuit(net, GF7, coeffs)
         M = transfer_matrix(circ)
         oracle = path_enumeration_transfer(circ)
         assert [list(M.row(i)) for i in range(M.rows)] == oracle
@@ -229,7 +242,7 @@ def random_dag_circuit(rng, p):
             edges.extend([edge] * (2 if rng.random() < 0.2 else 1))
     rng.shuffle(edges)
     coeffs = tuple(rng.randrange(p) for _ in edges)
-    return LinearCircuit(Network(V, edges, inputs, outputs), FieldModulus(p), coeffs, ell)
+    return LinearCircuit(Network(V, edges, inputs, outputs), FieldModulus(p), coeffs)
 
 
 @pytest.mark.parametrize("p", [7, 101, 2**61 - 1, 2**64 - 59])
@@ -274,7 +287,7 @@ def test_packed_rows_hold_the_slot_bound_at_its_worst_case(p):
     ell, deg = 3, 127
     edges = [(j, 3) for j in range(ell)] + [(3, 4)] * deg + [(4, 5), (3, 5), (5, 6)]
     net = Network(7, edges, tuple(range(ell)), (4, 5, 6))
-    circ = LinearCircuit(net, FieldModulus(p), (p - 1,) * len(edges), 1)
+    circ = LinearCircuit(net, FieldModulus(p), (p - 1,) * len(edges))
     assert net.depth == 4
     assert deg * (p - 1) ** 2 >= 2 ** (2 * p.bit_length() + deg.bit_length() - 1) or p == 3
     M = transfer_by_columns(circ)
@@ -286,7 +299,7 @@ def test_packed_rows_hold_the_slot_bound_at_its_worst_case(p):
 def test_reconstruct_matches_the_inverse_oracle_at_deal_size():
     # The deal benchmark's shape: t = 16 inputs, n = 64 outputs.
     net = build_sc(16, 64, recommended_depth(64, 16), 0.5, 1, 100)
-    circ = synthesize(net, 16, FieldModulus(2**61 - 1), rng_seed=2)
+    circ = synthesize(net, FieldModulus(2**61 - 1), rng_seed=2)
     p = circ.modulus.p
     M = transfer_by_columns(circ)
     rng = random.Random(16)
@@ -304,7 +317,7 @@ def test_reconstruct_matches_the_inverse_oracle_at_deal_size():
     # output 4's is (1, 1). Shares consistent with that leave a zero row,
     # others a row that pivots on the share column: both are singular.
     net = Network(5, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)], (0, 1), (2, 3, 4))
-    small = LinearCircuit(net, GF7, (1, 3, 2, 6, 1, 1), 2)
+    small = LinearCircuit(net, GF7, (1, 3, 2, 6, 1, 1))
     assert reconstruct(small, [0, 2], [3, 2]) == 5  # (s, r) = (5, 4)
     # T = [1, 0] takes y_T in its own order: [2, 1] gives output 3 the share
     # 2 and output 2 the share 1, consistent with the rows; [3, 1] does not.
@@ -325,7 +338,7 @@ def test_path_matrix_is_the_transfer_matrix_under_its_weights():
         net = random_dag_circuit(rng, 7).net
         draw = random.Random(network.CERTIFICATE_SEED)
         weights = tuple(draw.randrange(p) for _ in net.edges)
-        circ = LinearCircuit(net, FieldModulus(p), weights, 1)
+        circ = LinearCircuit(net, FieldModulus(p), weights)
         paths = net.path_matrix
         assert paths.p == p
         assert paths.column == {x: j for j, x in enumerate(net.inputs)}
@@ -348,19 +361,19 @@ def test_path_matrix_is_the_transfer_matrix_under_its_weights():
 
 
 def test_linear_circuit_refuses_a_circuit_that_cannot_run():
-    net = Network(4, [(0, 2), (1, 2), (2, 3)], (0, 1), (3,))
-    LinearCircuit(net, GF7, (1, 6, 2), 1)
+    net = Network(5, [(0, 2), (1, 2), (2, 3), (2, 4)], (0, 1), (3, 4))
+    LinearCircuit(net, GF7, (1, 6, 2, 3))
     # a cyclic network or one with a terminal listed twice cannot be built,
     # so no circuit can hold one
     for edges, inputs, error in (([(0, 2), (2, 3), (3, 2)], (0, 1), CyclicGraph),
                                  ([(0, 2), (1, 2), (2, 3)], (0, 0), DuplicateTerminal)):
         with pytest.raises(error):
-            LinearCircuit(Network(4, edges, inputs, (3,)), GF7, (1, 1, 1), 1)
+            LinearCircuit(Network(5, edges, inputs, (3, 4)), GF7, (1, 1, 1))
         with pytest.raises(error):
-            synthesize(Network(4, edges, inputs, (3,)), 1, GF7)
-    for coeffs in ((1, 7, 2), (1, True, 2)):
+            synthesize(Network(5, edges, inputs, (3, 4)), GF7)
+    for coeffs in ((1, 7, 2, 3), (1, True, 2, 3)):
         with pytest.raises(InvalidArguments):
-            LinearCircuit(net, GF7, coeffs, 1)
+            LinearCircuit(net, GF7, coeffs)
 
 
 def test_linear_circuit_is_frozen():
@@ -372,14 +385,14 @@ def test_linear_circuit_is_frozen():
 
 
 def test_circuit_from_dict_pairs_coefficients_with_unsorted_edges():
-    doc = {"vertex_count": 3, "inputs": [0, 1], "outputs": [2],
-           "edges": [[1, 2], [0, 2]], "modulus": 7, "threshold": 1,
-           "coefficients": [3, 5]}
+    doc = {"vertex_count": 4, "inputs": [0, 1], "outputs": [2, 3],
+           "edges": [[1, 2], [0, 2], [1, 3]], "modulus": 7, "threshold": 2,
+           "coefficients": [3, 5, 4]}
     circ = circuit_from_dict(doc)
-    assert evaluate(circ, [1, 0]) == [5]
-    assert evaluate(circ, [0, 1]) == [3]
+    assert evaluate(circ, [1, 0]) == [5, 0]
+    assert evaluate(circ, [0, 1]) == [3, 4]
     out = circuit_to_dict(circ)
-    assert out["edges"] == [[0, 2], [1, 2]] and out["coefficients"] == [5, 3]
+    assert out["edges"] == [[0, 2], [1, 2], [1, 3]] and out["coefficients"] == [5, 3, 4]
 
 
 def test_synthesize_file_does_not_depend_on_edge_order(tmp_path):
@@ -389,11 +402,11 @@ def test_synthesize_file_does_not_depend_on_edge_order(tmp_path):
                   base.inputs, base.outputs)
     rng = random.Random(7)
     for seed in range(20):
-        write_circuit(synthesize(net, 3, GF101, rng_seed=seed), tmp_path / "sorted.json")
+        write_circuit(synthesize(net, GF101, rng_seed=seed), tmp_path / "sorted.json")
         shuffled = Network(net.vertex_count, rng.sample(net.edges, len(net.edges)),
                            net.inputs, net.outputs)
         assert shuffled.edges != net.edges
-        circ = synthesize(shuffled, 3, GF101, rng_seed=seed)
+        circ = synthesize(shuffled, GF101, rng_seed=seed)
         assert circ.net is shuffled
         write_circuit(circ, tmp_path / "shuffled.json")
         assert (tmp_path / "shuffled.json").read_bytes() == (tmp_path / "sorted.json").read_bytes()
@@ -403,7 +416,7 @@ def test_circuit_file_does_not_depend_on_its_pair_order(tmp_path):
     # the reader keeps the document's (edge, coefficient) pairs as they are
     # and the writer sorts them, so shuffling the pairs moves no byte
     net = network.serial_compose(complete_bipartite(3, 4), complete_bipartite(4, 5))
-    write_circuit(synthesize(net, 3, GF101, rng_seed=1), tmp_path / "sorted.json")
+    write_circuit(synthesize(net, GF101, rng_seed=1), tmp_path / "sorted.json")
     doc = json.loads((tmp_path / "sorted.json").read_text())
     rng = random.Random(8)
     for _ in range(20):
@@ -431,7 +444,7 @@ def test_circuit_from_dict_secret_input():
 
 def test_evaluate_is_linear():
     net = complete_bipartite(3, 4)
-    circ = synthesize(net, 2, GF101, rng_seed=9)
+    circ = synthesize(net, GF101, rng_seed=9)
     rng = random.Random(0)
     for _ in range(20):
         x = [rng.randrange(101) for _ in range(3)]
@@ -456,18 +469,18 @@ def test_validate_scheme_refuted_with_witness():
     for idx, (u, v) in enumerate(circ.net.edges):
         if v == 2:
             coeffs[idx] = 0
-    bad = LinearCircuit(circ.net, circ.modulus, tuple(coeffs), 2)
+    bad = LinearCircuit(circ.net, circ.modulus, tuple(coeffs))
     report = validate_scheme(bad)
     assert report.verdict == "refuted"
     assert report.witness is not None and 0 in report.witness
 
 
-def matrix_circuit(rows, p, t):
-    """Depth-1 circuit whose n x ell transfer matrix is `rows`."""
-    ell = len(rows[0])
-    net = complete_bipartite(ell, len(rows))
-    coeffs = tuple(rows[v - ell][u] for u, v in net.edges)
-    return LinearCircuit(net, FieldModulus(p), coeffs, t)
+def matrix_circuit(rows, p):
+    """Depth-1 circuit whose n x t transfer matrix is `rows`."""
+    t = len(rows[0])
+    net = complete_bipartite(t, len(rows))
+    coeffs = tuple(rows[v - t][u] for u, v in net.edges)
+    return LinearCircuit(net, FieldModulus(p), coeffs)
 
 
 def coalition_by_coalition(circ, budget, rng_seed=0):
@@ -476,7 +489,7 @@ def coalition_by_coalition(circ, budget, rng_seed=0):
     the sampled mode's draws. Ranks come from the rank kernel, which is exact
     for every modulus."""
     M = transfer_matrix(circ)
-    t, n, ell, p = circ.threshold, M.rows, M.cols, circ.modulus.p
+    t, n, p = circ.threshold, M.rows, circ.modulus.p
 
     def rank(T, cols):
         S = submatrix(M, list(T), list(cols))
@@ -496,33 +509,24 @@ def coalition_by_coalition(circ, budget, rng_seed=0):
                 recover_checks += 1
             else:
                 privacy_checks += 1
-            if (size == t and rank(T, range(ell)) != t) or rank(T, range(1, ell)) != t - 1:
+            if (size == t and rank(T, range(t)) != t) or rank(T, range(1, t)) != t - 1:
                 return "refuted", tuple(T), recover_checks, privacy_checks
     return ("proved" if exhaustive else "sampled_pass"), None, recover_checks, privacy_checks
 
 
-def drawn_rows(rng, p, t, ell, n):
-    """A random n x ell matrix with planted rows that break the rank
-    conditions: zero rows, secret-only rows and copies of earlier rows. With
-    ell > t, half of the draws keep the randomness part in a (t-1)-dimensional
-    space, so that they can pass."""
-    basis = [[rng.randrange(p) for _ in range(ell - 1)] for _ in range(t - 1)]
-    low_rank = ell > t and rng.random() < 0.5
+def drawn_rows(rng, p, t, n):
+    """A random n x t matrix with planted rows that break the rank
+    conditions: zero rows, secret-only rows and copies of earlier rows."""
     # t = 1 passes only when every row is secret-only
     secret_only = 0.6 if t == 1 else 0.1
     rows = []
     for i in range(n):
-        if low_rank:
-            a = [rng.randrange(p) for _ in range(t - 1)]
-            r = [sum(x * b[c] for x, b in zip(a, basis)) % p for c in range(ell - 1)]
-        else:
-            r = [rng.randrange(p) for _ in range(ell - 1)]
-        row = [rng.randrange(p)] + r
+        row = [rng.randrange(p) for _ in range(t)]
         u = rng.random()
         if u < 0.04:
-            row = [0] * ell
+            row = [0] * t
         elif u < secret_only:
-            row = [rng.randrange(1, p)] + [0] * (ell - 1)
+            row = [rng.randrange(1, p)] + [0] * (t - 1)
         elif u < secret_only + 0.05 and i:
             row = list(rows[rng.randrange(i)])
         rows.append(row)
@@ -535,22 +539,19 @@ def test_validate_scheme_matches_coalition_oracle(p):
     outcomes = Counter()
     for trial in range(200):
         t = 1 + trial % 4
-        ell = t + trial // 4 % 2
         n = rng.randrange(t, t + 5)
-        circ = matrix_circuit(drawn_rows(rng, p, t, ell, n), p, t)
+        circ = matrix_circuit(drawn_rows(rng, p, t, n), p)
         for budget in (6, 10**6):
             report = validate_scheme(circ, budget, rng_seed=trial)
             got = (report.verdict, report.witness, report.recover_checks,
                    report.privacy_checks)
             assert got == coalition_by_coalition(circ, budget, rng_seed=trial)
         stage = "privacy" if report.privacy_checks else "recovery"
-        outcomes[(t == 1, ell > t, report.verdict if report.ok else stage)] += 1
-    # Proofs at t = 1 (with its empty privacy coalition), at ell = t and at
-    # ell = t + 1; refutations at both stages.
-    assert outcomes[(True, False, "proved")] and outcomes[(True, True, "proved")]
-    assert outcomes[(False, False, "proved")] and outcomes[(False, True, "proved")]
-    assert outcomes[(False, False, "recovery")] and outcomes[(False, True, "recovery")]
-    assert outcomes[(False, False, "privacy")] and outcomes[(False, True, "privacy")]
+        outcomes[(t == 1, report.verdict if report.ok else stage)] += 1
+    # Proofs at t = 1 (with its empty privacy coalition) and above;
+    # refutations at both stages.
+    assert outcomes[(True, "proved")] and outcomes[(False, "proved")]
+    assert outcomes[(False, "recovery")] and outcomes[(False, "privacy")]
 
 
 def sampled_by_list_elimination(circ, budget, rng_seed):
@@ -591,29 +592,26 @@ def sampled_by_list_elimination(circ, budget, rng_seed):
 def test_sampled_validate_scheme_matches_list_elimination(p):
     # Packed rows and column-first elimination give the same report, field by
     # field, as eliminating list rows one at a time, on matrices with planted
-    # failures (t = 1 and ell > t included) and on random DAG circuits.
+    # failures (t = 1 included) and on random DAG circuits.
     rng = random.Random(p + 1)
     outcomes = Counter()
     for trial in range(240):
         if trial % 3:
             t = 1 + trial % 4
-            ell = t + trial // 4 % 2
             n = rng.randrange(t + 2, t + 7)
-            circ = matrix_circuit(drawn_rows(rng, p, t, ell, n), p, t)
+            circ = matrix_circuit(drawn_rows(rng, p, t, n), p)
         else:
             circ = random_dag_circuit(rng, p)
-            t, ell, n = circ.threshold, circ.threshold, len(circ.net.outputs)
+            t, n = circ.threshold, len(circ.net.outputs)
         budget = rng.choice((2, 6, 20))
         if comb(n, t) + comb(n, t - 1) <= budget:
             continue
         report = validate_scheme(circ, budget, rng_seed=trial)
         assert report == sampled_by_list_elimination(circ, budget, trial), trial
         stage = "privacy" if report.privacy_checks else "recovery"
-        outcomes[(t == 1, ell > t, report.verdict if report.ok else stage)] += 1
-    assert outcomes[(True, False, "sampled_pass")] and outcomes[(True, True, "sampled_pass")]
-    assert outcomes[(False, False, "sampled_pass")] and outcomes[(False, True, "sampled_pass")]
-    assert outcomes[(False, False, "recovery")] and outcomes[(False, True, "recovery")]
-    assert outcomes[(False, False, "privacy")] and outcomes[(False, True, "privacy")]
+        outcomes[(t == 1, report.verdict if report.ok else stage)] += 1
+    assert outcomes[(True, "sampled_pass")] and outcomes[(False, "sampled_pass")]
+    assert outcomes[(False, "recovery")] and outcomes[(False, "privacy")]
 
 
 def walk_by_full_rows(M, t, p):
@@ -671,31 +669,23 @@ def walk_by_full_rows(M, t, p):
     return recover_checks, privacy_checks, leak
 
 
-def scheme_rows(rng, p, t, ell, n, plant):
-    """An n x ell matrix of a scheme that can prove: with ell > t every
-    row's randomness part lies in one random (t-1)-dimensional space, and
-    with t = 1 every row is secret-only. Each row is then replaced, with
-    probability `plant`, by a zero row, a secret-only row, a uniform row, a
-    copy of an earlier row, or a*row_i + b*row_k of two earlier rows; the
-    last makes a failure land at the last level, behind a nonsingular
-    prefix."""
-    basis = [[rng.randrange(p) for _ in range(ell - 1)] for _ in range(t - 1)]
+def scheme_rows(rng, p, t, n, plant):
+    """An n x t matrix of a scheme that can prove: with t = 1 every row is
+    secret-only. Each row is then replaced, with probability `plant`, by a
+    zero row, a secret-only row, a uniform row, a copy of an earlier row, or
+    a*row_i + b*row_k of two earlier rows; the last makes a failure land at
+    the last level, behind a nonsingular prefix."""
     rows = []
     for i in range(n):
-        if ell > t:
-            a = [rng.randrange(p) for _ in range(t - 1)]
-            r = [sum(x * b[c] for x, b in zip(a, basis)) % p for c in range(ell - 1)]
-        else:
-            r = [rng.randrange(p) for _ in range(ell - 1)]
-        row = [rng.randrange(1, p)] + r
+        row = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(t - 1)]
         if rng.random() < plant:
             kind = rng.choice(("zero", "secret", "uniform", "copy", "combination"))
             if kind == "zero":
-                row = [0] * ell
+                row = [0] * t
             elif kind == "secret":
-                row = [rng.randrange(1, p)] + [0] * (ell - 1)
+                row = [rng.randrange(1, p)] + [0] * (t - 1)
             elif kind == "uniform":
-                row = [rng.randrange(p) for _ in range(ell)]
+                row = [rng.randrange(p) for _ in range(t)]
             elif kind == "copy" and i:
                 row = list(rows[rng.randrange(i)])
             elif kind == "combination" and i > 1:
@@ -710,15 +700,14 @@ def scheme_rows(rng, p, t, ell, n, plant):
 def test_exhaustive_validate_scheme_matches_full_row_walk(p):
     # The walk over free-column rows, with its 2 x 2 determinant at the last
     # level, gives the same report as the full-row walk, up to t = 6 and
-    # n = 16, with ell = t, t + 1 and t + 2.
+    # n = 16.
     rng = random.Random(p + 2)
     outcomes = Counter()
     largest_proof = 0
     for trial in range(180):
         t = 1 + trial % 6
-        ell = t + trial // 6 % 3
         n = rng.randrange(t, rng.randrange(t, 17) + 1)
-        circ = matrix_circuit(scheme_rows(rng, p, t, ell, n, rng.choice((0, 0.04, 0.2))), p, t)
+        circ = matrix_circuit(scheme_rows(rng, p, t, n, rng.choice((0, 0.04, 0.2))), p)
         report = validate_scheme(circ, comb(n, t) + comb(n, t - 1))
         recover_checks, privacy_checks, witness = walk_by_full_rows(transfer_matrix(circ), t, p)
         verdict = "proved" if witness is None else "refuted"
@@ -728,15 +717,13 @@ def test_exhaustive_validate_scheme_matches_full_row_walk(p):
         if stage == "recovery" and t > 1 and not report.ok:
             M = transfer_matrix(circ, report.witness[:-1])
             prefix = [_kernels.pack(M.row(i), p) for i in range(M.rows)]
-            if len(_kernels.eliminate(prefix, range(ell), p)) == t - 1:
+            if len(_kernels.eliminate(prefix, range(t), p)) == t - 1:
                 stage = "recovery behind a nonsingular prefix"
-        outcomes[(ell > t, report.verdict if report.ok else stage)] += 1
+        outcomes[report.verdict if report.ok else stage] += 1
         if report.ok and t > 1:
             largest_proof = max(largest_proof, comb(n, t))
-    for wide in (False, True):
-        assert outcomes[(wide, "proved")] and outcomes[(wide, "privacy")]
-        assert outcomes[(wide, "recovery")]
-        assert outcomes[(wide, "recovery behind a nonsingular prefix")]
+    assert outcomes["proved"] and outcomes["privacy"] and outcomes["recovery"]
+    assert outcomes["recovery behind a nonsingular prefix"]
     # Above p = 101 a proof reaches the scale of the scheme-verify circuits.
     assert p <= 101 or largest_proof >= 462
 
@@ -754,7 +741,7 @@ def test_share_reconstruct_worked_example():
 
 
 def test_share_reconstruct_round_trip_random():
-    circ = shamir_like_circuit([1, 2, 3, 4], p=10007, t=2)
+    circ = shamir_like_circuit([1, 2, 3, 4], p=10007)
     assert validate_scheme(circ).verdict == "proved"
     rng = random.Random(1)
     for trial in range(100):
@@ -801,18 +788,18 @@ def test_failure_bound_assumes_the_connection_properties():
     big = FieldModulus(2**61 - 1)
     assert failure_bound(net.depth, 2, 2, big) < 1e-17
     for seed in range(20):
-        report = validate_scheme(synthesize(net, 2, big, rng_seed=seed))
+        report = validate_scheme(synthesize(net, big, rng_seed=seed))
         assert report.verdict == "refuted" and report.witness == (0, 1)
 
 
 def test_circuit_json_round_trip(tmp_path):
     net = complete_bipartite(3, 5)
-    circ = synthesize(net, 2, GF101, rng_seed=4)
+    circ = synthesize(net, GF101, rng_seed=4)
     path = tmp_path / "circ.json"
     write_circuit(circ, path)
     loaded = read_circuit(path)
     assert loaded.coefficients == circ.coefficients
-    assert loaded.threshold == 2 and loaded.modulus.p == 101
+    assert loaded.threshold == 3 and loaded.modulus.p == 101
     path2 = tmp_path / "circ2.json"
     write_circuit(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()

@@ -117,6 +117,115 @@ def test_verify_ss_output_is_pinned(capsys, tmp_path):
     assert digest.hexdigest() == VERIFY_SS_DIGEST
 
 
+def test_every_proved_corpus_circuit_deals_and_reconstructs(capsys, tmp_path):
+    # Each circuit that verify-ss proves gives its secret back from the
+    # first t shares and from the last t. The nine over the default prime
+    # prove; every small-field draw is refuted.
+    graph, circ, shares = tmp_path / "g.json", tmp_path / "c.json", tmp_path / "s.json"
+    proved = 0
+    for t, n, modulus, seeds in VERIFY_SS_CORPUS:
+        run(capsys, "gen-sc", "--inputs", str(t), "--outputs", str(n), "--seed", "1",
+            "--out", str(graph))
+        field = () if modulus is None else ("--modulus", str(modulus))
+        for seed in seeds:
+            run(capsys, "synth-ss", "--graph", str(graph), "--t", str(t), *field,
+                "--seed", str(seed), "--out", str(circ))
+            if run(capsys, "verify-ss", "--circuit", str(circ))[0]:
+                continue
+            proved += 1
+            secret = (seed * 7919 + n) % (modulus or 2**61 - 1)
+            code, _, _ = run(capsys, "share", "--circuit", str(circ), "--secret", str(secret),
+                             "--seed", str(seed), "--out", str(shares))
+            assert code == 0
+            doc = json.loads(shares.read_text())
+            last = tmp_path / "last.json"
+            last.write_text(json.dumps(dict(doc, shares=doc["shares"][-t:])))
+            for path in (shares, last):
+                code, out, _ = run(capsys, "reconstruct", "--circuit", str(circ),
+                                   "--shares", str(path))
+                assert code == 0 and f"secret={secret}\n" in out, (t, n, modulus, seed)
+    assert proved == 9
+
+
+def write_wide_circuit(path):
+    """A GF(7) circuit file on K_{3,3} whose rows are (1, 1, 0), (1, 2, 0)
+    and (1, 3, 0), with threshold 2: three inputs, one of them unused. Its
+    two-share coalitions would recover and its single shares leak nothing,
+    but no two shares determine the third input."""
+    rows = [(1, 1, 0), (1, 2, 0), (1, 3, 0)]
+    doc = {"vertex_count": 6, "inputs": [0, 1, 2], "outputs": [3, 4, 5],
+           "edges": [[u, v] for u in range(3) for v in range(3, 6)],
+           "modulus": 7, "threshold": 2, "secret_input": 0,
+           "coefficients": [rows[v][u] for u in range(3) for v in range(3)]}
+    path.write_text(json.dumps(doc))
+
+
+def test_a_circuit_whose_threshold_is_not_its_input_count_is_refused(capsys, tmp_path):
+    wide, shares = tmp_path / "wide.json", tmp_path / "s.json"
+    write_wide_circuit(wide)
+    shares.write_text(json.dumps({"modulus": 7, "shares": [[0, 1], [1, 2], [2, 3]]}))
+    out_path = tmp_path / "out.json"
+    for argv in (("verify-ss", "--circuit", str(wide)),
+                 ("share", "--circuit", str(wide), "--secret", "3", "--out", str(out_path)),
+                 ("reconstruct", "--circuit", str(wide), "--shares", str(shares))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and not out_path.exists(), argv
+        assert err == "error: threshold must equal the input count 3, got 2\n", argv
+
+
+def test_synth_ss_refuses_a_t_other_than_the_input_count(capsys, tmp_path):
+    graph, circ = tmp_path / "g.json", tmp_path / "c.json"
+    run(capsys, "gen-sc", "--inputs", "2", "--outputs", "4", "--out", str(graph))
+    for t in ("1", "3", "0"):
+        code, out, err = run(capsys, "synth-ss", "--graph", str(graph), "--t", t,
+                             "--out", str(circ))
+        assert (code, out) == (1, "") and not circ.exists(), t
+        assert err.startswith(f"error: --t {t} must equal the graph's input count 2"), err
+    assert run(capsys, "synth-ss", "--graph", str(graph), "--t", "2", "--out", str(circ))[0] == 0
+
+
+# The smallest strong pseudoprime to the 13 Miller-Rabin bases 2..41.
+PSEUDOPRIME = "3317044064679887385961981"
+
+
+@pytest.mark.parametrize("argv", [
+    ("synth-ss", "--graph", "{graph}", "--t", "2", "--modulus", PSEUDOPRIME, "--out", "{out}"),
+    ("verify-ss", "--circuit", "{pseudoprime}"),
+    ("lambda", "800", "5"),
+    ("lambda", str(10**9), str(2**40)),
+    ("gen-sc", "--inputs", "5", "--outputs", "6", "--epsilon", "1e300", "--out", "{out}"),
+    ("synth-ss", "--graph", "{graph}", "--t", "1", "--out", "{out}"),
+    ("verify-ss", "--circuit", "{wide}"),
+    ("share", "--circuit", "{wide}", "--secret", "1", "--out", "{out}"),
+    ("reconstruct", "--circuit", "{wide}", "--shares", "{shares}"),
+], ids=["composite-modulus", "composite-modulus-file", "lambda-deep", "lambda-huge",
+        "gen-sc-overflow", "synth-ss-t", "verify-ss-wide",
+        "share-wide", "reconstruct-wide"])
+def test_no_input_ends_in_a_traceback(capsys, tmp_path, argv):
+    paths = {name: tmp_path / f"{name}.json"
+             for name in ("graph", "out", "wide", "pseudoprime", "shares")}
+    run(capsys, "gen-sc", "--inputs", "2", "--outputs", "3", "--out", str(paths["graph"]))
+    run(capsys, "synth-ss", "--graph", str(paths["graph"]), "--t", "2",
+        "--out", str(paths["pseudoprime"]))
+    run(capsys, "share", "--circuit", str(paths["pseudoprime"]), "--secret", "1",
+        "--out", str(paths["shares"]))
+    doc = json.loads(paths["pseudoprime"].read_text())
+    paths["pseudoprime"].write_text(json.dumps(dict(doc, modulus=int(PSEUDOPRIME))))
+    write_wide_circuit(paths["wide"])
+    composite = PSEUDOPRIME in argv or "{pseudoprime}" in argv
+    argv = [a.format(**paths) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2) and "Traceback" not in err, (code, err)
+    if code == 1:
+        assert err.startswith("error:") and "RESULT" not in out
+    if composite:
+        assert code == 1 and f"is at least {PSEUDOPRIME}" in err
+    if argv[0] == "gen-sc":
+        assert code == 0 and "built_depth=2" in out
+    if argv[0] == "lambda":
+        assert code == 0 and out.strip() in ("2", "3")
+
+
 @pytest.mark.parametrize("args", [
     ("--depth", "0"), ("--depth", "1"), ("--depth", "-3"),
     ("--epsilon", "nan"), ("--epsilon", "inf"), ("--epsilon", "0"), ("--epsilon", "-1"),
@@ -213,10 +322,6 @@ def test_entropy_verify(capsys, tmp_path):
     assert "threshold_definition=proved" in out
     assert "entropy_bounds=proved" in out
     assert "han_residual=" in out
-    # A t outside [1, n] is refused before anything is printed.
-    for t in (0, -1, 4):
-        code, out, err = run(capsys, "entropy-verify", "--circuit", str(circ), f"--t={t}")
-        assert (code, out, err) == (1, "", f"error: need 1 <= t <= 3, got t={t}\n"), t
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])

@@ -8,6 +8,7 @@ from sharecircuit.errors import (
     SingularMatrix,
 )
 from sharecircuit.field import (
+    MR_BOUND,
     FieldModulus,
     Matrix,
     is_prime,
@@ -45,6 +46,32 @@ def test_modulus_rejects_a_strong_pseudoprime_to_the_bases_up_to_37():
     assert not is_prime(n)
     with pytest.raises(InvalidArguments):
         FieldModulus(n)
+
+
+def test_modulus_from_the_miller_rabin_bound_on_needs_a_proof():
+    # The least strong pseudoprime to the 13 bases 2..41 passes Miller-Rabin;
+    # a circuit over it once proved a scheme whose shares cannot be opened.
+    n = 1_287_836_182_261 * 2_575_672_364_521
+    assert n == MR_BOUND
+    named = f"modulus {n} is at least {MR_BOUND}"
+    with pytest.raises(InvalidArguments, match=named):
+        FieldModulus(n)
+    # From there on only a Mersenne number has a proof here (Lucas-Lehmer),
+    # so the prime 2^255 - 19 is refused too, as is every other number.
+    for other in (2**255 - 19, MR_BOUND + 2):
+        with pytest.raises(InvalidArguments, match=f"is at least {MR_BOUND}"):
+            FieldModulus(other)
+    for k in (89, 107, 127, 521):
+        assert FieldModulus(2**k - 1).p == 2**k - 1
+    # 2^83 - 1 = 167 * 57912614113275649087721, and 2^85 - 1 has the factor 31.
+    for composite in (2**83 - 1, 2**85 - 1):
+        assert not is_prime(composite)
+        with pytest.raises(InvalidArguments, match="is not prime"):
+            FieldModulus(composite)
+    # Every modulus the tests and the benchmark use is still accepted.
+    for p in (3, 5, 7, 11, 13, 101, 10007, 2**31 - 1, 2**61 - 1, 2**64 - 59,
+              2**89 - 1, 2**127 - 1, 2**521 - 1):
+        assert FieldModulus(p).p == p
 
 
 def test_is_prime_small_range():

@@ -54,7 +54,7 @@ def random_distribution(rng):
 def linear_circuit_gf3():
     """shares (s + r, s + 2r) over GF(3): a (2,2)-threshold scheme."""
     net = Network(4, [(0, 2), (0, 3), (1, 2), (1, 3)], (0, 1), (2, 3))
-    return LinearCircuit(net, FieldModulus(3), (1, 1, 1, 2), 2)
+    return LinearCircuit(net, FieldModulus(3), (1, 1, 1, 2))
 
 
 def test_distribution_refuses_bad_counts():
@@ -162,7 +162,7 @@ def test_enumerate_distribution_gf3():
 
 def test_enumerate_distribution_state_guard():
     net = Network(4, [(0, 2), (0, 3), (1, 2), (1, 3)], (0, 1), (2, 3))
-    circ = LinearCircuit(net, FieldModulus(10007), (1, 1, 1, 2), 2)
+    circ = LinearCircuit(net, FieldModulus(10007), (1, 1, 1, 2))
     with pytest.raises(StateSpaceTooLarge):
         enumerate_distribution(circ)
 
@@ -275,7 +275,7 @@ def seeded_circuits():
             net = complete_bipartite(t, n)
             if draw == 4:
                 net = serial_compose(complete_bipartite(t, t - 1), complete_bipartite(t - 1, n))
-            yield synthesize(net, t, FieldModulus(q), rng.randrange(1000))
+            yield synthesize(net, FieldModulus(q), rng.randrange(1000))
 
 
 def assert_entropies_match(dist, want):

@@ -692,11 +692,11 @@ def test_one_topological_order_per_network(monkeypatch):
         return topological_order(net)
 
     monkeypatch.setattr(network, "topological_order", counted)
-    net = Network(5, [(3, 4), (0, 2), (2, 3), (1, 3), (0, 4)], (0, 1), (4,))
+    net = Network(6, [(3, 4), (0, 2), (2, 3), (1, 3), (0, 4), (2, 5)], (0, 1), (4, 5))
     assert list(calls.values()) == [1]
     assert net.depth == 3 and net.order == tuple(topological_order(net))
     max_vertex_disjoint_paths(net, net.inputs, net.outputs)
-    circ = synthesize(net, 1, FieldModulus(7))
+    circ = synthesize(net, FieldModulus(7))
     assert circ.net is net and list(calls.values()) == [1]
     again = circuit_from_dict(circuit_to_dict(circ))
     assert calls[id(net)] == 1 and calls[id(again.net)] == 1

@@ -186,3 +186,16 @@ def test_build_sc_table_on_a_grid():
             elif n > 4 and m >= n * math.log2(n) ** (2 + eps):
                 assert all(nets[d] == nets[3] for d in range(3, 7)), (n, m)
 
+
+def test_a_power_that_overflows_fails_the_precondition():
+    # m >= n^(2+eps) and its kin are compared in floats; at eps = 1e300 the
+    # power overflows, which reads as a precondition that fails, so build_sc
+    # falls through to the depth-2 union, and each builder refuses.
+    huge = 1e300
+    for depth in (2, 4, 9):
+        assert build_sc(5, 6, depth, huge, rng_seed=1) == build_sc_depth2(5, 6, 1)
+    for build in (lambda: build_sc_depth2_linear(10**6, 5, huge),
+                  lambda: build_sc_depth3_linear(10**6, 5, huge),
+                  lambda: build_sc_general(10**6, 5, 3, huge)):
+        with pytest.raises(PreconditionViolation):
+            build()
