@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from sharecircuit.cli import main
 from sharecircuit.errors import InvalidArguments, PreconditionViolation
 from sharecircuit.network import (
+    network_to_dict,
     verify_partial_sc,
     verify_superconcentrator,
 )
@@ -199,3 +201,42 @@ def test_a_power_that_overflows_fails_the_precondition():
                   lambda: build_sc_general(10**6, 5, 3, huge)):
         with pytest.raises(PreconditionViolation):
             build()
+
+
+# sha256 over the serialized graphs at seeds 0-2, budget 200, for each row of
+# build_sc's table, for build_partial_sc_depth2 and for gen-concentrator: a
+# refactor of the builders must leave every one of these bytes as it is.
+BUILDER_CASES = {
+    "complete-bipartite": lambda seed: build_sc(3, 7, 1, 0.5, seed, 200),
+    "depth2-linear": lambda seed: build_sc(5, 56, 2, 0.5, seed, 200),
+    "depth3-linear": lambda seed: build_sc(5, 50, 3, 0.5, seed, 200),
+    "depth3-linear-at-n-cubed": lambda seed: build_sc(5, 125, 3, 1.5, seed, 200),
+    "recursion": lambda seed: build_sc(8, 32, 4, 0.5, seed, 200),
+    "depth2-union": lambda seed: build_sc(8, 8, 2, 0.5, seed, 200),
+    "partial-depth2": lambda seed: build_partial_sc_depth2(9, 9, 1.5, seed, 200),
+}
+BUILDER_DIGESTS = {
+    "complete-bipartite": "4fcd68a2eca51dbb19553f4b4100dcba9b6d61d4cd19a0ef748969f45a255d38",
+    "depth2-linear": "339e009d0078d018cf75d152f478b352be0ca3fc787168e37c2d702e98ec1746",
+    "depth3-linear": "d0c4c930eb88d3b3ec697cdb3c27f15d7421c855afb7009eb98006fc3c4502ca",
+    "depth3-linear-at-n-cubed": "eb3973a9be73a36e27fb7deb7b4d7893970ba6a33062b7ca4db5a2101ffe78a7",
+    "recursion": "4530d12139e4c8baad54d57c243cc8913832b3fb0fbd39e52d0989be509447fe",
+    "depth2-union": "bdf22d8a84564b357d7fd8fc4d4c729e24571126ade0a5cd03ee402f0ca62f9f",
+    "partial-depth2": "4b4e02444e5addf7f8ed5b8ee5b75769f95b242f427aa8eb6590574ab15c69ee",
+    "gen-concentrator": "2a8b81303ae13173c5bba36f3f639719a801d44021393dbad6c9c1f7174c798f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILDER_DIGESTS))
+def test_every_builder_is_pinned(tmp_path, capsys, case):
+    digest = hashlib.sha256()
+    for seed in range(3):
+        if case == "gen-concentrator":
+            out = tmp_path / f"conc-{seed}.json"
+            assert main(["gen-concentrator", "--m", "12", "--n", "8", "--k", "4",
+                         "--seed", str(seed), "--budget", "200", "--out", str(out)]) == 0
+            capsys.readouterr()
+            digest.update(out.read_bytes())
+        else:
+            digest.update(json.dumps(network_to_dict(BUILDER_CASES[case](seed))).encode())
+    assert digest.hexdigest() == BUILDER_DIGESTS[case]
