@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import ackermann, circuit, infocheck, network, superconcentrator
-from .concentrator import ConcentratorParams, build_depth1
+from .concentrator import build_depth1
 from .errors import ShareCircuitError
 from .field import DEFAULT_PRIME, FieldModulus
 from .network import DEFAULT_BUDGET
@@ -31,11 +31,7 @@ def _print_result(verdict, checked, witness=None):
 
 
 def _cmd_gen_concentrator(args):
-    params = ConcentratorParams(
-        m=args.m, n=args.n, k=args.k, degree=args.degree,
-        rng_seed=args.seed, budget=args.budget,
-    )
-    net, report = build_depth1(params)
+    net, report = build_depth1(args.m, args.n, args.k, args.degree, args.seed, args.budget)
     if args.out:
         network.write_network(net, args.out)
     print(f"edges={len(net.edges)} depth={net.depth}")
@@ -187,9 +183,7 @@ def _cmd_bench(args):
             denom = m * math.log2(m) * math.log2(n)
         else:  # sc-depth2-linear, the only other choice
             m = math.ceil(n**2.5)
-            net = superconcentrator.build_sc_depth2_linear(
-                m, n, 0.5, args.seed, args.budget
-            )
+            net = superconcentrator.build_sc_depth2_linear(n, m, 0.5, args.seed, args.budget)
             denom = m
         writer.writerow([args.builder, n, m, len(net.edges), f"{len(net.edges) / denom:.4f}"])
     return 0

@@ -1,9 +1,11 @@
 """Probabilistic depth-1 (m, n, k)-concentrator construction: random
-bipartite graphs with post-construction verification and seeded retry."""
+bipartite graphs with post-construction verification and seeded retry.
+
+As in the paper's notation, m is the input side and n the output side: every
+k-subset of the m inputs reaches k of the n outputs by disjoint edges."""
 
 import math
 import random
-from dataclasses import dataclass
 
 from .errors import InvalidArguments, RetriesExhausted
 from .network import (
@@ -15,25 +17,6 @@ from .network import (
 )
 
 MAX_RETRIES = 32  # seeded attempts before build_depth1 gives up
-
-
-@dataclass
-class ConcentratorParams:
-    m: int  # inputs
-    n: int  # outputs
-    k: int  # capacity: every k-subset of inputs must reach k outputs
-    degree: int | None = None  # per-input out-edges; derived when None
-    rng_seed: int = 0
-    budget: int = DEFAULT_BUDGET
-
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise InvalidArguments("m and n must be positive")
-        if not 0 <= self.k <= min(self.m, self.n):
-            raise InvalidArguments(f"need 0 <= k <= min(m, n), got k={self.k}")
-        if self.degree is not None and self.degree < 1:
-            raise InvalidArguments("degree must be >= 1")
-        check_budget(self.budget)
 
 
 def degree_for(m: int, n: int, k: int) -> int:
@@ -56,27 +39,36 @@ def _default_degree(m: int, n: int, k: int) -> int:
     return min(n, math.ceil(2 * math.log2(max(n, 2))) + 2)
 
 
-def build_depth1(params: ConcentratorParams):
-    """Sample a random bipartite depth-1 graph and verify the concentrator
-    property; resample with the next seed on refutation.
+def build_depth1(
+    m: int, n: int, k: int, degree: int | None = None, rng_seed: int = 0,
+    budget: int = DEFAULT_BUDGET,
+):
+    """Sample a random bipartite graph with m inputs and n outputs, `degree`
+    per input (derived when None), and verify that every k-subset of inputs
+    reaches k outputs; resample with the next seed on refutation.
 
     Returns (Network, VerificationReport); raises RetriesExhausted with the
     last counterexample when every attempt is refuted.
     """
-    m, n, k = params.m, params.n, params.k
-    degree = params.degree if params.degree is not None else _default_degree(m, n, k)
-    degree = min(degree, n)
+    if m < 1 or n < 1:
+        raise InvalidArguments("m and n must be positive")
+    if not 0 <= k <= min(m, n):
+        raise InvalidArguments(f"need 0 <= k <= min(m, n), got k={k}")
+    if degree is not None and degree < 1:
+        raise InvalidArguments("degree must be >= 1")
+    check_budget(budget)
+    degree = min(n, degree if degree is not None else _default_degree(m, n, k))
     inputs = tuple(range(m))
     outputs = tuple(range(m, m + n))
     last_report = None
     for attempt in range(MAX_RETRIES):
-        rng = random.Random(params.rng_seed + attempt)
+        rng = random.Random(rng_seed + attempt)
         edges = []
         for i in inputs:
             for j in rng.sample(range(m, m + n), degree):
                 edges.append((i, j))
         net = Network(m + n, edges, inputs, outputs)
-        report = verify_concentrator(net, k, params.budget, params.rng_seed + attempt)
+        report = verify_concentrator(net, k, budget, rng_seed + attempt)
         if report.verdict != "refuted":
             return net, report
         last_report = report

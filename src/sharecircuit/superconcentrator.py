@@ -3,16 +3,18 @@ linear-size depth-2/3 for wide aspect ratios, the general depth-(d+1)
 recursion, the one table (`build_sc`) that picks among them, and the depth
 recommendation from the inverse Ackermann value.
 
-Naming convention: n is always the input (threshold) side of the produced
-network and m the output side. `build_sc`, `build_sc_depth2` and
-`build_partial_sc_depth2` take n first; the linear-size builders and the
-recursion take m first.
+The linear-size builders and the recursion are one step of Dolev, Dwork,
+Pippenger and Wigderson: a top network with n inputs feeds a middle layer,
+and a reversed concentrator (`_funnel`) carries that layer onto m outputs.
+A partial superconcentrator ends in the same funnel.
+
+Every builder takes n, the input (threshold) side, before m, the output side.
 """
 
 import math
 
 from .ackermann import alpha, lam
-from .concentrator import ConcentratorParams, build_depth1
+from .concentrator import build_depth1
 from .errors import InvalidArguments, PreconditionViolation
 from .network import (
     DEFAULT_BUDGET,
@@ -40,6 +42,18 @@ def _at_least(m: int, factor: int, base: float, exponent: float) -> bool:
         return False
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise InvalidArguments(f"epsilon must be positive and finite, got {epsilon}")
+
+
+def _funnel(top: Network, m: int, k: int, rng_seed: int, budget: int) -> Network:
+    """`top`, then a reversed (m, |top.outputs|, k)-concentrator that
+    carries top's outputs onto m outputs."""
+    bottom, _ = build_depth1(m, len(top.outputs), k, rng_seed=rng_seed, budget=budget)
+    return serial_compose(top, reverse(bottom))
+
+
 def _bipartite_block(n_in: int, n_out: int, mid: int) -> Network:
     """n_in inputs -> complete -> mid middle vertices -> complete -> n_out
     outputs; routes any k <= mid equal-size subset pair disjointly."""
@@ -56,13 +70,8 @@ def build_partial_sc_depth2(
         raise InvalidArguments(f"need n/r >= 3, got n={n}, r={r}")
     k = math.floor(n / r)
     mid = math.ceil(4 * n / (3 * r))
-    top, _ = build_depth1(
-        ConcentratorParams(m=n, n=mid, k=k, rng_seed=_child_seed(rng_seed, 0), budget=budget)
-    )
-    bottom, _ = build_depth1(
-        ConcentratorParams(m=m, n=mid, k=k, rng_seed=_child_seed(rng_seed, 1), budget=budget)
-    )
-    return serial_compose(top, reverse(bottom))
+    top, _ = build_depth1(n, mid, k, rng_seed=_child_seed(rng_seed, 0), budget=budget)
+    return _funnel(top, m, k, _child_seed(rng_seed, 1), budget)
 
 
 def partial_sc_guarantee(n: int, r: float) -> tuple:
@@ -96,61 +105,46 @@ def build_sc_depth2(
 
 
 def build_sc_depth2_linear(
-    m: int, n: int, epsilon: float, rng_seed: int = 0, budget: int = DEFAULT_BUDGET
+    n: int, m: int, epsilon: float, rng_seed: int = 0, budget: int = DEFAULT_BUDGET
 ) -> Network:
     """Linear-size depth-2 (n, m)-superconcentrator for m >= n^(2+epsilon):
     complete bipartite top into m/r middle vertices, reversed
     (m, m/r, n)-concentrator bottom, r = (m/n)^(1/(1+epsilon))."""
-    if epsilon <= 0:
-        raise InvalidArguments("epsilon must be positive")
+    _check_epsilon(epsilon)
     if not _at_least(m, 1, n, 2 + epsilon):
         raise PreconditionViolation(f"need m >= n^(2+eps): m={m}, n={n}, eps={epsilon}")
     r = (m / n) ** (1 / (1 + epsilon))
     mid = math.ceil(m / r)
-    top = complete_bipartite(n, mid)
-    bottom, _ = build_depth1(
-        ConcentratorParams(m=m, n=mid, k=n, rng_seed=_child_seed(rng_seed, 0), budget=budget)
-    )
-    return serial_compose(top, reverse(bottom))
+    return _funnel(complete_bipartite(n, mid), m, n, _child_seed(rng_seed, 0), budget)
 
 
 def build_sc_depth3_linear(
-    m: int, n: int, epsilon: float, rng_seed: int = 0, budget: int = DEFAULT_BUDGET
+    n: int, m: int, epsilon: float, rng_seed: int = 0, budget: int = DEFAULT_BUDGET
 ) -> Network:
     """Linear-size depth-<=3 (n, m)-superconcentrator for
     m >= n * (log2 n)^(2+epsilon)."""
-    if epsilon <= 0:
-        raise InvalidArguments("epsilon must be positive")
+    _check_epsilon(epsilon)
     if n < 2 or not _at_least(m, n, math.log2(n), 2 + epsilon):
         raise PreconditionViolation(
             f"need n >= 2 and m >= n*(log2 n)^(2+eps): m={m}, n={n}, eps={epsilon}"
         )
     if m >= n**3:
-        return build_sc_depth2_linear(m, n, 1.0, rng_seed, budget)
+        return build_sc_depth2_linear(n, m, 1.0, rng_seed, budget)
     r = (m / n) ** (1 / (1 + epsilon / 2))
     mid = math.ceil(m / r)
     top = build_sc_depth2(n, mid, _child_seed(rng_seed, 0), budget)
-    bottom, _ = build_depth1(
-        ConcentratorParams(m=m, n=mid, k=n, rng_seed=_child_seed(rng_seed, 1), budget=budget)
-    )
-    return serial_compose(top, reverse(bottom))
+    return _funnel(top, m, n, _child_seed(rng_seed, 1), budget)
 
 
 def build_sc_general(
-    m: int,
-    n: int,
-    d: int,
-    epsilon: float,
-    rng_seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
+    n: int, m: int, d: int, epsilon: float, rng_seed: int = 0, budget: int = DEFAULT_BUDGET
 ) -> Network:
     """Depth-(d+1) (n, m)-superconcentrator for m >= n * lambda_d(n)^(1+eps):
     an inner depth-<=d superconcentrator into m/r middle vertices, then a
     reversed (m, m/r, n)-concentrator."""
     if d < 3:
         raise InvalidArguments("recursion requires d >= 3")
-    if epsilon <= 0:
-        raise InvalidArguments("epsilon must be positive")
+    _check_epsilon(epsilon)
     if not _at_least(m, n, lam(d, n), 1 + epsilon):
         raise PreconditionViolation(
             f"need m >= n*lambda_d(n)^(1+eps): m={m}, n={n}, d={d}, eps={epsilon}"
@@ -158,10 +152,7 @@ def build_sc_general(
     r = (m / n) ** (1 / (1 + epsilon))
     mid = math.ceil(m / r)
     top = build_sc(n, mid, d, epsilon, _child_seed(rng_seed, 0), budget)
-    bottom, _ = build_depth1(
-        ConcentratorParams(m=m, n=mid, k=n, rng_seed=_child_seed(rng_seed, 1), budget=budget)
-    )
-    return serial_compose(top, reverse(bottom))
+    return _funnel(top, m, n, _child_seed(rng_seed, 1), budget)
 
 
 def build_sc(
@@ -191,18 +182,17 @@ def build_sc(
     least = 1 if n <= 4 else 2
     if max_depth < least:
         raise InvalidArguments(f"need max_depth >= {least} for n={n}, got {max_depth}")
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise InvalidArguments(f"epsilon must be positive and finite, got {epsilon}")
+    _check_epsilon(epsilon)
     if n <= 4:
         return complete_bipartite(n, m)
     if _at_least(m, 1, n, 2 + epsilon):
-        return build_sc_depth2_linear(m, n, epsilon, rng_seed, budget)
+        return build_sc_depth2_linear(n, m, epsilon, rng_seed, budget)
     if max_depth >= 3 and _at_least(m, n, math.log2(n), 2 + epsilon):
-        return build_sc_depth3_linear(m, n, epsilon, rng_seed, budget)
+        return build_sc_depth3_linear(n, m, epsilon, rng_seed, budget)
     for d in range(3, max_depth):
         lam_d = lam(d, n)
         if _at_least(m, n, lam_d, 1 + epsilon):
-            return build_sc_general(m, n, d, epsilon, rng_seed, budget)
+            return build_sc_general(n, m, d, epsilon, rng_seed, budget)
         # lambda_d(n) >= 2 for every d once n > 4, so a miss at 2 is final;
         # odd d reach 2 by d = 7 for every n <= 2^40.
         if lam_d <= 2:

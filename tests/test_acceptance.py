@@ -150,11 +150,11 @@ def test_criterion_5_construction_validity():
     ok &= verify_superconcentrator(build_sc_depth2(8, 8, rng_seed=1)).verdict == "proved"
     ok &= verify_superconcentrator(build_sc_depth2(4, 16, rng_seed=1)).verdict == "proved"
     ok &= (
-        verify_superconcentrator(build_sc_depth3_linear(23, 4, 0.5, rng_seed=1)).verdict
+        verify_superconcentrator(build_sc_depth3_linear(4, 23, 0.5, rng_seed=1)).verdict
         == "proved"
     )
     ok &= (
-        verify_superconcentrator(build_sc_general(15, 5, 3, 0.5, rng_seed=1)).verdict
+        verify_superconcentrator(build_sc_general(5, 15, 3, 0.5, rng_seed=1)).verdict
         == "proved"
     )
     _verdict(5, "construction validity, exhaustive sweeps", ok)
@@ -171,7 +171,7 @@ def test_criterion_6_size_scaling():
     worst_lin = 0.0
     for n in (3, 4, 5, 6):
         m = math.ceil(n**2.5)
-        net = build_sc_depth2_linear(m, n, 0.5, rng_seed=1, budget=500)
+        net = build_sc_depth2_linear(n, m, 0.5, rng_seed=1, budget=500)
         ratio = len(net.edges) / m
         worst_lin = max(worst_lin, ratio)
         ok &= ratio <= SIZE_RATIO_BOUND_LINEAR

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from sharecircuit import concentrator
-from sharecircuit.concentrator import ConcentratorParams, build_depth1, degree_for
+from sharecircuit.concentrator import build_depth1, degree_for
 from sharecircuit.errors import InvalidArguments, RetriesExhausted
 
 
@@ -31,8 +31,7 @@ def test_degree_for_examples():
 
 
 def test_build_depth1_small_proved():
-    params = ConcentratorParams(m=8, n=6, k=3, rng_seed=1)
-    net, report = build_depth1(params)
+    net, report = build_depth1(8, 6, 3, rng_seed=1)
     assert report.verdict == "proved"
     assert net.depth == 1
     assert len(net.inputs) == 8 and len(net.outputs) == 6
@@ -40,25 +39,22 @@ def test_build_depth1_small_proved():
 
 
 def test_build_depth1_edge_count_matches_degree():
-    params = ConcentratorParams(m=10, n=8, k=2, degree=3, rng_seed=0)
-    net, report = build_depth1(params)
+    net, report = build_depth1(10, 8, 2, degree=3, rng_seed=0)
     assert len(net.edges) == 10 * 3
     assert report.ok
 
 
 def test_build_depth1_full_degree_never_retries():
     # degree = n gives the complete bipartite graph: always a concentrator
-    params = ConcentratorParams(m=6, n=4, k=4, degree=4, rng_seed=0)
-    net, report = build_depth1(params)
+    net, report = build_depth1(6, 4, 4, degree=4, rng_seed=0)
     assert report.verdict == "proved"
     assert len(net.edges) == 24
     assert hall_condition_holds(net, 4)
 
 
 def test_build_depth1_deterministic():
-    params = ConcentratorParams(m=12, n=9, k=3, rng_seed=5)
-    net1, _ = build_depth1(params)
-    net2, _ = build_depth1(ConcentratorParams(m=12, n=9, k=3, rng_seed=5))
+    net1, _ = build_depth1(12, 9, 3, rng_seed=5)
+    net2, _ = build_depth1(12, 9, 3, rng_seed=5)
     assert sorted(net1.edges) == sorted(net2.edges)
 
 
@@ -66,9 +62,8 @@ def test_build_depth1_retries_exhausted(monkeypatch):
     # degree 1, k = 2: two inputs sharing their single output always exist
     # for m > n, so every attempt is refuted
     monkeypatch.setattr(concentrator, "MAX_RETRIES", 4)
-    params = ConcentratorParams(m=6, n=3, k=2, degree=1, rng_seed=0)
     with pytest.raises(RetriesExhausted, match="in 4 attempts") as err:
-        build_depth1(params)
+        build_depth1(6, 3, 2, degree=1, rng_seed=0)
     assert err.value.witness is not None
 
 
@@ -78,7 +73,7 @@ def test_single_draw_success_rate(monkeypatch):
     successes = 0
     for seed in range(100):
         try:
-            _, report = build_depth1(ConcentratorParams(m=16, n=12, k=4, rng_seed=seed))
+            _, report = build_depth1(16, 12, 4, rng_seed=seed)
             successes += report.ok
         except RetriesExhausted:
             pass
@@ -86,9 +81,11 @@ def test_single_draw_success_rate(monkeypatch):
 
 
 def test_params_validation():
-    with pytest.raises(InvalidArguments):
-        ConcentratorParams(m=0, n=3, k=1)
-    with pytest.raises(InvalidArguments):
-        ConcentratorParams(m=3, n=3, k=4)
-    with pytest.raises(InvalidArguments):
-        ConcentratorParams(m=3, n=3, k=1, degree=0)
+    with pytest.raises(InvalidArguments, match="m and n must be positive"):
+        build_depth1(0, 3, 1)
+    with pytest.raises(InvalidArguments, match="need 0 <= k <= min"):
+        build_depth1(3, 3, 4)
+    with pytest.raises(InvalidArguments, match="degree must be >= 1"):
+        build_depth1(3, 3, 1, degree=0)
+    with pytest.raises(InvalidArguments, match="need a budget >= 0"):
+        build_depth1(3, 3, 1, budget=-1)

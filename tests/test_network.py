@@ -10,7 +10,7 @@ import pytest
 
 from sharecircuit import _kernels, network
 from sharecircuit.circuit import circuit_from_dict, circuit_to_dict, synthesize
-from sharecircuit.concentrator import ConcentratorParams, build_depth1
+from sharecircuit.concentrator import build_depth1
 from sharecircuit.errors import (
     ArityMismatch,
     CyclicGraph,
@@ -242,7 +242,7 @@ def sweep_network(rng, i):
             side = rng.randrange(3, 6)
             return build_partial_sc_depth2(side, rng.randrange(side, 6), 1, rng_seed=i)
         k = rng.randrange(0, min(m, n) + 1)
-        return build_depth1(ConcentratorParams(m, n, k, rng_seed=i))[0]
+        return build_depth1(m, n, k, rng_seed=i)[0]
     return random_dag(rng)
 
 
@@ -543,7 +543,7 @@ def flow_network(rng, i):
                        range(m), range(m, m + n))
     if kind == 3:
         k = rng.randrange(0, min(m, n) + 1)
-        return build_depth1(ConcentratorParams(m, n, k, rng_seed=i))[0]
+        return build_depth1(m, n, k, rng_seed=i)[0]
     side = rng.randrange(3, 6)
     return build_partial_sc_depth2(side, rng.randrange(side, 7), 1, rng_seed=i)
 

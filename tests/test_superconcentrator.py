@@ -88,7 +88,7 @@ def test_sc_depth2_argument_errors():
 
 def test_sc_depth2_linear_proved():
     # m >= n^(2+eps) with eps = 1: n = 3, m = 27
-    net = build_sc_depth2_linear(81, 3, 1.0, rng_seed=1)
+    net = build_sc_depth2_linear(3, 81, 1.0, rng_seed=1)
     assert net.depth == 2
     report = verify_superconcentrator(net)
     assert report.verdict == "proved"
@@ -96,13 +96,13 @@ def test_sc_depth2_linear_proved():
 
 def test_sc_depth2_linear_precondition():
     with pytest.raises(PreconditionViolation):
-        build_sc_depth2_linear(8, 3, 1.0)
+        build_sc_depth2_linear(3, 8, 1.0)
     with pytest.raises(InvalidArguments):
-        build_sc_depth2_linear(81, 3, 0)
+        build_sc_depth2_linear(3, 81, 0)
 
 
 def test_sc_depth3_linear_proved():
-    net = build_sc_depth3_linear(23, 4, 0.5, rng_seed=1)
+    net = build_sc_depth3_linear(4, 23, 0.5, rng_seed=1)
     assert net.depth <= 3
     report = verify_superconcentrator(net)
     assert report.verdict == "proved"
@@ -110,18 +110,18 @@ def test_sc_depth3_linear_proved():
 
 def test_sc_depth3_linear_delegates_when_very_wide():
     # m >= n^3 falls back to the depth-2 construction
-    net = build_sc_depth3_linear(27, 3, 0.5, rng_seed=1)
+    net = build_sc_depth3_linear(3, 27, 0.5, rng_seed=1)
     assert net.depth <= 2
     assert verify_superconcentrator(net).verdict == "proved"
 
 
 def test_sc_depth3_linear_precondition():
     with pytest.raises(PreconditionViolation):
-        build_sc_depth3_linear(5, 4, 0.5)
+        build_sc_depth3_linear(4, 5, 0.5)
 
 
 def test_sc_general_proved():
-    net = build_sc_general(15, 5, 3, 0.5, rng_seed=1)
+    net = build_sc_general(5, 15, 3, 0.5, rng_seed=1)
     assert net.depth <= 4
     report = verify_superconcentrator(net)
     assert report.verdict == "proved"
@@ -129,9 +129,9 @@ def test_sc_general_proved():
 
 def test_sc_general_preconditions():
     with pytest.raises(InvalidArguments):
-        build_sc_general(100, 5, 2, 0.5)
+        build_sc_general(5, 100, 2, 0.5)
     with pytest.raises(InvalidArguments):
-        build_sc_general(100, 5, 3, 0)
+        build_sc_general(5, 100, 3, 0)
     with pytest.raises(PreconditionViolation):
         build_sc_general(5, 5, 3, 0.5)
 
@@ -196,9 +196,9 @@ def test_a_power_that_overflows_fails_the_precondition():
     huge = 1e300
     for depth in (2, 4, 9):
         assert build_sc(5, 6, depth, huge, rng_seed=1) == build_sc_depth2(5, 6, 1)
-    for build in (lambda: build_sc_depth2_linear(10**6, 5, huge),
-                  lambda: build_sc_depth3_linear(10**6, 5, huge),
-                  lambda: build_sc_general(10**6, 5, 3, huge)):
+    for build in (lambda: build_sc_depth2_linear(5, 10**6, huge),
+                  lambda: build_sc_depth3_linear(5, 10**6, huge),
+                  lambda: build_sc_general(5, 10**6, 3, huge)):
         with pytest.raises(PreconditionViolation):
             build()
 

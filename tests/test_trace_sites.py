@@ -7,7 +7,7 @@ import importlib.util
 from pathlib import Path
 
 from sharecircuit import network
-from sharecircuit.concentrator import ConcentratorParams, build_depth1
+from sharecircuit.concentrator import build_depth1
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -37,7 +37,7 @@ def test_every_flow_query_is_one_traced_kernel_call():
     superconcentrator sweep of a depth-2 graph with 50 edges certifies the
     pairs of size k <= 3 (k^3 <= E) and leaves the 26 larger ones to flow.
     Every query of a proved sweep finds as many paths as it has inputs."""
-    shallow = build_depth1(ConcentratorParams(12, 8, 4, rng_seed=1))[0]
+    shallow = build_depth1(12, 8, 4, rng_seed=1)[0]
     deep = network.serial_compose(network.complete_bipartite(5, 5),
                                   network.complete_bipartite(5, 5))
     assert shallow.depth == 1 and deep.depth == 2
