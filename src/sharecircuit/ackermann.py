@@ -1,32 +1,14 @@
-"""Slowly-growing depth-selection functions: lambda_d, the star operator,
-and the two-parameter inverse Ackermann function."""
+"""Slowly-growing depth-selection functions: lambda_d, built by the star
+operator, and the two-parameter inverse Ackermann function."""
 
 import math
 from functools import lru_cache
 
-from .errors import InvalidArguments, NonDecreasingFunction
+from .errors import InvalidArguments
 
 # Memoized lambda values stay exact; the argument bound keeps iteration
 # counts finite for adversarial callers.
 MAX_ARGUMENT = 2**40
-
-
-def f_star(f, n: int) -> int:
-    """Smallest i such that the i-fold composition f(f(...f(n))) <= 1.
-
-    Requires f(x) < x for x > 1; checked dynamically while iterating.
-    """
-    if n < 1:
-        raise InvalidArguments(f"n must be >= 1, got {n}")
-    count = 0
-    x = n
-    while x > 1:
-        nxt = f(x)
-        if nxt >= x:
-            raise NonDecreasingFunction(f"f({x}) = {nxt} does not decrease")
-        x = nxt
-        count += 1
-    return count
 
 
 def lam(d: int, n: int) -> int:
@@ -57,23 +39,12 @@ def lam(d: int, n: int) -> int:
 # The base cases are cheaper than a cache lookup; only the recursive star
 # levels are memoized, with a bound so full-range sweeps stay in memory.
 # Each step of the star is a lookup of its own, so the counts of the values
-# a sweep passes through are shared: `f_star` with f = lambda_{d-2} is the
-# reference, and lambda_{d-2}(x) < x for x > 1 keeps the recursion finite.
+# a sweep passes through are shared. The star of f counts the applications
+# of f that take n down to 1 or below; lambda_{d-2}(x) < x for x > 1 keeps
+# the recursion finite.
 @lru_cache(maxsize=1 << 16)
 def _lam_star(d: int, n: int) -> int:
     return 0 if n <= 1 else 1 + _lam_star(d, lam(d - 2, n))
-
-
-def log_star(n: int) -> int:
-    """Iterated base-2 logarithm: iterations of log2 until the value is <= 1."""
-    if n < 1:
-        raise InvalidArguments(f"n must be >= 1, got {n}")
-    count = 0
-    x = float(n)
-    while x > 1:
-        x = math.log2(x)
-        count += 1
-    return count
 
 
 def alpha(m: int, n: int) -> int:

@@ -2,7 +2,7 @@
 bipartite graphs with post-construction verification and seeded retry.
 
 As in the paper's notation, m is the input side and n the output side: every
-k-subset of the m inputs reaches k of the n outputs by disjoint edges."""
+k-subset of the m inputs has a matching into the n outputs."""
 
 import math
 import random
@@ -13,6 +13,7 @@ from .network import (
     Network,
     VerificationReport,
     check_budget,
+    check_size,
     verify_concentrator,
 )
 
@@ -58,6 +59,8 @@ def build_depth1(
         raise InvalidArguments("degree must be >= 1")
     check_budget(budget)
     degree = min(n, degree if degree is not None else _default_degree(m, n, k))
+    check_size("vertices", m + n)
+    check_size("edges", m * degree)
     inputs = tuple(range(m))
     outputs = tuple(range(m, m + n))
     last_report = None

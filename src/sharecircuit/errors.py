@@ -17,10 +17,6 @@ class IndexOutOfRange(ShareCircuitError):
     pass
 
 
-class NonDecreasingFunction(ShareCircuitError):
-    pass
-
-
 class CyclicGraph(ShareCircuitError):
     pass
 

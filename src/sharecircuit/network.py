@@ -27,6 +27,20 @@ from .field import DEFAULT_PRIME
 
 DEFAULT_BUDGET = 200_000
 
+# The largest vertex or edge count that check_size lets through.
+MAX_SIZE = 10**7
+
+
+def check_size(what: str, count: int) -> None:
+    """Raise InvalidArguments when `count` vertices or edges exceed MAX_SIZE.
+
+    At the maximum a network holds about 0.5 GB for its vertices (0.7 GB at
+    the peak of building it) and about 1 GB for its edges (1.7 GB at the
+    peak), so a builder calls this before it allocates either.
+    """
+    if count > MAX_SIZE:
+        raise InvalidArguments(f"{count} {what} exceed the maximum of {MAX_SIZE}")
+
 # The path matrix's edge weights come from a fixed stream of their own, so
 # that drawing them moves no sampled pair of a sweep. Its certificate is
 # sound for any weights; random ones over a large prime only make a zero
@@ -44,11 +58,13 @@ class Network:
     order is whatever the caller gave: nothing computed from a network
     depends on it, and only the serialized form sorts the edges.
 
-    Construction validates: it raises TerminalNotInNetwork on an edge or a
-    terminal out of range, DuplicateTerminal on a terminal listed twice or
-    both an input and an output, DanglingInputOutput on an edge into an
-    input, and CyclicGraph on a directed cycle. So every network that
-    exists is valid, and no caller checks one again.
+    Construction validates: it raises InvalidArguments on a vertex_count
+    above MAX_SIZE before it allocates anything per vertex,
+    TerminalNotInNetwork on an edge or a terminal out of range,
+    DuplicateTerminal on a terminal listed twice or both an input and an
+    output, DanglingInputOutput on an edge into an input, and CyclicGraph on
+    a directed cycle. So every network that exists is valid, and no caller
+    checks one again.
 
     The successor lists, the terminal sets and the topological order are
     computed at construction, the depth and the path matrix of the pair
@@ -66,6 +82,7 @@ class Network:
         n = self.vertex_count
         if type(n) is not int:
             raise InvalidArguments(f"vertex_count must be an integer, got {n!r}")
+        check_size("vertices", n)
         try:
             edges = tuple((u, v) for u, v in self.edges)
         except (TypeError, ValueError):
@@ -450,6 +467,8 @@ def reverse(net: Network) -> Network:
 
 def complete_bipartite(m: int, n: int) -> Network:
     """Depth-1 network with m inputs each connected to all n outputs."""
+    check_size("vertices", m + n)
+    check_size("edges", m * n)
     edges = [(i, m + j) for i in range(m) for j in range(n)]
     return Network(m + n, edges, tuple(range(m)), tuple(range(m, m + n)))
 

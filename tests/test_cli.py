@@ -186,6 +186,8 @@ def test_synth_ss_refuses_a_t_other_than_the_input_count(capsys, tmp_path):
 
 # The smallest strong pseudoprime to the 13 Miller-Rabin bases 2..41.
 PSEUDOPRIME = "3317044064679887385961981"
+# A side that would allocate gigabytes; the builders refuse it first.
+TOO_LARGE = str(10**9)
 
 
 @pytest.mark.parametrize("argv", [
@@ -198,12 +200,16 @@ PSEUDOPRIME = "3317044064679887385961981"
     ("verify-ss", "--circuit", "{wide}"),
     ("share", "--circuit", "{wide}", "--secret", "1", "--out", "{out}"),
     ("reconstruct", "--circuit", "{wide}", "--shares", "{shares}"),
+    ("verify-graph", "{huge}", "--property", "sc"),
+    ("gen-concentrator", "--m", TOO_LARGE, "--n", "8", "--k", "4", "--out", "{out}"),
+    ("gen-sc", "--inputs", "3", "--outputs", TOO_LARGE, "--out", "{out}"),
 ], ids=["composite-modulus", "composite-modulus-file", "lambda-deep", "lambda-huge",
         "gen-sc-overflow", "synth-ss-t", "verify-ss-wide",
-        "share-wide", "reconstruct-wide"])
+        "share-wide", "reconstruct-wide",
+        "vertex-count-huge", "gen-concentrator-huge", "gen-sc-huge"])
 def test_no_input_ends_in_a_traceback(capsys, tmp_path, argv):
     paths = {name: tmp_path / f"{name}.json"
-             for name in ("graph", "out", "wide", "pseudoprime", "shares")}
+             for name in ("graph", "out", "wide", "pseudoprime", "shares", "huge")}
     run(capsys, "gen-sc", "--inputs", "2", "--outputs", "3", "--out", str(paths["graph"]))
     run(capsys, "synth-ss", "--graph", str(paths["graph"]), "--t", "2",
         "--out", str(paths["pseudoprime"]))
@@ -212,7 +218,10 @@ def test_no_input_ends_in_a_traceback(capsys, tmp_path, argv):
     doc = json.loads(paths["pseudoprime"].read_text())
     paths["pseudoprime"].write_text(json.dumps(dict(doc, modulus=int(PSEUDOPRIME))))
     write_wide_circuit(paths["wide"])
+    paths["huge"].write_text(json.dumps(
+        {"vertex_count": 10**10, "edges": [], "inputs": [0], "outputs": [1]}))
     composite = PSEUDOPRIME in argv or "{pseudoprime}" in argv
+    too_large = "{huge}" in argv or argv[0] != "lambda" and TOO_LARGE in argv
     argv = [a.format(**paths) for a in argv]
     code, out, err = run(capsys, *argv)
     assert code in (0, 1, 2) and "Traceback" not in err, (code, err)
@@ -220,8 +229,10 @@ def test_no_input_ends_in_a_traceback(capsys, tmp_path, argv):
         assert err.startswith("error:") and "RESULT" not in out
     if composite:
         assert code == 1 and f"is at least {PSEUDOPRIME}" in err
-    if argv[0] == "gen-sc":
+    if "1e300" in argv:
         assert code == 0 and "built_depth=2" in out
+    if too_large:
+        assert code == 1 and "exceed the maximum of" in err, err
     if argv[0] == "lambda":
         assert code == 0 and out.strip() in ("2", "3")
 

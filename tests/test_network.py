@@ -22,6 +22,7 @@ from sharecircuit.errors import (
 from sharecircuit.field import FieldModulus
 from sharecircuit.network import (
     DEFAULT_BUDGET,
+    MAX_SIZE,
     Network,
     VerificationReport,
     complete_bipartite,
@@ -728,6 +729,17 @@ def test_validate_errors():
         with pytest.raises(InvalidArguments, match=re.escape(message) + "$"):
             Network(3, [(0, 2), bad], (0,), (2,))
     Network(2, [(0, 1)], (0,), (1,))
+
+
+def test_sizes_above_the_maximum_are_refused_before_allocating():
+    # Each of these would allocate gigabytes if it got past its check; the
+    # CLI tests cover a graph file's vertex count.
+    with pytest.raises(InvalidArguments, match=f"{MAX_SIZE + 1} vertices exceed"):
+        complete_bipartite(1, MAX_SIZE)
+    with pytest.raises(InvalidArguments, match=f"{4 * MAX_SIZE} edges exceed"):
+        complete_bipartite(8, MAX_SIZE // 2)
+    with pytest.raises(InvalidArguments, match=f"{4 * MAX_SIZE} edges exceed"):
+        build_depth1(MAX_SIZE // 2, 8, 4, degree=8)
 
 
 def test_disjoint_paths_examples():

@@ -136,6 +136,20 @@ def test_sc_general_preconditions():
         build_sc_general(5, 5, 3, 0.5)
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0, -1])
+@pytest.mark.parametrize("build", [
+    lambda eps: build_sc(10, 20, 3, eps),
+    lambda eps: build_sc_depth2_linear(1, 10, eps),
+    lambda eps: build_sc_depth3_linear(2, 40, eps),
+    lambda eps: build_sc_general(2, 10, 3, eps),
+], ids=["table", "depth2-linear", "depth3-linear", "recursion"])
+def test_every_builder_refuses_an_epsilon_that_is_not_finite_and_positive(build, epsilon):
+    # NaN compares false both ways: it once passed `epsilon <= 0`, and the
+    # depth-3 builder built a graph at n = 2, m = 40.
+    with pytest.raises(InvalidArguments, match="epsilon must be positive and finite"):
+        build(epsilon)
+
+
 def test_recommended_depth_examples():
     assert recommended_depth(32768, 256) == 4
     assert recommended_depth(256, 256) == 6
