@@ -3,7 +3,13 @@ connectivity / rank / entropy verifiers, with reproducible seeds.
 
 Every command's arguments are declared once, in COMMANDS. A call builds the
 parser of its own command only; -h, no arguments or an unknown command build
-every command's, so that help and `invalid choice` list them all.
+every command's, so that help and `invalid choice` list them all. `main`
+builds each of these parsers the first time it needs it in a process and
+reuses it after that, so a shell call builds the same parsers as before and
+later calls in the same process build none. Reuse is safe because a parser
+holds only what COMMANDS declares: argparse makes a new Namespace on every
+parse, every default is immutable, every action stores, and output streams
+and the help width are looked up when something is printed.
 
 Exit codes: 0 on success (proved or sampled_pass), 2 on refuted (witness
 printed) or on a usage error, 1 on an input or I/O error.
@@ -11,6 +17,7 @@ printed) or on a usage error, 1 on an input or I/O error.
 
 import argparse
 import csv
+import functools
 import itertools
 import math
 import sys
@@ -253,10 +260,15 @@ def build_parser(command=None):
     return parser
 
 
+# build_parser(command), built once per process: the key is the command, or
+# None for -h, no arguments and an unknown command.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ShareCircuitError, OSError, ValueError) as exc:

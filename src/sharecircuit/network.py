@@ -28,15 +28,17 @@ from .field import DEFAULT_PRIME
 DEFAULT_BUDGET = 200_000
 
 # The largest vertex or edge count that check_size lets through.
-MAX_SIZE = 10**7
+MAX_SIZE = 10**6
 
 
 def check_size(what: str, count: int) -> None:
     """Raise InvalidArguments when `count` vertices or edges exceed MAX_SIZE.
 
-    At the maximum a network holds about 0.5 GB for its vertices (0.7 GB at
-    the peak of building it) and about 1 GB for its edges (1.7 GB at the
-    peak), so a builder calls this before it allocates either.
+    At the maximum a network holds about 48 MB for its vertices, isolated
+    ones included (73 MB at the peak of building it, under 80 MB on Python
+    3.10-3.13), and about 0.1 GB for its edges (0.17 GB at the peak of
+    `complete_bipartite`), by tracemalloc at a tenth of the maximum, scaled;
+    so a builder calls this before it allocates either.
     """
     if count > MAX_SIZE:
         raise InvalidArguments(f"{count} {what} exceed the maximum of {MAX_SIZE}")

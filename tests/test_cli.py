@@ -3,12 +3,16 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from sharecircuit import cli
 from sharecircuit.cli import COMMANDS, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -664,7 +668,10 @@ def test_main_builds_only_the_parsers_it_needs(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
 
-    def parsers_built(*argv):
+    def parsers_built(*argv, cold=True):
+        # An earlier test may have warmed the memo; a cold count clears it.
+        if cold:
+            cli._parser.cache_clear()
         built.clear()
         try:
             main(list(argv))
@@ -677,3 +684,79 @@ def test_main_builds_only_the_parsers_it_needs(capsys, monkeypatch):
     assert parsers_built("gen-sc", "-h") == parsers_built("share", "--bogus") == 2
     every = 1 + len(COMMANDS)
     assert parsers_built("-h") == parsers_built("nope") == parsers_built() == every
+    # A second identical call reuses what the first built.
+    for argv in (("lambda", "4", "16"), ("gen-sc", "-h"), ("share", "--bogus"), ("-h",),
+                 ("nope",), ()):
+        parsers_built(*argv)
+        assert parsers_built(*argv, cold=False) == 0, argv
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as stop:
+        code = stop.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_reused_parsers_answer_as_fresh_ones(capsys, tmp_path, monkeypatch):
+    """Cold (memo cleared before every call) and warm (every parser built
+    and used before), in forward and in reversed order, main prints and
+    returns the same for usage errors and for the benchmark's calls."""
+    argvs = [["-h"], [], ["nope"], ["--bogus"]]
+    argvs += [argv for name, (_, specs) in COMMANDS.items() for argv in usage_errors(name, specs)]
+    argvs += benchmark_argvs(tmp_path, monkeypatch)
+    capsys.readouterr()
+    for order in (argvs, argvs[::-1]):
+        cold = []
+        for argv in order:
+            cli._parser.cache_clear()
+            cold.append(outcome(capsys, argv))
+        for name in [None, *COMMANDS]:
+            cli._parser(name)
+        warm = [outcome(capsys, argv) for argv in order]
+        for argv, a, b in zip(order, cold, warm):
+            assert a == b, argv
+    assert {code for code, _, _ in cold} == {0, 2}
+
+
+def test_every_spec_has_an_immutable_default_and_a_plain_store_action():
+    # What makes a parser safe to reuse: no parse can change a default.
+    for name, (_, specs) in COMMANDS.items():
+        for flag, kwargs in specs:
+            assert type(kwargs.get("default")) in (type(None), int, float, str), (name, flag)
+            assert kwargs.get("action", "store") == "store", (name, flag)
+        parser = cli.build_parser(name)
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for action in sub.choices[name]._actions:
+            assert type(action) in (argparse._StoreAction, argparse._HelpAction), (name, action)
+
+
+# Counts the parsers that one shell-like call of main builds.
+COUNT_PARSERS = """
+import argparse, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+from sharecircuit.cli import main
+try:
+    main()
+except SystemExit:
+    pass
+print("parsers", len(built))
+"""
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    (["lambda", "4", "16"], 2), (["-h"], 1 + len(COMMANDS)),
+], ids=["one-command", "help"])
+def test_a_fresh_process_builds_the_parsers_of_its_call(argv, parsers):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", COUNT_PARSERS, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == f"parsers {parsers}"

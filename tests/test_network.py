@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import tracemalloc
 from collections import Counter, deque
 from dataclasses import FrozenInstanceError, astuple
 from itertools import combinations
@@ -732,14 +733,26 @@ def test_validate_errors():
 
 
 def test_sizes_above_the_maximum_are_refused_before_allocating():
-    # Each of these would allocate gigabytes if it got past its check; the
-    # CLI tests cover a graph file's vertex count.
+    # Each of these would allocate 0.2 GB or more if it got past its check;
+    # the CLI tests cover a graph file's vertex count.
     with pytest.raises(InvalidArguments, match=f"{MAX_SIZE + 1} vertices exceed"):
         complete_bipartite(1, MAX_SIZE)
     with pytest.raises(InvalidArguments, match=f"{4 * MAX_SIZE} edges exceed"):
         complete_bipartite(8, MAX_SIZE // 2)
     with pytest.raises(InvalidArguments, match=f"{4 * MAX_SIZE} edges exceed"):
         build_depth1(MAX_SIZE // 2, 8, 4, degree=8)
+
+
+def test_a_network_at_the_maximum_size_stays_under_its_stated_memory():
+    # check_size states under 80 MB at the peak of building a network of
+    # MAX_SIZE isolated vertices; a tenth of it, scaled, measures that.
+    tracemalloc.start()
+    try:
+        Network(MAX_SIZE // 10, [], (0,), (1,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak * 10 < 80e6, peak
 
 
 def test_disjoint_paths_examples():
