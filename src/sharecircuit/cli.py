@@ -4,12 +4,12 @@ connectivity / rank / entropy verifiers, with reproducible seeds.
 Every command's arguments are declared once, in COMMANDS. A call builds the
 parser of its own command only; -h, no arguments or an unknown command build
 every command's, so that help and `invalid choice` list them all. `main`
-builds each of these parsers the first time it needs it in a process and
-reuses it after that, so a shell call builds the same parsers as before and
-later calls in the same process build none. Reuse is safe because a parser
-holds only what COMMANDS declares: argparse makes a new Namespace on every
-parse, every default is immutable, every action stores, and output streams
-and the help width are looked up when something is printed.
+builds each of these parsers the first time a process needs it and reuses it
+after that: a shell call builds the parsers it always did, and a later call
+in the same process builds none. A reused parser answers as a fresh one: it
+holds only what COMMANDS declares, every default is immutable and every
+action a plain store, and argparse makes a new Namespace on every parse and
+looks up its output streams and the help width when it prints.
 
 Exit codes: 0 on success (proved or sampled_pass), 2 on refuted (witness
 printed) or on a usage error, 1 on an input or I/O error.

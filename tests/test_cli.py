@@ -4,16 +4,20 @@ import importlib.util
 import itertools
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
+import time
+import traceback
 from pathlib import Path
 
 import pytest
 
 from sharecircuit import cli
 from sharecircuit.cli import COMMANDS, build_parser, main
+from sharecircuit.network import MAX_SIZE
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -703,8 +707,9 @@ def outcome(capsys, argv):
 
 def test_reused_parsers_answer_as_fresh_ones(capsys, tmp_path, monkeypatch):
     """Cold (memo cleared before every call) and warm (every parser built
-    and used before), in forward and in reversed order, main prints and
-    returns the same for usage errors and for the benchmark's calls."""
+    beforehand and reused through the pass, after failures and successes),
+    in forward and in reversed order, main prints and returns the same for
+    usage errors and for the benchmark's calls."""
     argvs = [["-h"], [], ["nope"], ["--bogus"]]
     argvs += [argv for name, (_, specs) in COMMANDS.items() for argv in usage_errors(name, specs)]
     argvs += benchmark_argvs(tmp_path, monkeypatch)
@@ -724,14 +729,12 @@ def test_reused_parsers_answer_as_fresh_ones(capsys, tmp_path, monkeypatch):
 
 def test_every_spec_has_an_immutable_default_and_a_plain_store_action():
     # What makes a parser safe to reuse: no parse can change a default.
-    for name, (_, specs) in COMMANDS.items():
-        for flag, kwargs in specs:
-            assert type(kwargs.get("default")) in (type(None), int, float, str), (name, flag)
-            assert kwargs.get("action", "store") == "store", (name, flag)
-        parser = cli.build_parser(name)
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name in COMMANDS:
+        sub = next(a for a in build_parser(name)._actions
+                   if isinstance(a, argparse._SubParsersAction))
         for action in sub.choices[name]._actions:
             assert type(action) in (argparse._StoreAction, argparse._HelpAction), (name, action)
+            assert type(action.default) in (type(None), int, float, str), (name, action)
 
 
 # Counts the parsers that one shell-like call of main builds.
@@ -760,3 +763,141 @@ def test_a_fresh_process_builds_the_parsers_of_its_call(argv, parsers):
     done = subprocess.run([sys.executable, "-c", COUNT_PARSERS, *argv], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == f"parsers {parsers}"
+
+
+# A seeded fuzz of every command, in one process through main: boundary
+# argument values, and graph, circuit and share files mutated from valid
+# ones. Every call must end in exit code 0, 1 or 2, with no traceback, and
+# an exit code 1 with an `error:` line.
+FUZZ_SEED = 20261020
+# The values each argument draws from when it is not left valid.
+BOUNDARY = ["0", "-1", str(2**63), str(10**30), "nan", "inf", "1e300", "x", ""]
+DRAWS_PER_COMMAND = 100
+# Wrong types for a field; None is JSON null.
+WRONG_TYPES = ["x", True, 2.5, None, {}]
+OUT_OF_RANGE = [-1, 2**63, 10**30]
+DEEP = 10**4
+
+
+def valid_files(capsys):
+    """A small graph, a circuit over the default prime on it, its share file
+    and a circuit over GF(3), small enough to enumerate, in the working
+    directory."""
+    for argv in (
+        ("gen-sc", "--inputs", "3", "--outputs", "5", "--out", "graph.json"),
+        ("synth-ss", "--graph", "graph.json", "--t", "3", "--out", "circuit.json"),
+        ("share", "--circuit", "circuit.json", "--secret", "5", "--out", "shares.json"),
+        ("gen-sc", "--inputs", "2", "--outputs", "3", "--out", "small_graph.json"),
+        ("synth-ss", "--graph", "small_graph.json", "--t", "2", "--modulus", "3",
+         "--seed", "0", "--out", "small.json"),
+    ):
+        assert outcome(capsys, argv)[0] == 0, argv
+
+
+def mutations(doc):
+    """Documents that differ from doc in one place: a field dropped, of the
+    wrong type, out of range or nested DEEP lists deep, a list's first
+    entry of the wrong type or out of range, a first edge or share of the
+    wrong length, and a vertex count above MAX_SIZE. Deep nesting is
+    written as text, since json.dumps cannot encode it."""
+    deep = "[" * DEEP + "]" * DEEP
+    for key, value in doc.items():
+        yield json.dumps({k: v for k, v in doc.items() if k != key})
+        for bad in WRONG_TYPES + (OUT_OF_RANGE if type(value) is int else []):
+            yield json.dumps({**doc, key: bad})
+        yield json.dumps({**doc, key: "DEEP"}).replace('"DEEP"', deep)
+        if type(value) is list and value:
+            first = value[0]
+            bads = WRONG_TYPES + OUT_OF_RANGE
+            if type(first) is list:
+                bads = bads + [first[:1], first + first[:1], []]
+            for bad in bads:
+                yield json.dumps({**doc, key: [bad, *value[1:]]})
+    if "vertex_count" in doc:
+        yield json.dumps({**doc, "vertex_count": MAX_SIZE + 1})
+
+
+# Each command's valid arguments, in order; a file argument names one of
+# the valid files, which the draws also replace by mutated ones.
+VALID = {
+    "gen-concentrator": ["--m", "8", "--n", "6", "--k", "3", "--degree", "3", "--seed", "1",
+                         "--budget", "50", "--out", "out.json"],
+    "gen-sc": ["--inputs", "3", "--outputs", "5", "--depth", "2", "--epsilon", "0.5",
+               "--seed", "1", "--budget", "50", "--out", "out.json"],
+    "verify-graph": ["graph.json", "--property", "sc", "--budget", "50", "--seed", "1"],
+    "synth-ss": ["--graph", "graph.json", "--t", "3", "--modulus", "7", "--seed", "1",
+                 "--out", "out.json"],
+    "verify-ss": ["--circuit", "circuit.json", "--budget", "50", "--seed", "1"],
+    "share": ["--circuit", "circuit.json", "--secret", "5", "--seed", "1", "--out", "out.json"],
+    "reconstruct": ["--circuit", "circuit.json", "--shares", "shares.json"],
+    "entropy-verify": ["--circuit", "small.json", "--tol", "1e-9"],
+    "lambda": ["4", "16"],
+    "alpha": ["32768", "256"],
+    "bench": ["--builder", "sc-depth2", "--sizes", "2,3", "--seed", "1", "--budget", "50"],
+}
+
+# (command, the kind of file it reads) for each file argument in VALID.
+READERS = [("verify-graph", "graph"), ("synth-ss", "graph"), ("verify-ss", "circuit"),
+           ("share", "circuit"), ("reconstruct", "circuit"), ("reconstruct", "shares"),
+           ("entropy-verify", "small")]
+
+
+def drawn_argvs(rng, files):
+    """DRAWS_PER_COMMAND argument lists per command: each value is kept with
+    probability 2/3, else replaced by a boundary value or, for a file, by a
+    mutated file of its kind and, for a property, by a property whose
+    integers are boundary values."""
+    for name, argv in VALID.items():
+        values = [i for i, a in enumerate(argv) if not a.startswith("--")]
+        for _ in range(DRAWS_PER_COMMAND):
+            drawn = [name, *argv]
+            for i in values:
+                if rng.random() < 2 / 3:
+                    continue
+                kind = argv[i].removesuffix(".json")
+                value = rng.choice(BOUNDARY)
+                if kind in files and rng.random() < 0.5:
+                    value = rng.choice(files[kind])
+                elif argv[i - 1] == "--property" and rng.random() < 0.5:
+                    value = rng.choice([f"concentrator:{value}",
+                                        f"partial:{value},{rng.choice(BOUNDARY)}"])
+                drawn[i + 1] = value
+            yield drawn
+
+
+def test_no_fuzzed_call_ends_in_a_traceback(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    valid_files(capsys)
+    files, argvs = {}, []
+    for kind in ("graph", "circuit", "shares", "small"):
+        doc = json.loads((tmp_path / f"{kind}.json").read_text())
+        files[kind] = []
+        for i, text in enumerate(mutations(doc)):
+            path = tmp_path / f"{kind}_{i}.json"
+            path.write_text(text)
+            files[kind].append(path.name)
+    # Every mutated file once, through each command that reads its kind.
+    for name, kind in READERS:
+        argv = [name, *VALID[name]]
+        slot = argv.index(f"{kind}.json")
+        argvs += [[*argv[:slot], path, *argv[slot + 1:]] for path in files[kind]]
+    argvs += drawn_argvs(random.Random(FUZZ_SEED), files)
+    assert {argv[0] for argv in argvs} == set(COMMANDS)
+
+    failures, codes = [], set()
+    for argv in argvs:
+        try:
+            code, out, err = outcome(capsys, argv)
+        except Exception:  # every exception that escapes main is a failure to report
+            failures.append((argv, traceback.format_exc()))
+            continue
+        codes.add(code)
+        if code not in (0, 1, 2) or "Traceback" in err or code == 1 and not err.startswith("error:"):
+            failures.append((argv, code, err))
+    elapsed = time.perf_counter() - start
+    assert not failures, failures[:10]
+    # Successes, input errors and usage errors or refutations all occur.
+    assert codes == {0, 1, 2}
+    # Well under a second here; the bound leaves room for a loaded machine.
+    assert elapsed < 30, elapsed
