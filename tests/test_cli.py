@@ -776,7 +776,8 @@ DRAWS_PER_COMMAND = 100
 # Wrong types for a field; None is JSON null.
 WRONG_TYPES = ["x", True, 2.5, None, {}]
 OUT_OF_RANGE = [-1, 2**63, 10**30]
-DEEP = 10**4
+# List depths: one that every supported Python's json reads, one that none does.
+DEPTHS = (500, 10**4)
 
 
 def valid_files(capsys):
@@ -796,16 +797,16 @@ def valid_files(capsys):
 
 def mutations(doc):
     """Documents that differ from doc in one place: a field dropped, of the
-    wrong type, out of range or nested DEEP lists deep, a list's first
+    wrong type, out of range or a list nested DEPTHS deep, a list's first
     entry of the wrong type or out of range, a first edge or share of the
     wrong length, and a vertex count above MAX_SIZE. Deep nesting is
     written as text, since json.dumps cannot encode it."""
-    deep = "[" * DEEP + "]" * DEEP
     for key, value in doc.items():
         yield json.dumps({k: v for k, v in doc.items() if k != key})
         for bad in WRONG_TYPES + (OUT_OF_RANGE if type(value) is int else []):
             yield json.dumps({**doc, key: bad})
-        yield json.dumps({**doc, key: "DEEP"}).replace('"DEEP"', deep)
+        for depth in DEPTHS:
+            yield json.dumps({**doc, key: "DEEP"}).replace('"DEEP"', "[" * depth + "]" * depth)
         if type(value) is list and value:
             first = value[0]
             bads = WRONG_TYPES + OUT_OF_RANGE
