@@ -1,8 +1,9 @@
 """The kernels of the cost model: vertex-disjoint paths by augmenting paths
 (Menger's theorem, for the connectivity sweeps), and one fraction-free
-Gaussian elimination over GF(p) on packed rows (for the sampled threshold
-conditions, reconstruction, the path-matrix certificate of the pair sweeps
-and GF(p) matrix rank).
+Gaussian elimination over GF(p) on packed rows, called by
+`network.PathMatrix.certifies` (the rank test of the pair sweeps'
+certificate and of sampled `validate_scheme`), by `circuit.reconstruct` and
+by `gf_rank`.
 
 A packed row is one int holding one entry per column in slots of
 `slot_width(p)` bits (Kronecker substitution), so that one row operation is

@@ -9,11 +9,12 @@ from functools import cached_property
 from math import comb
 
 from . import _kernels
-from .errors import InvalidArguments, SingularSubmatrix
+from .errors import InvalidArguments, SingularSubmatrix, quote
 from .field import FieldModulus, Matrix, check_indices
 from .network import (
     DEFAULT_BUDGET,
     Network,
+    PathMatrix,
     check_budget,
     check_fields,
     input_rows,
@@ -54,7 +55,7 @@ class LinearCircuit:
             coefficients and not 0 <= min(coefficients) <= max(coefficients) < p
         ):
             bad = next(c for c in coefficients if type(c) is not int or not 0 <= c < p)
-            raise InvalidArguments(f"coefficients must be integers in [0, {p}), got {bad!r}")
+            raise InvalidArguments(f"coefficients must be integers in [0, {p}), got {quote(bad)}")
         if not 1 <= len(self.net.inputs) <= len(self.net.outputs):
             raise InvalidArguments(
                 f"need 1 <= inputs <= outputs, got {len(self.net.inputs)} inputs "
@@ -235,16 +236,6 @@ def _walk_coalitions(M: Matrix, t: int, p: int):
     return recover_checks, privacy_checks, leak
 
 
-def _coalition_holds(rows, T, p: int) -> bool:
-    """Both rank conditions on one coalition, by one `_kernels.eliminate`
-    over its packed rows. Their columns are ordered randomness first, secret
-    last, as in `_walk_coalitions`, so the first |T| columns are all t of
-    them for a size-t coalition, which holds iff M_T is invertible, and the
-    t-1 randomness columns for a size-(t-1) one, which holds iff M_{T,R} is:
-    either way, iff its rows have full rank on their first |T| columns."""
-    return len(_kernels.eliminate([rows[i] for i in T], range(len(T)), p)) == len(T)
-
-
 def validate_scheme(
     circ: LinearCircuit, budget: int = DEFAULT_BUDGET, rng_seed: int = 0
 ) -> SchemeReport:
@@ -252,35 +243,30 @@ def validate_scheme(
     rank(M_{T,R}) = t-1; every size-(t-1) subset needs rank(M_{T,R}) = t-1.
 
     When all C(n,t) + C(n,t-1) coalitions fit in the budget the sweep is
-    exhaustive (one prefix-tree walk); otherwise budget // 2 coalitions of
-    each size are drawn from rng_seed, each checked by one elimination over
-    rows packed once, before the draws. Raises InvalidArguments when the
-    budget is below 0."""
+    exhaustive (one prefix-tree walk over the transfer matrix); otherwise
+    budget // 2 coalitions of each size are drawn from rng_seed, each asked
+    of the circuit's `PathMatrix`, whose rows are packed once, before the
+    draws. A size-t coalition holds iff its rows have rank t on all the
+    inputs, which makes M_T invertible and so M_{T,R} of rank t-1; a
+    size-(t-1) one iff they have rank t-1 on the randomness inputs. Raises
+    InvalidArguments when the budget is below 0."""
     check_budget(budget)
-    M = transfer_matrix(circ)
-    t = circ.threshold
-    n = M.rows
-    p = circ.modulus.p
+    net, t, p = circ.net, circ.threshold, circ.modulus.p
+    n = len(net.outputs)
     if comb(n, t) + comb(n, t - 1) <= budget:
-        recover_checks, privacy_checks, witness = _walk_coalitions(M, t, p)
+        recover_checks, privacy_checks, witness = _walk_coalitions(transfer_matrix(circ), t, p)
         verdict = "proved" if witness is None else "refuted"
         return SchemeReport(recover_checks, privacy_checks, "exhaustive", verdict, witness)
     rng = random.Random(rng_seed)
-    rows = [_kernels.pack(M.row(i)[1:] + M.row(i)[:1], p) for i in range(n)]
-    outputs = list(range(n))
-    recover_checks = privacy_checks = 0
-    for size in (t, t - 1):
+    paths = PathMatrix(net, circ.schedule, p)
+    checks = {t: 0, t - 1: 0}
+    for size, X in ((t, net.inputs), (t - 1, net.inputs[1:])):
         for _ in range(max(1, budget // 2)):
-            T = tuple(sorted(rng.sample(outputs, size)))
-            if size == t:
-                recover_checks += 1
-            else:
-                privacy_checks += 1
-            if not _coalition_holds(rows, T, p):
-                return SchemeReport(
-                    recover_checks, privacy_checks, "sampled", "refuted", witness=T
-                )
-    return SchemeReport(recover_checks, privacy_checks, "sampled", "sampled_pass")
+            T = tuple(sorted(rng.sample(range(n), size)))
+            checks[size] += 1
+            if not paths.certifies(X, [net.outputs[i] for i in T], size):
+                return SchemeReport(checks[t], checks[t - 1], "sampled", "refuted", witness=T)
+    return SchemeReport(checks[t], checks[t - 1], "sampled", "sampled_pass")
 
 
 def share(circ: LinearCircuit, s: int, rng_seed: int = 0) -> ShareVector:
@@ -291,7 +277,7 @@ def share(circ: LinearCircuit, s: int, rng_seed: int = 0) -> ShareVector:
     p = circ.modulus.p
     # bool is an int subclass but no field element.
     if type(s) is not int or not 0 <= s < p:
-        raise InvalidArguments(f"the secret must be an integer in [0, {p}), got {s!r}")
+        raise InvalidArguments(f"the secret must be an integer in [0, {p}), got {quote(s)}")
     rng = random.Random(rng_seed)
     x = [s] + [rng.randrange(p) for _ in range(circ.threshold - 1)]
     return ShareVector(tuple(evaluate(circ, x)), circ.modulus)
@@ -300,11 +286,11 @@ def share(circ: LinearCircuit, s: int, rng_seed: int = 0) -> ShareVector:
 def reconstruct(circ: LinearCircuit, T, y_T) -> int:
     """Recover the secret from the t shares y_T (taken mod p) of coalition T,
     y_T[j] being the share of output T[j], with T in any order, by one
-    `_kernels.eliminate` of the packed rows [M_T,R | M_T,s | y_T], randomness
-    columns first as in `_walk_coalitions`, over the columns of M_T. M_T is
-    invertible iff that gives t pivots; then the last pivot row, on the
-    secret column, is (0, ..., 0, a, a*s) mod p, and the secret costs one
-    field inverse."""
+    `_kernels.eliminate` of the packed rows [M_T | y_T] over the columns of
+    M_T, the randomness columns 1..t-1 first and the secret's column 0 last.
+    M_T is invertible iff that gives t pivots; then the last pivot row, on
+    the secret column, is (a, 0, ..., 0, a*s) mod p, and the secret costs
+    one field inverse."""
     t = circ.threshold
     if len(T) != t or len(y_T) != t:
         raise InvalidArguments(f"need exactly t = {t} shares")
@@ -312,14 +298,11 @@ def reconstruct(circ: LinearCircuit, T, y_T) -> int:
     T = [i for i, _ in shares]
     M_T = transfer_matrix(circ, T)
     p = circ.modulus.p
-    rows = []
-    for i, (_, y) in enumerate(shares):
-        row = M_T.row(i)
-        rows.append(_kernels.pack([*row[1:], row[0], y % p], p))
-    pivots = _kernels.eliminate(rows, range(t), p)
+    rows = [_kernels.pack([*M_T.row(i), y % p], p) for i, (_, y) in enumerate(shares)]
+    pivots = _kernels.eliminate(rows, [*range(1, t), 0], p)
     if len(pivots) < t:
         raise SingularSubmatrix(f"M_T singular for coalition {T}; circuit not validated?")
-    a, b = _kernels.unpack(pivots[-1][1], t + 1, p)[t - 1:]
+    a, *_, b = _kernels.unpack(pivots[-1][1], t + 1, p)
     return b * pow(a, -1, p) % p
 
 
@@ -355,11 +338,13 @@ def circuit_from_dict(doc: dict) -> LinearCircuit:
     check_fields(doc, "circuit", modulus=int, threshold=int, coefficients=list)
     if doc.get("secret_input", 0) != 0:
         raise InvalidArguments(
-            f"secret_input must be 0 (input 0 carries the secret), got {doc['secret_input']!r}"
+            "secret_input must be 0 (input 0 carries the secret), "
+            f"got {quote(doc['secret_input'])}"
         )
     if doc["threshold"] != len(net.inputs):
         raise InvalidArguments(
-            f"threshold must equal the input count {len(net.inputs)}, got {doc['threshold']}"
+            f"threshold must equal the input count {len(net.inputs)}, "
+            f"got {quote(doc['threshold'])}"
         )
     return LinearCircuit(net, FieldModulus(doc["modulus"]), tuple(doc["coefficients"]))
 
@@ -388,10 +373,10 @@ def read_shares(path) -> tuple:
         if not (type(entry) is list and len(entry) == 2
                 and type(entry[0]) is type(entry[1]) is int):
             raise InvalidArguments(
-                f"share file entries must be [index, value] pairs of integers, got {entry!r}"
+                f"share file entries must be [index, value] pairs of integers, got {quote(entry)}"
             )
         if not 0 <= entry[1] < modulus.p:
             raise InvalidArguments(
-                f"share values must lie in [0, modulus) = [0, {modulus.p}), got {entry!r}"
+                f"share values must lie in [0, modulus) = [0, {modulus.p}), got {quote(entry)}"
             )
     return modulus, [tuple(entry) for entry in doc["shares"]]

@@ -48,6 +48,12 @@ def build_depth1(
     per input (derived when None), and verify that every k-subset of inputs
     reaches k outputs; resample with the next seed on refutation.
 
+    Attempt a draws its graph from `rng_seed + a` and seeds its sampled
+    sweep with that same value, so the sweep's subset draws and the graph's
+    edge draws start from one stream state. Attempt a + 1 of this call and
+    attempt a of a call at rng_seed + 1 share their seed, and on the same
+    sizes their graph.
+
     Returns (Network, VerificationReport); raises RetriesExhausted with the
     last counterexample when every attempt is refuted.
     """

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one repr through
+which their messages quote an offending value: `reprlib`'s, which bounds
+its length however long or deeply nested the value is."""
+
+from reprlib import repr as quote
 
 
 class ShareCircuitError(Exception):

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernels
-from .errors import IndexOutOfRange, InvalidArguments, SingularMatrix
+from .errors import IndexOutOfRange, InvalidArguments, SingularMatrix, quote
 
 # Word-size Mersenne prime; large enough for the synthesizer's
 # Schwartz-Zippel failure bound at any desk-scale (depth, n, t).
@@ -30,7 +30,7 @@ def is_prime(n: int) -> bool:
         k = n.bit_length()
         if n != (1 << k) - 1:
             raise InvalidArguments(
-                f"modulus {n} is at least {MR_BOUND}, from where only a Mersenne "
+                f"modulus {quote(n)} is at least {MR_BOUND}, from where only a Mersenne "
                 "prime 2^k - 1 is accepted, as only its primality is proved"
             )
         # Lucas-Lehmer: with s_0 = 4 and s_(i+1) = s_i^2 - 2 mod n, n is
@@ -69,9 +69,9 @@ class FieldModulus:
 
     def __post_init__(self):
         if self.p < 3:
-            raise InvalidArguments(f"modulus must be >= 3, got {self.p}")
+            raise InvalidArguments(f"modulus must be >= 3, got {quote(self.p)}")
         if not is_prime(self.p):
-            raise InvalidArguments(f"modulus {self.p} is not prime")
+            raise InvalidArguments(f"modulus {quote(self.p)} is not prime")
 
 
 @dataclass(frozen=True)
@@ -93,19 +93,6 @@ class Matrix:
 
     def row(self, r: int) -> tuple:
         return self.entries[r * self.cols : (r + 1) * self.cols]
-
-    @staticmethod
-    def from_rows(rows_list, modulus: FieldModulus | None = None) -> "Matrix":
-        nrows = len(rows_list)
-        ncols = len(rows_list[0]) if nrows else 0
-        flat = []
-        for row in rows_list:
-            if len(row) != ncols:
-                raise InvalidArguments("ragged rows")
-            flat.extend(row)
-        if modulus is not None:
-            flat = [x % modulus.p for x in flat]
-        return Matrix(nrows, ncols, tuple(flat))
 
 
 def mat_rank(m: Matrix, modulus: FieldModulus) -> int:

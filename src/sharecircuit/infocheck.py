@@ -17,7 +17,7 @@ from math import gcd, inf, log
 from operator import add, and_, floordiv, lshift, mod, mul, sub
 
 from .circuit import LinearCircuit
-from .errors import InvalidArguments, StateSpaceTooLarge
+from .errors import InvalidArguments, StateSpaceTooLarge, quote
 from .network import VerificationReport
 
 MAX_STATES = 10**7
@@ -58,7 +58,8 @@ class JointDistribution:
         # bool is an int subclass but no count, variable or symbol.
         if type(v) is not int or type(q) is not int or v < 1 or q < 2:
             raise InvalidArguments(
-                f"need variable_count >= 1 and alphabet >= 2, got {v!r} and {q!r}")
+                "need variable_count >= 1 and alphabet >= 2, "
+                f"got {quote(v)} and {quote(q)}")
         if not counts:
             raise InvalidArguments("the distribution needs at least one tuple")
         if any(type(c) is not int or c < 1 for c in counts.values()):

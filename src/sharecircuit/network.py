@@ -2,9 +2,10 @@
 vertex-disjoint path counts by augmenting paths, connectivity verification
 sweeps, the weighted path pass (a gate schedule under per-edge weights and
 the rows over the inputs it gives) behind both a circuit's transfer matrix
-and the sweeps' path-matrix certificate, whose rows are packed once and
-ranked by the packed GF(p) elimination of `_kernels`, and the composition
-operators used by the graph builders."""
+and the path matrix, whose rows are packed once and ranked by the packed
+GF(p) elimination of `_kernels`: the one rank test of the sweeps'
+certificate and of a circuit's sampled threshold conditions; and the
+composition operators used by the graph builders."""
 
 import json
 import random
@@ -22,6 +23,7 @@ from .errors import (
     DuplicateTerminal,
     InvalidArguments,
     TerminalNotInNetwork,
+    quote,
 )
 from .field import DEFAULT_PRIME
 
@@ -41,7 +43,7 @@ def check_size(what: str, count: int) -> None:
     so a builder calls this before it allocates either.
     """
     if count > MAX_SIZE:
-        raise InvalidArguments(f"{count} {what} exceed the maximum of {MAX_SIZE}")
+        raise InvalidArguments(f"{quote(count)} {what} exceed the maximum of {MAX_SIZE}")
 
 # The path matrix's edge weights come from a fixed stream of their own, so
 # that drawing them moves no sampled pair of a sweep. Its certificate is
@@ -83,28 +85,28 @@ class Network:
         # Vertices are ints; bool is an int subclass but no vertex.
         n = self.vertex_count
         if type(n) is not int:
-            raise InvalidArguments(f"vertex_count must be an integer, got {n!r}")
+            raise InvalidArguments(f"vertex_count must be an integer, got {quote(n)}")
         check_size("vertices", n)
         try:
             edges = tuple((u, v) for u, v in self.edges)
         except (TypeError, ValueError):
             bad = next(e for e in self.edges if type(e) not in (list, tuple) or len(e) != 2)
-            raise InvalidArguments(f"edges must be [tail, head] pairs, got {bad!r}") from None
+            raise InvalidArguments(f"edges must be [tail, head] pairs, got {quote(bad)}") from None
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
         for u, v in self.edges:
             if type(u) is not int or type(v) is not int:
-                raise InvalidArguments(f"edge endpoints must be integers, got {[u, v]!r}")
+                raise InvalidArguments(f"edge endpoints must be integers, got {quote([u, v])}")
             if not (0 <= u < n and 0 <= v < n):
-                raise TerminalNotInNetwork(f"edge ({u}, {v}) out of range")
+                raise TerminalNotInNetwork(f"edge {quote((u, v))} out of range")
         for name, seq in (("input", self.inputs), ("output", self.outputs)):
             seen = set()
             for v in seq:
                 if type(v) is not int:
-                    raise InvalidArguments(f"{name} vertices must be integers, got {v!r}")
+                    raise InvalidArguments(f"{name} vertices must be integers, got {quote(v)}")
                 if not 0 <= v < n:
-                    raise TerminalNotInNetwork(f"{name} vertex {v} out of range")
+                    raise TerminalNotInNetwork(f"{name} vertex {quote(v)} out of range")
                 if v in seen:
                     raise DuplicateTerminal(f"{name} vertex {v} listed twice")
                 seen.add(v)
@@ -154,8 +156,11 @@ class Network:
 
     @cached_property
     def path_matrix(self) -> "PathMatrix":
-        """The weighted path matrix the pair sweeps certify with (cached)."""
-        return PathMatrix.build(self)
+        """The path matrix the pair sweeps certify with (cached), under one
+        weight per edge drawn in edge order from the certificate's own
+        stream."""
+        p, rng = CERTIFICATE_PRIME, random.Random(CERTIFICATE_SEED)
+        return PathMatrix(self, self.gates([rng.randrange(p) for _ in self.edges]), p)
 
     def gates(self, weights) -> tuple:
         """The gate schedule under one weight per edge, parallel to `edges`:
@@ -203,41 +208,38 @@ def input_rows(net: Network, gates, p: int, targets) -> list:
     return [[row[v] >> j & mask for j in shifts] for v in targets]
 
 
-@dataclass(frozen=True)
 class PathMatrix:
-    """The transfer matrix M of a network under random edge weights over
+    """The transfer matrix M of a network under one weight per edge over
     GF(p): entry column[x] of the row ``rows[y]`` is the sum, over the paths
     from input x to output y, of the products of their edge weights. It is
-    the matrix a `LinearCircuit` with these weights as coefficients would
-    have, computed by the same pass, `input_rows`, and each row is kept
-    packed for `_kernels.eliminate` (see `_kernels.pack`).
+    computed from a gate schedule of the network (see `Network.gates`) by
+    one pass, `input_rows`, and each row is kept packed for
+    `_kernels.eliminate` (see `_kernels.pack`).
 
-    By the Lindstrom-Gessel-Viennot lemma, det M[Y, X] is a signed sum over
-    the systems of |X| vertex-disjoint paths from X to Y, so it is zero
-    whatever the weights when there is no such system. A nonzero minor
-    therefore proves one, and rank M[Y, X] >= r proves r vertex-disjoint
-    paths from X to Y. A zero minor proves nothing.
+    It answers both directions' rank question. Under a circuit's own
+    coefficients M is the circuit's transfer matrix, and the rank of M[Y, X]
+    *is* the threshold condition on coalition Y. Under the random weights
+    of `Network.path_matrix` it certifies linkages: by the
+    Lindstrom-Gessel-Viennot lemma, det M[Y, X] is a signed sum over the
+    systems of |X| vertex-disjoint paths from X to Y, so it is zero whatever
+    the weights when there is no such system. A nonzero minor therefore
+    proves one, and rank M[Y, X] >= r proves r vertex-disjoint paths from X
+    to Y. A zero minor proves nothing.
     """
 
-    p: int
-    column: dict  # input vertex -> column index
-    rows: dict  # output vertex -> its packed row over the inputs
-
-    @classmethod
-    def build(cls, net: Network) -> "PathMatrix":
-        """The outputs' rows under one weight per edge, drawn in edge order
-        from the certificate's own stream, each packed once."""
-        p = CERTIFICATE_PRIME
-        rng = random.Random(CERTIFICATE_SEED)
-        gates = net.gates([rng.randrange(p) for _ in net.edges])
-        rows = [pack(row, p) for row in input_rows(net, gates, p, net.outputs)]
-        return cls(p, {x: j for j, x in enumerate(net.inputs)}, dict(zip(net.outputs, rows)))
+    def __init__(self, net: Network, gates, p: int):
+        rows = input_rows(net, gates, p, net.outputs)
+        self.p = p
+        self.column = {x: j for j, x in enumerate(net.inputs)}  # input vertex -> index
+        self.rows = {y: pack(row, p) for y, row in zip(net.outputs, rows)}  # output vertex -> row
 
     def certifies(self, X, Y, r: int) -> bool:
-        """True when rank M[Y, X] >= r, which proves r vertex-disjoint paths
-        from X to Y; False proves nothing. One `_kernels.eliminate` over the
-        full packed rows of Y, pivoting on the columns of X only, stopped at
-        the r-th pivot."""
+        """True when rank M[Y, X] >= r: Y's rows have r independent entries
+        on the columns of X. For a circuit's own coefficients that is the
+        threshold condition itself; for the certificate's weights it proves
+        r vertex-disjoint paths from X to Y, and False proves nothing. One
+        `_kernels.eliminate` over the full packed rows of Y, pivoting on the
+        columns of X only, stopped at the r-th pivot."""
         if r <= 0:
             return True
         rows, column = self.rows, self.column
@@ -345,8 +347,8 @@ def _sweep(net, name, lo, hi, slack, budget, rng_seed, all_outputs=False):
     check_budget(budget)
     xs, ys = sorted(net.inputs), sorted(net.outputs)
     limit = len(xs) if all_outputs else min(len(xs), len(ys))
-    if not slack <= hi <= limit:
-        raise ArityMismatch(f"{name}: need slack {slack} <= size {hi} <= {limit}")
+    if not 0 <= slack <= hi <= limit:
+        raise ArityMismatch(f"{name}: need 0 <= slack {slack} <= size {hi} <= {limit}")
     sizes = range(lo, hi + 1)
     total = sum(comb(len(xs), k) * (1 if all_outputs else comb(len(ys), k))
                 for k in sizes)
@@ -405,7 +407,7 @@ def verify_partial_sc(
 ) -> VerificationReport:
     """Check the (p, q)-partial superconcentrator property: equal-size
     subset pairs with size k in [q, p] need at least k - q disjoint paths.
-    Raises ArityMismatch unless q <= p <= min(len(inputs), len(outputs))."""
+    Raises ArityMismatch unless 0 <= q <= p <= min(len(inputs), len(outputs))."""
     return _sweep(net, f"partial_sc({p},{q})", max(q, 1), p, q, budget, rng_seed)
 
 

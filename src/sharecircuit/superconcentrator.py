@@ -28,8 +28,12 @@ from .network import (
 
 
 def _child_seed(seed: int, index: int) -> int:
-    # A child's seed depends only on its parent's seed and its index, so each
-    # child draws from a stream of its own, whatever its siblings drew.
+    # A child's seed depends only on its parent's seed and its index, so its
+    # first attempt draws the same whatever its siblings drew. The children's
+    # streams still overlap: sibling seeds are consecutive, and build_depth1's
+    # attempt a draws from its seed + a, so a retried child reuses its next
+    # sibling's seed (attempt 1 of build_partial_sc_depth2's top draws with
+    # the funnel's seed). Changing this would move every pinned graph.
     return (seed * 1_000_003 + index + 1) & 0xFFFFFFFF
 
 

@@ -34,7 +34,7 @@ from sharecircuit.errors import (
     SingularSubmatrix,
 )
 from sharecircuit.field import FieldModulus, Matrix, mat_inverse, mat_vec, submatrix
-from sharecircuit.network import Network, complete_bipartite, topological_order
+from sharecircuit.network import Network, complete_bipartite, serial_compose, topological_order
 from sharecircuit.superconcentrator import build_sc, recommended_depth
 
 GF7 = FieldModulus(7)
@@ -215,7 +215,7 @@ def reconstruct_by_matrix(circ, T, y_T, M=None):
     """Oracle: invert the rows of the full M (by default the column
     oracle's) that belong to T; None when they are singular."""
     M = transfer_by_columns(circ) if M is None else M
-    M_T = Matrix.from_rows([M[i] for i in sorted(T)])
+    M_T = Matrix(len(T), len(M[0]), tuple(x for i in sorted(T) for x in M[i]))
     try:
         inv = mat_inverse(M_T, circ.modulus)
     except SingularMatrix:
@@ -612,6 +612,71 @@ def test_sampled_validate_scheme_matches_list_elimination(p):
         outcomes[(t == 1, report.verdict if report.ok else stage)] += 1
     assert outcomes[(True, "sampled_pass")] and outcomes[(False, "sampled_pass")]
     assert outcomes[(False, "recovery")] and outcomes[(False, "privacy")]
+
+
+# The sampled sweep as it was before it asked the circuit's PathMatrix: its
+# own copy of M packed randomness first, secret last, and one elimination per
+# coalition over its first |T| columns. Kept verbatim (renamed) as the oracle.
+def coalition_holds_on_reordered_rows(rows, T, p: int) -> bool:
+    return len(_kernels.eliminate([rows[i] for i in T], range(len(T)), p)) == len(T)
+
+
+def sampled_on_reordered_rows(circ, budget, rng_seed):
+    M = transfer_matrix(circ)
+    t = circ.threshold
+    n = M.rows
+    p = circ.modulus.p
+    rng = random.Random(rng_seed)
+    rows = [_kernels.pack(M.row(i)[1:] + M.row(i)[:1], p) for i in range(n)]
+    outputs = list(range(n))
+    recover_checks = privacy_checks = 0
+    for size in (t, t - 1):
+        for _ in range(max(1, budget // 2)):
+            T = tuple(sorted(rng.sample(outputs, size)))
+            if size == t:
+                recover_checks += 1
+            else:
+                privacy_checks += 1
+            if not coalition_holds_on_reordered_rows(rows, T, p):
+                return SchemeReport(
+                    recover_checks, privacy_checks, "sampled", "refuted", witness=T
+                )
+    return SchemeReport(recover_checks, privacy_checks, "sampled", "sampled_pass")
+
+
+def two_layer_circuit(rng, p, t, n):
+    """K_{t,mid} followed by K_{mid,n}, every coefficient uniform in [0, p),
+    zeros included."""
+    mid = rng.randrange(1, t + 3)
+    net = serial_compose(complete_bipartite(t, mid), complete_bipartite(mid, n))
+    return LinearCircuit(net, FieldModulus(p), tuple(rng.randrange(p) for _ in net.edges))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_sampled_validate_scheme_matches_the_reordered_row_oracle(p):
+    # Asking the circuit's PathMatrix for rank |T| on the inputs (size t) or
+    # on the randomness inputs (size t-1) gives the report, field by field,
+    # that eliminating a secret-last copy of M gave, on K_{t,n} circuits with
+    # planted failures and on two-layer circuits, t = 1 included.
+    rng = random.Random(p + 2)
+    outcomes = Counter()
+    for trial in range(150):
+        t = 1 + trial % 4
+        n = rng.randrange(t + 2, t + 6)
+        if trial % 2:
+            circ = matrix_circuit(drawn_rows(rng, p, t, n), p)
+        else:
+            circ = two_layer_circuit(rng, p, t, n)
+        for budget in (1, 4, 10):
+            if comb(n, t) + comb(n, t - 1) <= budget:
+                continue
+            report = validate_scheme(circ, budget, rng_seed=trial)
+            assert report == sampled_on_reordered_rows(circ, budget, trial), (trial, budget)
+            stage = "privacy" if report.privacy_checks else "recovery"
+            outcomes[(t == 1, report.verdict if report.ok else stage)] += 1
+    assert outcomes[(True, "sampled_pass")] and outcomes[(False, "sampled_pass")], outcomes
+    assert outcomes[(True, "recovery")] and outcomes[(False, "recovery")], outcomes
+    assert outcomes[(False, "privacy")], outcomes
 
 
 def walk_by_full_rows(M, t, p):

@@ -17,7 +17,7 @@ import pytest
 
 from sharecircuit import cli
 from sharecircuit.cli import COMMANDS, build_parser, main
-from sharecircuit.network import MAX_SIZE
+from sharecircuit.network import MAX_SIZE, complete_bipartite, write_network
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -434,6 +434,16 @@ def test_error_exit_code(capsys, tmp_path):
         assert code == 1 and "error:" in err and "Traceback" not in err
 
 
+def test_verify_graph_refuses_a_negative_slack(capsys, tmp_path):
+    # partial:-1,-1 once swept no size at all and printed verdict=proved.
+    graph = tmp_path / "k35.json"
+    write_network(complete_bipartite(3, 5), graph)
+    for prop in ("partial:-1,-1", "partial:2,-1"):
+        code, out, err = run(capsys, "verify-graph", str(graph), "--property", prop)
+        assert (code, out) == (1, "") and err.startswith("error: partial_sc("), (prop, err)
+        assert "need 0 <= slack" in err and "Traceback" not in err, (prop, err)
+
+
 def shared_circuit(capsys, tmp_path):
     """A (2, 4) circuit over the default prime, and its share file."""
     graph, circ, shares = (tmp_path / f"{name}.json" for name in ("g", "c", "s"))
@@ -535,6 +545,60 @@ def test_coefficients_outside_the_field_are_errors(capsys, tmp_path, bad):
         code, out, err = run(capsys, *argv)
         assert code == 1 and err.startswith("error:") and "coefficients" in err, argv
         assert "RESULT" not in out, argv
+
+
+def test_error_lines_quote_a_nested_value_briefly(capsys, tmp_path):
+    # A 500-deep list where a vertex, an edge, a coefficient or a share
+    # belongs once came back quoted in full: 1 KB of brackets on Python 3.11
+    # and 20 KB on 3.13.
+    circ, shares = shared_circuit(capsys, tmp_path)
+    graph = tmp_path / "g.json"
+    nested = []
+    for _ in range(499):
+        nested = [nested]
+    cases = []
+    for path, field, argv in (
+        (graph, "edges", ("verify-graph", "{}", "--property", "sc")),
+        (graph, "inputs", ("verify-graph", "{}", "--property", "sc")),
+        (graph, "outputs", ("verify-graph", "{}", "--property", "sc")),
+        (circ, "coefficients", ("verify-ss", "--circuit", "{}")),
+        (shares, "shares", ("reconstruct", "--circuit", str(circ), "--shares", "{}")),
+    ):
+        doc = json.loads(path.read_text())
+        doc[field][0] = nested
+        edited = tmp_path / f"nested_{field}.json"
+        edited.write_text(json.dumps(doc))
+        cases.append([a.format(edited) for a in argv])
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("error:"), (argv, err[:300])
+        assert err.count("\n") == 1 and len(err.encode()) < 200, (argv, len(err), err[:300])
+        assert "[[[" in err, (argv, err)
+
+
+def test_error_lines_quote_a_huge_integer_briefly(capsys, tmp_path):
+    # A modulus, a vertex or an edge end of 4,001 digits once came back in
+    # full: a 4 KB error line.
+    circ, _ = shared_circuit(capsys, tmp_path)
+    graph = tmp_path / "g.json"
+    huge = 10**4000 + 1
+    for path, keys, argv in (
+        (circ, ("modulus",), ("verify-ss", "--circuit", "{}")),
+        (graph, ("inputs", 0), ("verify-graph", "{}", "--property", "sc")),
+        (graph, ("edges", 0, 1), ("verify-graph", "{}", "--property", "sc")),
+    ):
+        doc = json.loads(path.read_text())
+        *parents, last = keys
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = huge
+        edited = tmp_path / f"huge_{keys[0]}.json"
+        edited.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *[a.format(edited) for a in argv])
+        assert (code, out) == (1, "") and err.startswith("error:"), (argv, err[:300])
+        assert err.count("\n") == 1 and len(err.encode()) < 200, (argv, len(err), err[:300])
+        assert "100000" in err, (argv, err)
 
 
 def test_reconstruct_rejects_a_share_file_of_another_modulus(capsys, tmp_path):

@@ -57,6 +57,17 @@ def linear_circuit_gf3():
     return LinearCircuit(net, FieldModulus(3), (1, 1, 1, 2))
 
 
+def test_distribution_quotes_a_bad_size_briefly():
+    # The message once quoted the value in full: a 500-deep list as 1 KB.
+    nested = []
+    for _ in range(499):
+        nested = [nested]
+    for v, q in ((nested, 2), (1, nested), (1, "x" * 5000)):
+        with pytest.raises(InvalidArguments, match="need variable_count >= 1") as info:
+            JointDistribution(v, q, {(0,): 1})
+        assert len(str(info.value)) < 200, len(str(info.value))
+
+
 def test_distribution_refuses_bad_counts():
     # Counts are positive ints; bool is an int subclass but not a count.
     for bad in (0, -1, True, 1.0, Fraction(1, 2), Fraction(1)):

@@ -184,8 +184,8 @@ def partial_sc_oracle(
     """Check the (p, q)-partial superconcentrator property: equal-size
     subset pairs with size k in [q, p] need at least k - q disjoint paths."""
     m, n = len(net.inputs), len(net.outputs)
-    if not q <= p <= min(m, n):
-        raise ArityMismatch(f"need q <= p <= min(inputs, outputs), got p={p}, q={q}")
+    if not 0 <= q <= p <= min(m, n):
+        raise ArityMismatch(f"need 0 <= q <= p <= min(inputs, outputs), got p={p}, q={q}")
     sizes = list(range(max(q, 1), p + 1))
     total = sum(comb(m, k) * comb(n, k) for k in sizes)
     exhaustive = total <= budget
@@ -312,7 +312,7 @@ def test_certifies_iff_the_minor_has_rank_r(monkeypatch, prime):
         net = sweep_network(rng, i)
         if net is None:
             continue
-        paths = network.PathMatrix.build(net)
+        paths = net.path_matrix
         ell = len(net.inputs)
         rows = {y: _kernels.unpack(paths.rows[y], ell, prime) for y in net.outputs}
         for _ in range(5):
@@ -884,6 +884,16 @@ def test_verify_partial_sc_examples():
     for p, q in ((5, 1), (1, 2)):
         with pytest.raises(ArityMismatch):
             verify_partial_sc(net, p, q)
+
+
+def test_verify_partial_sc_refuses_a_negative_slack():
+    # q < 0 once asked for more paths than k: with p = q = -1 the size range
+    # was empty, so K_{3,5} was proved with 0 checks.
+    net = complete_bipartite(3, 5)
+    for p, q in ((-1, -1), (0, -1), (3, -1)):
+        with pytest.raises(ArityMismatch, match="need 0 <= slack"):
+            verify_partial_sc(net, p, q)
+    assert verify_partial_sc(net, 0, 0).verdict == "proved"
 
 
 def test_serial_compose_identifies_boundary():
