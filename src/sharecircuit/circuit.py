@@ -89,10 +89,6 @@ class SchemeReport:
     verdict: str  # "proved" | "sampled_pass" | "refuted"
     witness: tuple | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict in ("proved", "sampled_pass")
-
 
 def synthesize(net: Network, modulus: FieldModulus, rng_seed: int = 0) -> LinearCircuit:
     """Draw an independent uniform coefficient in [0, p) for every edge of

@@ -4,8 +4,9 @@ sweeps, the weighted path pass (a gate schedule under per-edge weights and
 the rows over the inputs it gives) behind both a circuit's transfer matrix
 and the path matrix, whose rows are packed once and ranked by the packed
 GF(p) elimination of `_kernels`: the one rank test of the sweeps'
-certificate and of a circuit's sampled threshold conditions; and the
-composition operators used by the graph builders."""
+certificate and of a circuit's sampled threshold conditions; and the two
+graphs that the builders return whole: the complete bipartite network and
+the parallel union of networks on shared terminals."""
 
 import json
 import random
@@ -63,7 +64,7 @@ class Network:
     depends on it, and only the serialized form sorts the edges.
 
     Construction validates: it raises InvalidArguments on a vertex_count
-    above MAX_SIZE before it allocates anything per vertex,
+    below 0 or above MAX_SIZE before it allocates anything per vertex,
     TerminalNotInNetwork on an edge or a terminal out of range,
     DuplicateTerminal on a terminal listed twice or both an input and an
     output, DanglingInputOutput on an edge into an input, and CyclicGraph on
@@ -86,6 +87,8 @@ class Network:
         n = self.vertex_count
         if type(n) is not int:
             raise InvalidArguments(f"vertex_count must be an integer, got {quote(n)}")
+        if n < 0:
+            raise InvalidArguments(f"vertex_count must be at least 0, got {quote(n)}")
         check_size("vertices", n)
         try:
             edges = tuple((u, v) for u, v in self.edges)
@@ -411,26 +414,6 @@ def verify_partial_sc(
     return _sweep(net, f"partial_sc({p},{q})", max(q, 1), p, q, budget, rng_seed)
 
 
-def serial_compose(top: Network, bottom: Network) -> Network:
-    """Stack two networks, identifying top.outputs[i] with bottom.inputs[i]."""
-    if len(top.outputs) != len(bottom.inputs):
-        raise ArityMismatch(
-            f"{len(top.outputs)} top outputs vs {len(bottom.inputs)} bottom inputs"
-        )
-    remap = {}
-    for i, v in enumerate(bottom.inputs):
-        remap[v] = top.outputs[i]
-    next_id = top.vertex_count
-    for v in range(bottom.vertex_count):
-        if v not in remap:
-            remap[v] = next_id
-            next_id += 1
-    edges = list(top.edges) + [(remap[u], remap[v]) for u, v in bottom.edges]
-    return Network(
-        next_id, edges, top.inputs, tuple(remap[v] for v in bottom.outputs)
-    )
-
-
 def parallel_union(nets, shared_inputs: int, shared_outputs: int) -> Network:
     """Merge networks onto one shared set of input and output vertices.
 
@@ -457,16 +440,6 @@ def parallel_union(nets, shared_inputs: int, shared_outputs: int) -> Network:
                 next_id += 1
         edges.extend((remap[u], remap[v]) for u, v in net.edges)
     return Network(next_id, edges, inputs, outputs)
-
-
-def reverse(net: Network) -> Network:
-    """Flip every edge and swap the terminal roles (an involution)."""
-    return Network(
-        net.vertex_count,
-        [(v, u) for u, v in net.edges],
-        net.outputs,
-        net.inputs,
-    )
 
 
 def complete_bipartite(m: int, n: int) -> Network:

@@ -20,10 +20,9 @@ from .network import (
     DEFAULT_BUDGET,
     Network,
     check_budget,
+    check_size,
     complete_bipartite,
     parallel_union,
-    reverse,
-    serial_compose,
 )
 
 
@@ -53,15 +52,28 @@ def _check_epsilon(epsilon: float) -> None:
 
 def _funnel(top: Network, m: int, k: int, rng_seed: int, budget: int) -> Network:
     """`top`, then a reversed (m, |top.outputs|, k)-concentrator that
-    carries top's outputs onto m outputs."""
+    carries top's outputs onto m outputs, built as one network: top's
+    vertices, then the m new outputs; top's edges, then for each edge
+    (i, j) of the concentrator, in its order, the edge from top's output
+    j - m to new output i."""
     bottom, _ = build_depth1(m, len(top.outputs), k, rng_seed=rng_seed, budget=budget)
-    return serial_compose(top, reverse(bottom))
+    base, mids = top.vertex_count, top.outputs
+    edges = top.edges + tuple((mids[j - m], base + i) for i, j in bottom.edges)
+    return Network(base + m, edges, top.inputs, tuple(range(base, base + m)))
 
 
 def _bipartite_block(n_in: int, n_out: int, mid: int) -> Network:
     """n_in inputs -> complete -> mid middle vertices -> complete -> n_out
-    outputs; routes any k <= mid equal-size subset pair disjointly."""
-    return serial_compose(complete_bipartite(n_in, mid), complete_bipartite(mid, n_out))
+    outputs, numbered in that order; routes any k <= mid equal-size subset
+    pair disjointly. Each layer is size-checked as `complete_bipartite`
+    checks one, before anything is allocated."""
+    for a, b in ((n_in, mid), (mid, n_out)):
+        check_size("vertices", a + b)
+        check_size("edges", a * b)
+    out = n_in + mid
+    edges = [(i, n_in + j) for i in range(n_in) for j in range(mid)]
+    edges += [(n_in + j, out + o) for j in range(mid) for o in range(n_out)]
+    return Network(out + n_out, edges, tuple(range(n_in)), tuple(range(out, out + n_out)))
 
 
 def build_partial_sc_depth2(

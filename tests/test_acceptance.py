@@ -128,7 +128,7 @@ def test_criterion_3_failure_probability_bound():
     trials = 1000
     for seed in range(trials):
         circ = synthesize(net, mod, rng_seed=seed)
-        failures += not validate_scheme(circ).ok
+        failures += validate_scheme(circ).verdict == "refuted"
     bound = failure_bound(1, 4, 2, mod)
     assert bound == pytest.approx(10 / 101)
     sigma = math.sqrt(bound * (1 - bound) / trials)

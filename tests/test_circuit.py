@@ -34,8 +34,8 @@ from sharecircuit.errors import (
     SingularSubmatrix,
 )
 from sharecircuit.field import FieldModulus, Matrix, mat_inverse, mat_vec, submatrix
-from sharecircuit.network import Network, complete_bipartite, serial_compose, topological_order
-from sharecircuit.superconcentrator import build_sc, recommended_depth
+from sharecircuit.network import Network, complete_bipartite, topological_order
+from sharecircuit.superconcentrator import _bipartite_block, build_sc, recommended_depth
 
 GF7 = FieldModulus(7)
 GF101 = FieldModulus(101)
@@ -397,7 +397,7 @@ def test_circuit_from_dict_pairs_coefficients_with_unsorted_edges():
 
 def test_synthesize_file_does_not_depend_on_edge_order(tmp_path):
     # a two-layer graph with parallel edges and an input-to-output skip
-    base = network.serial_compose(complete_bipartite(3, 4), complete_bipartite(4, 5))
+    base = _bipartite_block(3, 5, 4)
     net = Network(base.vertex_count, sorted(base.edges + ((0, 7), (0, 7), (1, 3), (2, 8))),
                   base.inputs, base.outputs)
     rng = random.Random(7)
@@ -415,7 +415,7 @@ def test_synthesize_file_does_not_depend_on_edge_order(tmp_path):
 def test_circuit_file_does_not_depend_on_its_pair_order(tmp_path):
     # the reader keeps the document's (edge, coefficient) pairs as they are
     # and the writer sorts them, so shuffling the pairs moves no byte
-    net = network.serial_compose(complete_bipartite(3, 4), complete_bipartite(4, 5))
+    net = _bipartite_block(3, 5, 4)
     write_circuit(synthesize(net, GF101, rng_seed=1), tmp_path / "sorted.json")
     doc = json.loads((tmp_path / "sorted.json").read_text())
     rng = random.Random(8)
@@ -547,7 +547,7 @@ def test_validate_scheme_matches_coalition_oracle(p):
                    report.privacy_checks)
             assert got == coalition_by_coalition(circ, budget, rng_seed=trial)
         stage = "privacy" if report.privacy_checks else "recovery"
-        outcomes[(t == 1, report.verdict if report.ok else stage)] += 1
+        outcomes[(t == 1, report.verdict if report.verdict != "refuted" else stage)] += 1
     # Proofs at t = 1 (with its empty privacy coalition) and above;
     # refutations at both stages.
     assert outcomes[(True, "proved")] and outcomes[(False, "proved")]
@@ -609,7 +609,7 @@ def test_sampled_validate_scheme_matches_list_elimination(p):
         report = validate_scheme(circ, budget, rng_seed=trial)
         assert report == sampled_by_list_elimination(circ, budget, trial), trial
         stage = "privacy" if report.privacy_checks else "recovery"
-        outcomes[(t == 1, report.verdict if report.ok else stage)] += 1
+        outcomes[(t == 1, report.verdict if report.verdict != "refuted" else stage)] += 1
     assert outcomes[(True, "sampled_pass")] and outcomes[(False, "sampled_pass")]
     assert outcomes[(False, "recovery")] and outcomes[(False, "privacy")]
 
@@ -648,7 +648,7 @@ def two_layer_circuit(rng, p, t, n):
     """K_{t,mid} followed by K_{mid,n}, every coefficient uniform in [0, p),
     zeros included."""
     mid = rng.randrange(1, t + 3)
-    net = serial_compose(complete_bipartite(t, mid), complete_bipartite(mid, n))
+    net = _bipartite_block(t, n, mid)
     return LinearCircuit(net, FieldModulus(p), tuple(rng.randrange(p) for _ in net.edges))
 
 
@@ -673,7 +673,7 @@ def test_sampled_validate_scheme_matches_the_reordered_row_oracle(p):
             report = validate_scheme(circ, budget, rng_seed=trial)
             assert report == sampled_on_reordered_rows(circ, budget, trial), (trial, budget)
             stage = "privacy" if report.privacy_checks else "recovery"
-            outcomes[(t == 1, report.verdict if report.ok else stage)] += 1
+            outcomes[(t == 1, report.verdict if report.verdict != "refuted" else stage)] += 1
     assert outcomes[(True, "sampled_pass")] and outcomes[(False, "sampled_pass")], outcomes
     assert outcomes[(True, "recovery")] and outcomes[(False, "recovery")], outcomes
     assert outcomes[(False, "privacy")], outcomes
@@ -779,13 +779,13 @@ def test_exhaustive_validate_scheme_matches_full_row_walk(p):
         assert report == SchemeReport(
             recover_checks, privacy_checks, "exhaustive", verdict, witness), trial
         stage = "privacy" if report.privacy_checks else "recovery"
-        if stage == "recovery" and t > 1 and not report.ok:
+        if stage == "recovery" and t > 1 and report.verdict == "refuted":
             M = transfer_matrix(circ, report.witness[:-1])
             prefix = [_kernels.pack(M.row(i), p) for i in range(M.rows)]
             if len(_kernels.eliminate(prefix, range(t), p)) == t - 1:
                 stage = "recovery behind a nonsingular prefix"
-        outcomes[report.verdict if report.ok else stage] += 1
-        if report.ok and t > 1:
+        outcomes[report.verdict if report.verdict != "refuted" else stage] += 1
+        if report.verdict != "refuted" and t > 1:
             largest_proof = max(largest_proof, comb(n, t))
     assert outcomes["proved"] and outcomes["privacy"] and outcomes["recovery"]
     assert outcomes["recovery behind a nonsingular prefix"]

@@ -444,6 +444,15 @@ def test_verify_graph_refuses_a_negative_slack(capsys, tmp_path):
         assert "need 0 <= slack" in err and "Traceback" not in err, (prop, err)
 
 
+def test_verify_graph_refuses_a_negative_vertex_count(capsys, tmp_path):
+    # A negative count was once reported as "graph contains a directed cycle".
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"vertex_count": -3, "edges": [], "inputs": [], "outputs": []}))
+    code, out, err = run(capsys, "verify-graph", str(graph), "--property", "sc")
+    assert (code, out) == (1, "")
+    assert err == "error: vertex_count must be at least 0, got -3\n", err
+
+
 def shared_circuit(capsys, tmp_path):
     """A (2, 4) circuit over the default prime, and its share file."""
     graph, circ, shares = (tmp_path / f"{name}.json" for name in ("g", "c", "s"))

@@ -21,7 +21,8 @@ from sharecircuit.infocheck import (
     verify_entropy_bounds,
     verify_threshold_definition,
 )
-from sharecircuit.network import Network, complete_bipartite, serial_compose
+from sharecircuit.network import Network, complete_bipartite
+from sharecircuit.superconcentrator import _bipartite_block
 
 
 def xor_distribution():
@@ -285,7 +286,7 @@ def seeded_circuits():
             n = rng.randrange(t, 6)
             net = complete_bipartite(t, n)
             if draw == 4:
-                net = serial_compose(complete_bipartite(t, t - 1), complete_bipartite(t - 1, n))
+                net = _bipartite_block(t, n, t - 1)
             yield synthesize(net, FieldModulus(q), rng.randrange(1000))
 
 

@@ -32,15 +32,13 @@ from sharecircuit.network import (
     network_to_dict,
     parallel_union,
     read_network,
-    reverse,
-    serial_compose,
     topological_order,
     verify_concentrator,
     verify_partial_sc,
     verify_superconcentrator,
     write_network,
 )
-from sharecircuit.superconcentrator import build_partial_sc_depth2
+from sharecircuit.superconcentrator import _bipartite_block, build_partial_sc_depth2
 
 
 def brute_max_disjoint_paths(net, S, T):
@@ -732,6 +730,15 @@ def test_validate_errors():
     Network(2, [(0, 1)], (0,), (1,))
 
 
+def test_a_negative_vertex_count_is_refused_not_called_a_cycle():
+    # The vertex count once went unchecked below 0, so the topological
+    # order came up short and the network was reported as cyclic.
+    for n in (-1, -3, -(10**30)):
+        with pytest.raises(InvalidArguments, match=f"vertex_count must be at least 0, got {n}$"):
+            Network(n, [], (), ())
+    assert Network(0, [], (), ()).order == ()
+
+
 def test_sizes_above_the_maximum_are_refused_before_allocating():
     # Each of these would allocate 0.2 GB or more if it got past its check;
     # the CLI tests cover a graph file's vertex count.
@@ -741,6 +748,10 @@ def test_sizes_above_the_maximum_are_refused_before_allocating():
         complete_bipartite(8, MAX_SIZE // 2)
     with pytest.raises(InvalidArguments, match=f"{4 * MAX_SIZE} edges exceed"):
         build_depth1(MAX_SIZE // 2, 8, 4, degree=8)
+    with pytest.raises(InvalidArguments, match=f"{MAX_SIZE + 1} vertices exceed"):
+        _bipartite_block(1, 1, MAX_SIZE)
+    with pytest.raises(InvalidArguments, match=f"{4 * MAX_SIZE} edges exceed"):
+        _bipartite_block(1, 8, MAX_SIZE // 2)
 
 
 def test_a_network_at_the_maximum_size_stays_under_its_stated_memory():
@@ -789,19 +800,13 @@ def test_disjoint_paths_reverse_symmetry():
         net = random_dag(rng)
         if net is None or any(u in net.outputs for u, _ in net.edges):
             continue
-        rev = reverse(net)
+        rev = Network(net.vertex_count, [(v, u) for u, v in net.edges],
+                      net.outputs, net.inputs)
         forward = max_vertex_disjoint_paths(net, net.inputs, net.outputs)
         backward = max_vertex_disjoint_paths(rev, rev.inputs, rev.outputs)
         assert forward == backward
         covered += 1
     assert covered == 79
-
-
-def test_reverse_refuses_an_output_with_an_out_edge():
-    # output 2 feeds output 3, so reversed, input 2 would have an in-edge
-    net = Network(4, [(0, 2), (1, 3), (2, 3)], (0, 1), (2, 3))
-    with pytest.raises(DanglingInputOutput, match="input vertex 2 has incoming edges"):
-        reverse(net)
 
 
 def test_disjoint_paths_monotone_in_terminals():
@@ -896,19 +901,6 @@ def test_verify_partial_sc_refuses_a_negative_slack():
     assert verify_partial_sc(net, 0, 0).verdict == "proved"
 
 
-def test_serial_compose_identifies_boundary():
-    top = complete_bipartite(2, 3)
-    bottom = complete_bipartite(3, 2)
-    net = serial_compose(top, bottom)
-    assert len(net.inputs) == 2 and len(net.outputs) == 2
-    assert net.vertex_count == 2 + 3 + 2
-    assert len(net.edges) == 6 + 6
-    assert net.depth == 2
-    assert max_vertex_disjoint_paths(net, net.inputs, net.outputs) == 2
-    with pytest.raises(ArityMismatch):
-        serial_compose(top, complete_bipartite(2, 2))
-
-
 def test_parallel_union_shares_terminals():
     a = complete_bipartite(3, 2)
     b = complete_bipartite(3, 2)
@@ -919,13 +911,6 @@ def test_parallel_union_shares_terminals():
     assert net.vertex_count == 5
     with pytest.raises(ArityMismatch):
         parallel_union([complete_bipartite(4, 2)], 3, 2)
-
-
-def test_reverse_is_involution():
-    net = Network(5, [(0, 2), (1, 2), (2, 3), (2, 4)], (0, 1), (3, 4))
-    back = reverse(reverse(net))
-    assert back.edges == net.edges
-    assert back.inputs == net.inputs and back.outputs == net.outputs
 
 
 def test_json_round_trip_and_canonical_edges(tmp_path):

@@ -25,29 +25,47 @@ def public(node, kinds=(ast.FunctionDef, ast.ClassDef)):
     return isinstance(node, kinds) and not node.name.startswith("_")
 
 
-def uncalled_public_names(root):
-    """`module.name` of each top-level public def or class in the package
-    under `root`, and `module.Class.name` of each public method of a public
-    class, that no code in src/ or perfbench/ refers to, its own body
-    aside."""
+def public_definitions(root):
+    """`module.name` -> node of each top-level public def or class in the
+    package under `root`, and `module.Class.name` -> node of each public
+    method of a public class."""
     package = root / "src" / "sharecircuit"
-    paths = sorted((root / "src").rglob("*.py")) + sorted((root / "perfbench").rglob("*.py"))
-    defined, used = {}, Counter()
-    for path in paths:
-        tree = ast.parse(path.read_text(), str(path))
-        used += references(tree)
-        for top in tree.body if path.parent == package else ():
+    defined = {}
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
             if public(top):
                 defined[f"{path.stem}.{top.name}"] = top
             if public(top, ast.ClassDef):
                 for node in top.body:
                     if public(node, ast.FunctionDef):
                         defined[f"{path.stem}.{top.name}.{node.name}"] = node
-    return {qual for qual, node in defined.items()
+    return defined
+
+
+def uncalled_public_names(root):
+    """Each public definition (see `public_definitions`) that no code in
+    src/ or perfbench/ refers to, its own body aside."""
+    paths = sorted((root / "src").rglob("*.py")) + sorted((root / "perfbench").rglob("*.py"))
+    used = Counter()
+    for path in paths:
+        used += references(ast.parse(path.read_text(), str(path)))
+    return {qual for qual, node in public_definitions(root).items()
             if used[node.name] == references(node)[node.name]}
+
+
+def shared_public_names(root):
+    """The bare names that two or more public definitions share. Callers are
+    matched by bare name, so each of two methods named `ok` would count the
+    other's callers as its own, and neither could be flagged."""
+    names = Counter(node.name for node in public_definitions(root).values())
+    return {name for name, count in names.items() if count > 1}
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     # Equality, not a subset: an allowlisted name that gains a caller or
     # disappears fails too, so the list cannot go stale.
     assert uncalled_public_names(ROOT) == UNCALLED
+
+
+def test_no_two_public_definitions_share_a_name():
+    assert shared_public_names(ROOT) == set()

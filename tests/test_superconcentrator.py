@@ -5,6 +5,7 @@ import math
 import pytest
 
 from sharecircuit.cli import main
+from sharecircuit import network
 from sharecircuit.errors import InvalidArguments, PreconditionViolation
 from sharecircuit.network import (
     network_to_dict,
@@ -201,6 +202,26 @@ def test_build_sc_table_on_a_grid():
                 assert all(net == nets[2] for net in nets.values()), (n, m)
             elif n > 4 and m >= n * math.log2(n) ** (2 + eps):
                 assert all(nets[d] == nets[3] for d in range(3, 7)), (n, m)
+
+
+def test_each_step_of_the_gen_sc_graph_is_built_as_one_network(monkeypatch):
+    # Every Network sorts itself once, when it is built. The pipeline's
+    # gen-sc graph takes 7 concentrator draws (one a retry), 4 funnels, 1
+    # bipartite block and the union: 13. Its edges keep their build order,
+    # which a graph file does not show (it sorts them) but the path
+    # matrix's weights follow.
+    built = []
+
+    def counting(net):
+        built.append(net)
+        return order(net)
+
+    order = network.topological_order
+    monkeypatch.setattr(network, "topological_order", counting)
+    net = build_sc(8, 32, 4, 0.5, 1, 200)
+    assert len(built) == 13 and built[-1] is net
+    assert (hashlib.sha256(json.dumps(net.edges).encode()).hexdigest()
+            == "3a27d1479bf4cd85f2c37a6511b18fee6596359ddb4654f767eca607325c5d64")
 
 
 def test_a_power_that_overflows_fails_the_precondition():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from sharecircuit import network
 from sharecircuit.concentrator import build_depth1
+from sharecircuit.superconcentrator import _bipartite_block
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -38,8 +39,7 @@ def test_every_flow_query_is_one_traced_kernel_call():
     pairs of size k <= 3 (k^3 <= E) and leaves the 26 larger ones to flow.
     Every query of a proved sweep finds as many paths as it has inputs."""
     shallow = build_depth1(12, 8, 4, rng_seed=1)[0]
-    deep = network.serial_compose(network.complete_bipartite(5, 5),
-                                  network.complete_bipartite(5, 5))
+    deep = _bipartite_block(5, 5, 5)
     assert shallow.depth == 1 and deep.depth == 2
     sweeps = [(lambda: network.verify_concentrator(shallow, 4), 495, 495, 495 * 4),
               (lambda: network.verify_superconcentrator(deep), 251, 26, 25 * 4 + 5)]
