@@ -360,10 +360,11 @@ def write_shares(shares: ShareVector, path) -> None:
 
 def read_shares(path) -> tuple:
     """Returns (modulus, list of (index, value)); every value is a field
-    element, an int in [0, modulus)."""
+    element, an int in [0, modulus), and no index is listed twice."""
     doc = read_json(path)
     check_fields(doc, "share file", modulus=int, shares=list)
     modulus = FieldModulus(doc["modulus"])
+    seen = set()
     for entry in doc["shares"]:
         # Indices and values are ints; bool is an int subclass but neither.
         if not (type(entry) is list and len(entry) == 2
@@ -375,4 +376,7 @@ def read_shares(path) -> tuple:
             raise InvalidArguments(
                 f"share values must lie in [0, modulus) = [0, {modulus.p}), got {quote(entry)}"
             )
+        if entry[0] in seen:
+            raise InvalidArguments(f"share file lists index {quote(entry[0])} twice")
+        seen.add(entry[0])
     return modulus, [tuple(entry) for entry in doc["shares"]]

@@ -1,15 +1,12 @@
 """Command-line front door: graph builders, circuit synthesizer, and the
 connectivity / rank / entropy verifiers, with reproducible seeds.
 
-Every command's arguments are declared once, in COMMANDS. A call builds the
-parser of its own command only; -h, no arguments or an unknown command build
-every command's, so that help and `invalid choice` list them all. `main`
-builds each of these parsers the first time a process needs it and reuses it
-after that: a shell call builds the parsers it always did, and a later call
-in the same process builds none. A reused parser answers as a fresh one: it
-holds only what COMMANDS declares, every default is immutable and every
-action a plain store, and argparse makes a new Namespace on every parse and
-looks up its output streams and the help width when it prints.
+Every command's arguments are declared once, in COMMANDS. `main` builds the
+parser of every command on a process's first call and reuses it after that.
+A reused parser answers as a fresh one: it holds only what COMMANDS declares,
+every default is immutable and every action a plain store, and argparse
+makes a new Namespace on every parse and looks up its output streams and the
+help width when it prints.
 
 Exit codes: 0 on success (proved or sampled_pass), 2 on refuted (witness
 printed) or on a usage error, 1 on an input or I/O error.
@@ -24,7 +21,7 @@ import sys
 
 from . import ackermann, circuit, infocheck, network, superconcentrator
 from .concentrator import build_depth1
-from .errors import ShareCircuitError
+from .errors import ShareCircuitError, quote
 from .field import DEFAULT_PRIME, FieldModulus
 from .network import DEFAULT_BUDGET
 
@@ -130,6 +127,13 @@ def _cmd_reconstruct(args):
         raise ShareCircuitError(
             f"share file modulus {modulus.p} differs from the circuit's {circ.modulus.p}"
         )
+    n = len(circ.net.outputs)
+    for i, _ in entries:
+        if not 0 <= i < n:
+            raise ShareCircuitError(
+                f"share index {quote(i)} is not an output of the circuit, "
+                f"whose {n} outputs are indexed [0, {n})"
+            )
     t = circ.threshold
     if len(entries) < t:
         raise ShareCircuitError(f"need at least t = {t} shares, got {len(entries)}")
@@ -160,7 +164,7 @@ def _cmd_entropy_verify(args):
         print(f"entropy_bounds={bounds.verdict}")
         residual = infocheck.han_check(dist, range(1, n + 1)) if n >= 2 else 0.0
         print(f"han_residual={residual:.9f}")
-        if not bounds.ok:
+        if bounds.verdict == "refuted":
             return _print_result(bounds.verdict, bounds.subsets_checked, bounds.witness)
     return _print_result(defn.verdict, defn.subsets_checked, defn.witness)
 
@@ -240,19 +244,14 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None):
-    """The parser of every command, or of `command` alone. That one names
-    every command in its usage, which `unrecognized arguments` prints; the
-    full parser keeps the default, so that its errors say `argument command`."""
+def build_parser():
+    """The parser of every command."""
     parser = argparse.ArgumentParser(
         prog="sharecircuit",
         description="Threshold secret-sharing circuits from superconcentrator-like graphs",
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar=command and "{%s}" % ",".join(COMMANDS)
-    )
-    for name in [command] if command else COMMANDS:
-        func, specs = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, specs) in COMMANDS.items():
         p = sub.add_parser(name)
         p.set_defaults(func=func)
         for flag, kwargs in specs:
@@ -260,15 +259,11 @@ def build_parser(command=None):
     return parser
 
 
-# build_parser(command), built once per process: the key is the command, or
-# None for -h, no arguments and an unknown command.
 _parser = functools.cache(build_parser)
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = _parser(command).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ShareCircuitError, OSError, ValueError) as exc:

@@ -20,24 +20,19 @@ from .network import (
 MAX_RETRIES = 32  # seeded attempts before build_depth1 gives up
 
 
-def degree_for(m: int, n: int, k: int) -> int:
+def _default_degree(m: int, n: int, k: int) -> int:
     """Per-input degree implementing the probabilistic size bound with
     explicit constants: ceil(2 log(m/k) / log(n/k)) + 2.
 
     The constants are this artifact's choice; correctness never relies on
     them since every built graph is verified (and resampled on failure).
     """
-    if k < 1 or m <= k or n <= k:
-        raise InvalidArguments(f"need m > k >= 1 and n > k, got m={m}, n={n}, k={k}")
-    return math.ceil(2 * math.log(m / k) / math.log(n / k)) + 2
-
-
-def _default_degree(m: int, n: int, k: int) -> int:
     if k >= 1 and m > k and n > k:
-        return min(n, degree_for(m, n, k))
-    # Full-capacity case (k == m or k == n): the ratio formula degenerates;
-    # a logarithmic degree suffices and verification backstops the choice.
-    return min(n, math.ceil(2 * math.log2(max(n, 2))) + 2)
+        return math.ceil(2 * math.log(m / k) / math.log(n / k)) + 2
+    # k = 0 or full capacity (k == m or k == n): the ratio formula
+    # degenerates; a logarithmic degree suffices and verification backstops
+    # the choice.
+    return math.ceil(2 * math.log2(max(n, 2))) + 2
 
 
 def build_depth1(

@@ -264,10 +264,6 @@ class VerificationReport:
     witness: tuple | None = None
     sample_seed: int | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict in ("proved", "sampled_pass")
-
 
 def topological_order(net: Network) -> list:
     succ = net.successors

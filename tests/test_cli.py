@@ -621,17 +621,29 @@ def test_reconstruct_rejects_a_share_file_of_another_modulus(capsys, tmp_path):
     assert "secret=" not in out
 
 
-@pytest.mark.parametrize("indices", [[0, 4], [-1, 2], [3, 3]],
-                         ids=["out_of_range", "negative", "repeated"])
-def test_reconstruct_rejects_bad_share_indices(capsys, tmp_path, indices):
+NOT_AN_OUTPUT = "share index {} is not an output of the circuit, whose 4 outputs are indexed [0, 4)"
+
+
+@pytest.mark.parametrize("entries, error", [
+    ([(0, 0), (0, 0), (1, 0)], "share file lists index 0 twice"),
+    ([(0, 1), (0, 0), (1, 0), (2, 0)], "share file lists index 0 twice"),
+    ([(0, 0), (9, 0)], NOT_AN_OUTPUT.format(9)),
+    ([(-1, 0), (0, 0)], NOT_AN_OUTPUT.format(-1)),
+    ([(0, 0), (1, 0), (4, 0)], NOT_AN_OUTPUT.format(4)),
+], ids=["repeated", "repeated_with_another_value", "out_of_range", "negative", "unused_out_of_range"])
+def test_reconstruct_rejects_bad_share_indices(capsys, tmp_path, entries, error):
+    # Each entry is (index, offset): the share dealt at that index, or 0,
+    # plus offset. The repeated and out-of-range indices were once reported
+    # as "row indices must be strictly increasing" or "row index 9 out of
+    # range [0, 4)", and an index past the first t shares was not read.
     circ, shares = shared_circuit(capsys, tmp_path)
     doc = json.loads(shares.read_text())
-    doc["shares"] = [[i, 1] for i in indices]
+    p, dealt = doc["modulus"], dict(doc["shares"])
+    doc["shares"] = [[i, (dealt.get(i, 0) + offset) % p] for i, offset in entries]
     shares.write_text(json.dumps(doc))
     code, out, err = run(capsys, "reconstruct", "--circuit", str(circ),
                          "--shares", str(shares))
-    assert code == 1 and "error: row ind" in err
-    assert "secret=" not in out
+    assert (code, out, err) == (1, "", f"error: {error}\n")
 
 
 def readme_commands():
@@ -695,14 +707,14 @@ def parse_outcome(capsys, parse, argv):
     argv for name, (_, specs) in COMMANDS.items() for argv in usage_errors(name, specs)
 ], ids=" ".join)
 def test_cli_output_matches_the_full_parser(capsys, argv):
-    """main builds one command's parser where it can; what it prints and its
-    exit code are those of the parser of every command."""
+    """What main prints and its exit code, with the parser it keeps for the
+    process, are those of a freshly built parser."""
     got = parse_outcome(capsys, main, argv)
     want = parse_outcome(capsys, build_parser().parse_args, argv)
     assert got == want
     code, out, err = got
     assert (code, bool(out), bool(err)) == ((0, True, False) if "-h" in argv else (2, False, True))
-    # The full parser names the command argument `command`, not a metavar.
+    # The parser names the command argument `command`, not a metavar.
     pinned = {(): "required: command\n", ("nope",): "argument command: invalid choice: 'nope'"}
     assert pinned.get(tuple(argv), "") in err
 
@@ -728,14 +740,7 @@ def benchmark_argvs(tmp_path, monkeypatch):
     return seen
 
 
-def test_readme_and_benchmark_argv_parse_alike(tmp_path, monkeypatch):
-    argvs = readme_commands() + benchmark_argvs(tmp_path, monkeypatch)
-    assert {argv[0] for argv in argvs} == set(COMMANDS)
-    for argv in argvs:
-        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
-
-
-def test_main_builds_only_the_parsers_it_needs(capsys, monkeypatch):
+def test_main_builds_every_parser_once(capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -757,14 +762,13 @@ def test_main_builds_only_the_parsers_it_needs(capsys, monkeypatch):
         capsys.readouterr()
         return len(built)
 
-    assert parsers_built("lambda", "4", "16") == 2
-    assert parsers_built("gen-sc", "-h") == parsers_built("share", "--bogus") == 2
-    every = 1 + len(COMMANDS)
-    assert parsers_built("-h") == parsers_built("nope") == parsers_built() == every
-    # A second identical call reuses what the first built.
-    for argv in (("lambda", "4", "16"), ("gen-sc", "-h"), ("share", "--bogus"), ("-h",),
-                 ("nope",), ()):
-        parsers_built(*argv)
+    calls = [("lambda", "4", "16"), ("gen-sc", "-h"), ("share", "--bogus"), ("-h",),
+             ("nope",), ()]
+    # A first call builds the top-level parser and one per command.
+    for argv in calls:
+        assert parsers_built(*argv) == 1 + len(COMMANDS), argv
+    # Every later call, of any command, reuses them.
+    for argv in calls:
         assert parsers_built(*argv, cold=False) == 0, argv
 
 
@@ -792,8 +796,7 @@ def test_reused_parsers_answer_as_fresh_ones(capsys, tmp_path, monkeypatch):
         for argv in order:
             cli._parser.cache_clear()
             cold.append(outcome(capsys, argv))
-        for name in [None, *COMMANDS]:
-            cli._parser(name)
+        cli._parser()
         warm = [outcome(capsys, argv) for argv in order]
         for argv, a, b in zip(order, cold, warm):
             assert a == b, argv
@@ -802,10 +805,10 @@ def test_reused_parsers_answer_as_fresh_ones(capsys, tmp_path, monkeypatch):
 
 def test_every_spec_has_an_immutable_default_and_a_plain_store_action():
     # What makes a parser safe to reuse: no parse can change a default.
-    for name in COMMANDS:
-        sub = next(a for a in build_parser(name)._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        for action in sub.choices[name]._actions:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(COMMANDS)
+    for name, parser in sub.choices.items():
+        for action in parser._actions:
             assert type(action) in (argparse._StoreAction, argparse._HelpAction), (name, action)
             assert type(action.default) in (type(None), int, float, str), (name, action)
 
@@ -828,14 +831,12 @@ print("parsers", len(built))
 """
 
 
-@pytest.mark.parametrize("argv, parsers", [
-    (["lambda", "4", "16"], 2), (["-h"], 1 + len(COMMANDS)),
-], ids=["one-command", "help"])
-def test_a_fresh_process_builds_the_parsers_of_its_call(argv, parsers):
+@pytest.mark.parametrize("argv", [["lambda", "4", "16"], ["-h"]], ids=["one-command", "help"])
+def test_a_fresh_process_builds_the_parsers_of_its_call(argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", COUNT_PARSERS, *argv], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == f"parsers {parsers}"
+    assert done.stdout.splitlines()[-1] == f"parsers {1 + len(COMMANDS)}"
 
 
 # A seeded fuzz of every command, in one process through main: boundary

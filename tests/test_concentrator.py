@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from sharecircuit import concentrator
-from sharecircuit.concentrator import build_depth1, degree_for
+from sharecircuit.concentrator import build_depth1
 from sharecircuit.errors import InvalidArguments, RetriesExhausted
 
 
@@ -21,13 +21,13 @@ def hall_condition_holds(net, k):
     return True
 
 
-def test_degree_for_examples():
-    assert degree_for(16, 16, 4) == 4
-    assert degree_for(1024, 32, 16) == 14
-    with pytest.raises(InvalidArguments):
-        degree_for(16, 16, 0)
-    with pytest.raises(InvalidArguments):
-        degree_for(4, 16, 4)
+@pytest.mark.parametrize("m, n, k, degree", [
+    (16, 16, 4, 4), (1024, 32, 16, 14), (16, 16, 0, 10), (4, 16, 4, 10), (6, 4, 4, 4),
+])
+def test_default_degree_examples(m, n, k, degree):
+    # k = 0 and k = m take the logarithmic degree; the last is capped at n.
+    net, _ = build_depth1(m, n, k, budget=0)
+    assert len(net.edges) == m * degree
 
 
 def test_build_depth1_small_proved():
@@ -41,7 +41,7 @@ def test_build_depth1_small_proved():
 def test_build_depth1_edge_count_matches_degree():
     net, report = build_depth1(10, 8, 2, degree=3, rng_seed=0)
     assert len(net.edges) == 10 * 3
-    assert report.ok
+    assert report.verdict != "refuted"
 
 
 def test_build_depth1_full_degree_never_retries():
@@ -74,7 +74,7 @@ def test_single_draw_success_rate(monkeypatch):
     for seed in range(100):
         try:
             _, report = build_depth1(16, 12, 4, rng_seed=seed)
-            successes += report.ok
+            successes += report.verdict != "refuted"
         except RetriesExhausted:
             pass
     assert successes >= 90

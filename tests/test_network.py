@@ -272,7 +272,7 @@ def test_sweep_matches_the_three_verifier_oracle():
             for prop, got, want in runs:
                 assert astuple(got) == astuple(want), (i, prop, budget)
                 mode = "exhaustive" if got.sample_seed is None else "sampled"
-                outcomes[prop, mode, got.ok] += 1
+                outcomes[prop, mode, got.verdict != "refuted"] += 1
     assert networks >= 300
     for prop in ("concentrator", "sc", "partial"):
         for mode in ("exhaustive", "sampled"):
@@ -395,9 +395,9 @@ def test_sweep_builds_the_path_matrix_only_when_it_pays(monkeypatch):
 
     monkeypatch.setattr(network.PathMatrix, "certifies", recording_certifies)
     net = complete_bipartite(8, 8)
-    assert verify_superconcentrator(net, budget=8).ok
+    assert verify_superconcentrator(net, budget=8).verdict != "refuted"
     assert "path_matrix" not in vars(net) and not offered
-    assert verify_superconcentrator(net, budget=80).ok
+    assert verify_superconcentrator(net, budget=80).verdict != "refuted"
     assert "path_matrix" in vars(net) and set(offered) == {1, 2, 3, 4}
     assert verify_concentrator(complete_bipartite(8, 8), 4).verdict == "proved"
     assert set(offered) == {1, 2, 3, 4}
@@ -821,7 +821,7 @@ def test_disjoint_paths_monotone_in_terminals():
 def test_verify_concentrator_examples():
     good = complete_bipartite(4, 2)
     rep = verify_concentrator(good, 2)
-    assert rep.verdict == "proved" and rep.subsets_checked == 6 and rep.ok
+    assert rep.verdict == "proved" and rep.subsets_checked == 6
     # two inputs forced through a single output cannot route 2 paths
     bad = Network(3, [(0, 2), (1, 2)], (0, 1), (2,))
     rep = verify_concentrator(bad, 1)
@@ -836,7 +836,6 @@ def test_verify_concentrator_refuted_with_witness():
     rep = verify_concentrator(bad, 2)
     assert rep.verdict == "refuted"
     assert rep.witness == ((0, 1),)
-    assert not rep.ok
 
 
 def test_verify_concentrator_checks_at_least_one_subset():
