@@ -137,8 +137,9 @@ def transfer_matrix(circ: LinearCircuit, rows=None) -> Matrix:
 
 
 def _walk_coalitions(M: Matrix, t: int, p: int):
-    """The exhaustive sweep as one depth-first walk over the coalitions of
-    size <= t, in the lexicographic order of `combinations`.
+    """The exhaustive sweep of an n x t matrix M, n >= t, as one depth-first
+    walk over the coalitions of size <= t, in the lexicographic order of
+    `combinations`.
 
     Returns (recover_checks, privacy_checks, witness), witness None when every
     coalition passes, equal to checking every size-t coalition and then every
@@ -160,6 +161,13 @@ def _walk_coalitions(M: Matrix, t: int, p: int):
     T + (i, j) recovers iff the 2 x 2 determinant of rows i and j is nonzero
     mod p: one scalar test per size-t coalition. Plain integer arithmetic
     mod p keeps this exact for every prime.
+
+    A row that reduces to zero fails every size-t coalition that holds it
+    and T, and the walk returns where it finds one. If it is T's first later
+    row i, T + (i, i+1, ...) is the first failure, as every coalition before
+    T passed. It fits below n: else n >= t leaves indices below i outside T
+    to complete a failing coalition that sorts before T. A later zero row i
+    is never reached, as T + (first, i, ...) fails first.
     """
     n = M.rows
     rows = [list(M.row(j)[1:] + M.row(j)[:1]) for j in range(n)]
@@ -172,37 +180,23 @@ def _walk_coalitions(M: Matrix, t: int, p: int):
         return n, 1, None
     recover_checks = privacy_checks = 0
     leak = None  # first size-(t-1) coalition that fails privacy
-    # (T, later rows reduced against M_T or None when M_T is singular,
-    #  whether M_T has a pivot on the secret column)
+    # (T, later rows reduced against M_T, whether M_T has a pivot on the
+    #  secret column); every node has a later row
     stack = [((), list(enumerate(rows)), False)]
     while stack:
         T, later, secret = stack.pop()
-        if later is None:
-            # M_T is singular, so every size-t coalition containing T fails
-            # recovery. The first one below T is the first failure of the
-            # walk. When T has none below it, one still comes later in the
-            # walk, since none before this node failed.
-            last, d = T[-1], len(T)
-            if last + t - d < n:
-                return recover_checks + 1, 0, T + tuple(range(last + 1, last + 1 + t - d))
-            continue
+        i, r = later[0]
+        if not any(r):
+            return recover_checks + 1, 0, T + tuple(range(i, i + t - len(T)))
         if len(T) == t - 2:
-            for pos, (i, r) in enumerate(later):
-                c = 0 if r[0] else next((k for k, x in enumerate(r) if x), None)
-                if c is None:
-                    # M_{T+(i,)} is singular: T + (i, i+1) is the walk's
-                    # first failure, as at a singular node above.
-                    if i + 1 < n:
-                        return recover_checks + 1, 0, T + (i, i + 1)
-                    continue
+            for pos, (i, (r0, r1)) in enumerate(later):
                 if leak is None:
                     privacy_checks += 1
-                    if secret or c == 1:  # the secret is the last of two entries
+                    if secret or not r0:  # (0, r1) pivots on the secret, the last entry
                         leak = T + (i,)
                 rest = later[pos + 1 :]
                 # Reducing q against r leaves +-(r0 * q1 - q0 * r1) in the one
                 # free column, which is the pivot M_{T+(i,)} lacks.
-                r0, r1 = r
                 for k, (j, (q0, q1)) in enumerate(rest, 1):
                     if not (r0 * q1 - q0 * r1) % p:
                         return recover_checks + k, 0, T + (i, j)
@@ -213,8 +207,7 @@ def _walk_coalitions(M: Matrix, t: int, p: int):
         for pos, (i, r) in enumerate(later[: len(later) - (t - 2 - len(T))]):
             c = 0 if r[0] else next((k for k, x in enumerate(r) if x), None)
             if c is None:
-                children.append((T + (i,), None, secret))
-                continue
+                continue  # a zero row, which fails first under the first child
             # Fraction-free: r[c] * q - q[c] * r clears column c of q and is
             # a nonzero multiple of the reduced row, with no field inverse.
             a = r[c]
@@ -279,6 +272,21 @@ def share(circ: LinearCircuit, s: int, rng_seed: int = 0) -> ShareVector:
     return ShareVector(tuple(evaluate(circ, x)), circ.modulus)
 
 
+def check_share_indices(circ: LinearCircuit, indices) -> None:
+    """Raise InvalidArguments, naming the index, unless every index names an
+    output of the circuit, an int in [0, n), and none is listed twice."""
+    n = len(circ.net.outputs)
+    seen = set()
+    for i in indices:
+        # bool is an int subclass but no index.
+        if type(i) is not int or not 0 <= i < n:
+            raise InvalidArguments(f"share index {quote(i)} is not an output of the "
+                                   f"circuit, whose {n} outputs are indexed [0, {n})")
+        if i in seen:
+            raise InvalidArguments(f"share index {i} is listed twice")
+        seen.add(i)
+
+
 def reconstruct(circ: LinearCircuit, T, y_T) -> int:
     """Recover the secret from the t shares y_T (taken mod p) of coalition T,
     y_T[j] being the share of output T[j], with T in any order, by one
@@ -286,10 +294,11 @@ def reconstruct(circ: LinearCircuit, T, y_T) -> int:
     M_T, the randomness columns 1..t-1 first and the secret's column 0 last.
     M_T is invertible iff that gives t pivots; then the last pivot row, on
     the secret column, is (a, 0, ..., 0, a*s) mod p, and the secret costs
-    one field inverse."""
+    one field inverse. T must pass `check_share_indices`."""
     t = circ.threshold
     if len(T) != t or len(y_T) != t:
         raise InvalidArguments(f"need exactly t = {t} shares")
+    check_share_indices(circ, T)
     shares = sorted(zip(T, y_T))  # T in increasing order, each share kept with its index
     T = [i for i, _ in shares]
     M_T = transfer_matrix(circ, T)

@@ -21,7 +21,7 @@ import sys
 
 from . import ackermann, circuit, infocheck, network, superconcentrator
 from .concentrator import build_depth1
-from .errors import ShareCircuitError, quote
+from .errors import ShareCircuitError
 from .field import DEFAULT_PRIME, FieldModulus
 from .network import DEFAULT_BUDGET
 
@@ -127,19 +127,11 @@ def _cmd_reconstruct(args):
         raise ShareCircuitError(
             f"share file modulus {modulus.p} differs from the circuit's {circ.modulus.p}"
         )
-    n = len(circ.net.outputs)
-    for i, _ in entries:
-        if not 0 <= i < n:
-            raise ShareCircuitError(
-                f"share index {quote(i)} is not an output of the circuit, "
-                f"whose {n} outputs are indexed [0, {n})"
-            )
+    circuit.check_share_indices(circ, [i for i, _ in entries])
     t = circ.threshold
     if len(entries) < t:
         raise ShareCircuitError(f"need at least t = {t} shares, got {len(entries)}")
-    chosen = sorted(entries)[:t]
-    T = [i for i, _ in chosen]
-    y_T = [v for _, v in chosen]
+    T, y_T = zip(*sorted(entries)[:t])
     secret = circuit.reconstruct(circ, T, y_T)
     print(f"secret={secret}")
     return _print_result("ok", t)

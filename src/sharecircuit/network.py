@@ -470,10 +470,7 @@ def network_from_dict(doc, what: str = "network") -> Network:
     the document's order; raises InvalidArguments when the document is not
     shaped like one, and what `Network` raises when it is not valid."""
     check_fields(doc, what, vertex_count=int, edges=list, inputs=list, outputs=list)
-    try:
-        return Network(doc["vertex_count"], doc["edges"], doc["inputs"], doc["outputs"])
-    except TypeError as exc:
-        raise InvalidArguments(f"{what} has a malformed edge or terminal list: {exc}") from None
+    return Network(doc["vertex_count"], doc["edges"], doc["inputs"], doc["outputs"])
 
 
 def read_json(path):

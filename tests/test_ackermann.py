@@ -109,6 +109,8 @@ def test_lam_4_vs_log_star():
 def test_alpha_examples():
     assert alpha(32768, 256) == 1
     assert alpha(256, 256) == 3
+    # m = 128 n takes the ratio test, and n * lam(1, n) > m moves it to d = 2.
+    assert alpha(2_560_000, 20_000) == 2
     with pytest.raises(InvalidArguments):
         alpha(10, 20)
 

@@ -13,6 +13,7 @@ from sharecircuit.circuit import (
     SchemeReport,
     circuit_from_dict,
     circuit_to_dict,
+    check_share_indices,
     evaluate,
     failure_bound,
     read_circuit,
@@ -138,6 +139,8 @@ def test_evaluate_identity_matching():
     assert evaluate(circ, [3, 5]) == [3, 5]
     M = transfer_matrix(circ)
     assert M.entries == (1, 0, 0, 1)
+    with pytest.raises(InvalidArguments, match="input vector length mismatch"):
+        evaluate(circ, [3])
 
 
 def test_transfer_matrix_sums_parallel_edges():
@@ -834,6 +837,30 @@ def test_reconstruct_errors():
     dup = shamir_like_circuit([1, 1, 3])
     with pytest.raises(SingularSubmatrix):
         reconstruct(dup, [0, 1], [2, 2])
+
+
+NOT_AN_OUTPUT = "share index {} is not an output of the circuit, whose 5 outputs are indexed [0, 5)"
+
+
+@pytest.mark.parametrize("T, error", [
+    ([1, 1, 0], "share index 1 is listed twice"),
+    ([0, 1, 9], NOT_AN_OUTPUT.format(9)),
+    ([0, 1, -1], NOT_AN_OUTPUT.format(-1)),
+    ([0, True, 2], NOT_AN_OUTPUT.format(True)),
+    ([0, 1.0, 2], NOT_AN_OUTPUT.format(1.0)),
+], ids=["repeated", "past_n", "negative", "bool", "float"])
+def test_reconstruct_names_a_bad_share_index(T, error):
+    # The repeated and the out-of-range index were once reported as "row
+    # indices must be strictly increasing" and "row index 9 out of range".
+    circ = synthesize(complete_bipartite(3, 5), GF101, rng_seed=1)
+    with pytest.raises(InvalidArguments) as refused:
+        reconstruct(circ, T, [1, 2, 3])
+    assert str(refused.value) == error
+    with pytest.raises(InvalidArguments) as refused:
+        check_share_indices(circ, [*T, 3])
+    assert str(refused.value) == error
+    y = share(circ, 42, rng_seed=2).values
+    assert reconstruct(circ, [4, 0, 2], [y[4], y[0], y[2]]) == 42
 
 
 def test_failure_bound_examples():

@@ -16,7 +16,9 @@ from pathlib import Path
 import pytest
 
 from sharecircuit import cli
+from sharecircuit.circuit import LinearCircuit, write_circuit
 from sharecircuit.cli import COMMANDS, build_parser, main
+from sharecircuit.field import FieldModulus
 from sharecircuit.network import MAX_SIZE, complete_bipartite, write_network
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -343,6 +345,20 @@ def test_entropy_verify(capsys, tmp_path):
     assert "han_residual=" in out
 
 
+def test_entropy_verify_reports_bounds_refuted_where_the_definition_holds(capsys, tmp_path):
+    # Every share of an all-zero circuit is 0, so H(S | Y_T) = H(S) = 1 for
+    # every T: within --tol 1 of the definition's 0 and H(S), but
+    # H(Y_{1,2,3}) = 0 falls short of t H(S) - tol = 2.
+    net = complete_bipartite(3, 5)
+    circ = tmp_path / "zero.json"
+    write_circuit(LinearCircuit(net, FieldModulus(7), (0,) * len(net.edges)), circ)
+    code, out, _ = run(capsys, "entropy-verify", "--circuit", str(circ), "--tol", "1")
+    assert code == 2
+    assert out.splitlines()[-4:] == [
+        "threshold_definition=proved", "entropy_bounds=refuted", "han_residual=0.000000000",
+        "RESULT verdict=refuted checked=1 witness=((1,2,3),)"]
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
 def test_entropy_verify_refuses_a_tolerance_outside_zero_to_inf(capsys, tmp_path, tol):
     # Over GF(3) at seed 1 the (2, 3) circuit is refuted at the default
@@ -417,6 +433,11 @@ def test_bench_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].split(",") == ["builder", "n", "m", "edges", "ratio"]
     assert len(lines) == 3
+    code, out, _ = run(capsys, "bench", "--builder", "sc-depth2-linear",
+                       "--sizes", "2,3", "--budget", "50")
+    assert code == 0
+    assert out.splitlines() == ["builder,n,m,edges,ratio", "sc-depth2-linear,2,6,24,4.0000",
+                                "sc-depth2-linear,3,16,114,7.1250"]
 
 
 def test_error_exit_code(capsys, tmp_path):
@@ -610,15 +631,24 @@ def test_error_lines_quote_a_huge_integer_briefly(capsys, tmp_path):
         assert "100000" in err, (argv, err)
 
 
-def test_reconstruct_rejects_a_share_file_of_another_modulus(capsys, tmp_path):
-    circ, shares = shared_circuit(capsys, tmp_path)
+@pytest.mark.parametrize("field, value, error", [
+    ("modulus", 103, "share file modulus 103 differs from the circuit's 101"),
+    ("shares", 2, "need at least t = 3 shares, got 2"),
+], ids=["another_modulus", "too_few"])
+def test_reconstruct_refuses_a_share_file_it_cannot_use(capsys, tmp_path, field, value, error):
+    # A (3, 5) circuit over GF(101), whose shares are valid over GF(103) too;
+    # `value` is the share file's modulus or the number of shares it keeps.
+    graph, circ, shares = (tmp_path / f"{name}.json" for name in ("g", "c", "s"))
+    run(capsys, "gen-sc", "--inputs", "3", "--outputs", "5", "--out", str(graph))
+    run(capsys, "synth-ss", "--graph", str(graph), "--t", "3", "--modulus", "101",
+        "--out", str(circ))
+    run(capsys, "share", "--circuit", str(circ), "--secret", "5", "--out", str(shares))
     doc = json.loads(shares.read_text())
-    doc["modulus"] = 101
+    doc[field] = doc["shares"][:value] if field == "shares" else value
     shares.write_text(json.dumps(doc))
     code, out, err = run(capsys, "reconstruct", "--circuit", str(circ),
                          "--shares", str(shares))
-    assert code == 1 and "error:" in err and "modulus" in err
-    assert "secret=" not in out
+    assert (code, out, err) == (1, "", f"error: {error}\n")
 
 
 NOT_AN_OUTPUT = "share index {} is not an output of the circuit, whose 4 outputs are indexed [0, 4)"
@@ -695,30 +725,6 @@ def usage_errors(name, specs):
     return cases
 
 
-def parse_outcome(capsys, parse, argv):
-    """(exit code, stdout, stderr) of `parse(argv)`, which must stop in argparse."""
-    with pytest.raises(SystemExit) as stop:
-        parse(argv)
-    out = capsys.readouterr()
-    return stop.value.code, out.out, out.err
-
-
-@pytest.mark.parametrize("argv", [["-h"], [], ["nope"], ["--bogus"]] + [
-    argv for name, (_, specs) in COMMANDS.items() for argv in usage_errors(name, specs)
-], ids=" ".join)
-def test_cli_output_matches_the_full_parser(capsys, argv):
-    """What main prints and its exit code, with the parser it keeps for the
-    process, are those of a freshly built parser."""
-    got = parse_outcome(capsys, main, argv)
-    want = parse_outcome(capsys, build_parser().parse_args, argv)
-    assert got == want
-    code, out, err = got
-    assert (code, bool(out), bool(err)) == ((0, True, False) if "-h" in argv else (2, False, True))
-    # The parser names the command argument `command`, not a metavar.
-    pinned = {(): "required: command\n", ("nope",): "argument command: invalid choice: 'nope'"}
-    assert pinned.get(tuple(argv), "") in err
-
-
 def benchmark_argvs(tmp_path, monkeypatch):
     """The argument lists that one set-up and one operation of every
     benchmark workload pass to the CLI."""
@@ -782,6 +788,19 @@ def outcome(capsys, argv):
     return code, out.out, out.err
 
 
+@pytest.mark.parametrize("argv", [["-h"], [], ["nope"], ["--bogus"]] + [
+    argv for name, (_, specs) in COMMANDS.items() for argv in usage_errors(name, specs)
+], ids=" ".join)
+def test_usage_errors_stop_in_argparse(capsys, argv):
+    """Help exits 0 with stdout only; every other usage error exits 2 with
+    stderr only."""
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    out = capsys.readouterr()
+    want = (0, True, False) if "-h" in argv else (2, False, True)
+    assert (stop.value.code, bool(out.out), bool(out.err)) == want
+
+
 def test_reused_parsers_answer_as_fresh_ones(capsys, tmp_path, monkeypatch):
     """Cold (memo cleared before every call) and warm (every parser built
     beforehand and reused through the pass, after failures and successes),
@@ -801,6 +820,10 @@ def test_reused_parsers_answer_as_fresh_ones(capsys, tmp_path, monkeypatch):
         for argv, a, b in zip(order, cold, warm):
             assert a == b, argv
     assert {code for code, _, _ in cold} == {0, 2}
+    # The parser names the command argument `command`, not a metavar.
+    errs = {tuple(argv): err for argv, (_, _, err) in zip(order, cold)}
+    assert "required: command\n" in errs[()]
+    assert "argument command: invalid choice: 'nope'" in errs[("nope",)]
 
 
 def test_every_spec_has_an_immutable_default_and_a_plain_store_action():
@@ -837,6 +860,13 @@ def test_a_fresh_process_builds_the_parsers_of_its_call(argv):
     done = subprocess.run([sys.executable, "-c", COUNT_PARSERS, *argv], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == f"parsers {1 + len(COMMANDS)}"
+
+
+def test_the_module_runs_as_a_script():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "sharecircuit.cli", "lambda", "4", "16"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert (done.stdout, done.stderr) == ("3\n", "")
 
 
 # A seeded fuzz of every command, in one process through main: boundary

@@ -20,6 +20,11 @@ from sharecircuit.field import (
 GF7 = FieldModulus(7)
 
 
+def test_matrix_refuses_an_entry_count_off_its_shape():
+    with pytest.raises(InvalidArguments, match=r"entry count 3 != 2x2"):
+        Matrix(2, 2, (1, 2, 3))
+
+
 def identity(n):
     return Matrix(n, n, tuple(int(r == c) for r in range(n) for c in range(n)))
 

@@ -109,6 +109,8 @@ def test_cond_entropy_examples():
     assert cond_entropy(dist, [0], [1, 2]) == pytest.approx(0.0)  # both: everything
     assert cond_entropy(dist, [0], [0]) == pytest.approx(0.0)
     assert cond_entropy(dist, [0], []) == pytest.approx(1.0)
+    with pytest.raises(InvalidArguments, match="A must be nonempty"):
+        cond_entropy(dist, [], [1])
 
 
 def test_verify_threshold_definition_xor():
