@@ -20,6 +20,7 @@ from sharecircuit.circuit import LinearCircuit, write_circuit
 from sharecircuit.cli import COMMANDS, build_parser, main
 from sharecircuit.field import FieldModulus
 from sharecircuit.network import MAX_SIZE, complete_bipartite, write_network
+from sharecircuit.superconcentrator import build_partial_sc_depth2
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -125,6 +126,67 @@ def test_verify_ss_output_is_pinned(capsys, tmp_path):
         ("refuted", sampled, stage) for sampled in (False, True)
         for stage in ("recovery", "privacy")}
     assert digest.hexdigest() == VERIFY_SS_DIGEST
+
+
+# (graph, properties, budgets): each graph made by a command's argument list,
+# or written from build_partial_sc_depth2(n, m, r, seed), and each property
+# verified exhaustively and at each budget. The graphs are the depth-1
+# complete graphs of gen-sc (n <= 4), depth-2 unions, depth-2 partial graphs
+# and gen-concentrator's graphs. `sc` and `partial:5,0` on a partial graph
+# with a 4-vertex middle, and `concentrator:4` on a degree-2 concentrator,
+# refute. A sampled sweep draws max(1, budget // sizes) pairs per size, so on
+# the partial graphs the low budget makes fewer checks than the graph has
+# inputs and the high one more.
+VERIFY_GRAPH_CORPUS = [
+    (("gen-sc", "--inputs", "2", "--outputs", "4"), ("sc", "partial:2,1", "concentrator:2"),
+     (1, 12)),
+    (("gen-sc", "--inputs", "3", "--outputs", "6"), ("sc", "partial:3,1", "concentrator:3"),
+     (2, 12)),
+    (("gen-sc", "--inputs", "4", "--outputs", "8"), ("sc", "partial:4,2", "concentrator:3"),
+     (2, 24)),
+    (("gen-sc", "--inputs", "5", "--outputs", "5", "--depth", "2"),
+     ("sc", "partial:5,3", "concentrator:5"), (2, 40)),
+    (("gen-sc", "--inputs", "5", "--outputs", "7", "--depth", "2"), ("sc", "partial:5,2"),
+     (2, 40)),
+    ((6, 6, 1.0, 3), ("partial:6,4", "sc"), (3, 24)),
+    ((6, 6, 2.0, 0), ("partial:3,0", "partial:5,0", "sc"), (3, 24)),
+    ((9, 9, 1.5, 1), ("partial:6,4",), (3, 40)),
+    (("gen-concentrator", "--m", "12", "--n", "8", "--k", "4"),
+     ("concentrator:4", "concentrator:6", "partial:3,1"), (2, 40)),
+    (("gen-concentrator", "--m", "10", "--n", "6", "--k", "2", "--degree", "2", "--seed", "4"),
+     ("concentrator:2", "concentrator:4", "partial:4,1"), (2, 40)),
+]
+# sha256 over "stdout|exit code" of every verify-graph run on that corpus, in
+# corpus order: exhaustive, then at each budget.
+VERIFY_GRAPH_DIGEST = "05c87ab18580a5f39ca5a50f848e27d1db52b667f95db955c06886093cc92154"
+
+
+def test_verify_graph_output_is_pinned(capsys, tmp_path):
+    # The path-matrix certificate only skips the flow queries of pairs it
+    # proves, so which pairs it is offered moves no verdict, witness or count
+    # of checks; any change to the sweeps that does moves this digest.
+    digest, verdicts = hashlib.sha256(), set()
+    graph = tmp_path / "g.json"
+    for source, properties, budgets in VERIFY_GRAPH_CORPUS:
+        if isinstance(source[0], str):
+            code, _, _ = run(capsys, *source, "--out", str(graph))
+            assert code == 0
+        else:
+            write_network(build_partial_sc_depth2(*source), graph)
+        for prop in properties:
+            for budget in [()] + [("--budget", str(b)) for b in budgets]:
+                code, out, err = run(capsys, "verify-graph", str(graph), "--property", prop,
+                                     *budget)
+                verdict = RESULT_RE.search(out)[1]
+                assert not err and code == EXIT_CODE[verdict]
+                verdicts.add((prop.split(":")[0], verdict, bool(budget)))
+                digest.update(f"{out}|{code}\n".encode())
+    # Each property is proved exhaustively, passes its samples, and is
+    # refuted in both modes.
+    assert verdicts >= {(prop, verdict, sampled) for prop in ("sc", "partial", "concentrator")
+                        for verdict, sampled in (("proved", False), ("sampled_pass", True),
+                                                 ("refuted", False), ("refuted", True))}
+    assert digest.hexdigest() == VERIFY_GRAPH_DIGEST
 
 
 def test_every_proved_corpus_circuit_deals_and_reconstructs(capsys, tmp_path):
