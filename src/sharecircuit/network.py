@@ -331,18 +331,17 @@ def _sweep(net, name, lo, hi, slack, budget, rng_seed, all_outputs=False):
 
     A pair may first be offered to the network's path matrix: rank
     M[Y, X] >= k - slack proves it, and no flow runs. Otherwise max-flow
-    decides, so every refutation and every report is the flow sweep's. The
-    certificate is meant for where it costs less than the flows it saves:
-    the sizes with k^3 <= E (E edges) are certified, and only when the sweep
-    has at least one such pair per input. The rule was fitted to Dinic's
-    algorithm on the split graph. Against the augmenting-path kernel and the
-    packed elimination (BENCH_packed_elimination.json), a certificate costs
-    0.3-0.8 of a flow query per pair at k <= 5 and 0.7-1.0 at k = 6-7 on
-    build_sc_depth2(8, 8) (E = 384), 0.2-0.4 of one at every k on
-    build_sc(5, 30, 5, 0.5, 1, 200), and building the matrix about 2-4 flow
-    queries per input; so the rule stands. The all-outputs sweep runs no
-    certificate: the builders sweep depth-1 graphs, where a flow query is a
-    bipartite matching and costs less than a dense elimination."""
+    decides, so every refutation and every report is the flow sweep's. A
+    pair sweep offers every pair when the network is deeper than one edge
+    and the sweep makes more checks than the network has inputs
+    (BENCH_certify_by_depth.json): at depth 1 a flow query is a matching
+    that beats the elimination at every k (sc on K_{8,8}: 24 ms, 68 ms with
+    k <= 4 certified); deeper, the elimination stopped at the (k - slack)-th
+    pivot wins at every k (partial(9,6) on build_partial_sc_depth2(9, 9, 1.0,
+    3): 4 ms, 173 ms by flow); one check per input does not repay the
+    matrix. The all-outputs sweep certifies nothing: each of its rank tests
+    eliminates every output's row (a sampled concentrator(8) sweep of
+    build_sc(16, 64, 4, 0.5, 1, 100): 60 ms by flow, 1.3 s certified)."""
     check_budget(budget)
     xs, ys = sorted(net.inputs), sorted(net.outputs)
     limit = len(xs) if all_outputs else min(len(xs), len(ys))
@@ -365,15 +364,13 @@ def _sweep(net, name, lo, hi, slack, budget, rng_seed, all_outputs=False):
         return ((tuple(sorted(rng.sample(xs, k))), tuple(sorted(rng.sample(ys, k))))
                 for _ in range(draws))
 
-    cheap = [] if all_outputs else [k for k in sizes if k ** 3 <= len(net.edges)]
-    cheap_pairs = sum(comb(len(xs), k) * comb(len(ys), k) if exhaustive else draws
-                      for k in cheap)
-    certified = set(cheap) if cheap_pairs >= len(xs) else set()
-    paths = net.path_matrix if certified else None
+    checks = total if exhaustive else draws * len(sizes)
+    certify = not all_outputs and checks > len(xs) and net.depth > 1
+    paths = net.path_matrix if certify else None
     checked, witness = 0, None
     for k, X, Y in ((k, X, Y) for k in sizes for X, Y in pairs(k)):
         checked += 1
-        if k in certified and paths.certifies(X, Y, k - slack):
+        if certify and paths.certifies(X, Y, k - slack):
             continue
         if max_vertex_disjoint_paths(net, X, Y) < k - slack:
             witness = (X,) if all_outputs else (X, Y)

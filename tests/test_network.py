@@ -384,8 +384,9 @@ def test_sweep_falls_back_to_flow_when_minors_vanish(monkeypatch, prime):
 
 
 def test_sweep_builds_the_path_matrix_only_when_it_pays(monkeypatch):
-    # K_{8,8}: E = 64, so sizes k <= 4 are cheap to certify. One draw per
-    # size gives 4 such pairs, fewer than the 8 inputs the matrix costs.
+    # A pair sweep offers every pair to the path matrix when the network is
+    # deeper than one edge and the sweep makes more checks than the network
+    # has inputs; a concentrator sweep never offers one.
     offered = []
     certifies = network.PathMatrix.certifies
 
@@ -394,13 +395,26 @@ def test_sweep_builds_the_path_matrix_only_when_it_pays(monkeypatch):
         return certifies(self, X, Y, r)
 
     monkeypatch.setattr(network.PathMatrix, "certifies", recording_certifies)
-    net = complete_bipartite(8, 8)
-    assert verify_superconcentrator(net, budget=8).verdict != "refuted"
-    assert "path_matrix" not in vars(net) and not offered
-    assert verify_superconcentrator(net, budget=80).verdict != "refuted"
-    assert "path_matrix" in vars(net) and set(offered) == {1, 2, 3, 4}
-    assert verify_concentrator(complete_bipartite(8, 8), 4).verdict == "proved"
-    assert set(offered) == {1, 2, 3, 4}
+    flat = complete_bipartite(8, 8)
+    for budget in (0, 8, 80, DEFAULT_BUDGET):
+        assert verify_superconcentrator(flat, budget).verdict != "refuted"
+    assert "path_matrix" not in vars(flat) and not offered
+    # partial(6, 4) sweeps the sizes 4..6 of a graph with 6 inputs: budgets 3
+    # and 6 make 3 and 6 checks, budget 9 makes 9.
+    deep = build_partial_sc_depth2(6, 6, 1.0, 3)
+    assert deep.depth == 2
+    for budget in (3, 6):
+        assert verify_partial_sc(deep, 6, 4, budget).subsets_checked == budget
+    assert "path_matrix" not in vars(deep) and not offered
+    assert verify_partial_sc(deep, 6, 4, 9).subsets_checked == 9
+    assert "path_matrix" in vars(deep) and set(offered) == {4, 5, 6}
+    offered.clear()
+    assert verify_partial_sc(deep, 6, 4).verdict == "proved"
+    assert set(offered) == {4, 5, 6}
+    offered.clear()
+    for budget in (12, DEFAULT_BUDGET):
+        assert verify_concentrator(deep, 3, budget).subsets_checked > len(deep.inputs)
+    assert not offered
 
 
 # Flow queries as they were before the split graph was shared: the arc list

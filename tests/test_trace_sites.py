@@ -33,16 +33,15 @@ def test_every_traced_site_resolves():
 
 def test_every_flow_query_is_one_traced_kernel_call():
     """Each flow query runs the traced flow kernel once, at every depth, so
-    the per-layer flow metrics count every query: an exhaustive concentrator
-    sweep of a depth-1 graph answers its 495 subsets by flow, and a
-    superconcentrator sweep of a depth-2 graph with 50 edges certifies the
-    pairs of size k <= 3 (k^3 <= E) and leaves the 26 larger ones to flow.
-    Every query of a proved sweep finds as many paths as it has inputs."""
+    the per-layer flow metrics count every query: exhaustive concentrator
+    sweeps answer their 495 subsets of a depth-1 graph and their 10 subsets
+    of a depth-2 graph by flow, since no concentrator sweep certifies. Every
+    query of a proved sweep finds as many paths as it has inputs."""
     shallow = build_depth1(12, 8, 4, rng_seed=1)[0]
     deep = _bipartite_block(5, 5, 5)
     assert shallow.depth == 1 and deep.depth == 2
     sweeps = [(lambda: network.verify_concentrator(shallow, 4), 495, 495, 495 * 4),
-              (lambda: network.verify_superconcentrator(deep), 251, 26, 25 * 4 + 5)]
+              (lambda: network.verify_concentrator(deep, 3), 10, 10, 10 * 3)]
     for sweep, checked, flow_calls, augmentations in sweeps:
         tracer = load_spans().Tracer()
         try:
