@@ -2,7 +2,10 @@
 bipartite graphs with post-construction verification and seeded retry.
 
 As in the paper's notation, m is the input side and n the output side: every
-k-subset of the m inputs has a matching into the n outputs."""
+k-subset of the m inputs has a matching into the n outputs. Each drawn graph
+is decided first by an exact search for a Hall violator, capped at the
+budget in nodes; only a graph whose search runs past the cap goes to the
+sampled matching sweep of `network.verify_concentrator`."""
 
 import math
 import random
@@ -35,6 +38,50 @@ def _default_degree(m: int, n: int, k: int) -> int:
     return math.ceil(2 * math.log2(max(n, 2))) + 2
 
 
+def _hall_search(net: Network, k: int, budget: int) -> VerificationReport | None:
+    """Decide whether the depth-1 network `net` is a concentrator for k,
+    exactly, by a search for a Hall violator: an input set S with
+    |N(S)| < |S|. By Hall's theorem a k-subset of the inputs has a matching
+    into the outputs iff no subset of it is a violator, so `net` is a
+    k-concentrator iff no S with |S| <= k is one.
+
+    Each input's neighbours are one int of bits, and a node of the search is
+    a set S with its N(S), one OR away from its parent's. The walk runs
+    depth first over input sets in lexicographic order and stops at the first
+    violator. A violator within k has |N(S)| <= k - 1, and so has each of its
+    subsets, which prunes: an input of degree >= k never joins S, and a set
+    is extended only by the later inputs that keep |N| <= k - 1, of which a
+    violator above S needs at least |N(S)| - |S| + 1. A child's candidates
+    are among its parent's, so each node scans only those.
+
+    Returns a report with verdict "proved" or "refuted", `subsets_checked`
+    the nodes visited, the empty set included, and no sample seed; a
+    refutation's witness is (X,), X the violator padded with the smallest
+    other inputs to k and sorted, so that X itself has no matching. Returns
+    None when the search would visit more than `budget` nodes.
+    """
+    succ, xs = net.successors, sorted(net.inputs)
+    pool = [(x, sum(1 << v for v in set(succ[x]))) for x in xs]
+    nodes = 0
+    stack = [((), 0, pool)]  # (S, N(S) as bits, the candidates after S's last input)
+    while stack:
+        S, mask, pool = stack.pop()
+        nodes += 1
+        if nodes > budget:
+            return None
+        size = mask.bit_count()
+        if size < len(S):
+            rest = [x for x in xs if x not in S][:k - len(S)]
+            witness = (tuple(sorted(S + tuple(rest))),)
+            return VerificationReport(f"concentrator({k})", "refuted", nodes, witness)
+        fits = [(x, union) for x, mx in pool if (union := mask | mx).bit_count() < k]
+        if len(fits) > size - len(S):
+            for j in range(len(fits) - 1, -1, -1):
+                x, union = fits[j]
+                stack.append((S + (x,), union, fits[j + 1:]))
+    return VerificationReport(f"concentrator({k})", "proved", nodes)
+
+
 def build_depth1(
     m: int, n: int, k: int, degree: int | None = None, rng_seed: int = 0,
     budget: int = DEFAULT_BUDGET,
@@ -42,6 +89,14 @@ def build_depth1(
     """Sample a random bipartite graph with m inputs and n outputs, `degree`
     per input (derived when None), and verify that every k-subset of inputs
     reaches k outputs; resample with the next seed on refutation.
+
+    Each draw is verified by `_hall_search` first, which is exact and visits
+    at most `budget` nodes: its report is "proved" or "refuted", with the
+    nodes visited as `subsets_checked` and no sample seed. When it runs past
+    the budget, `verify_concentrator(net, k, budget, rng_seed + a)` decides,
+    exhaustive when C(m, k) fits the budget and sampled otherwise. So a
+    "sampled_pass" arises only from that fallback, and it is weaker than one
+    sampled sweep's: the draws are retried until one passes its own sweep.
 
     Attempt a draws its graph from `rng_seed + a` and seeds its sampled
     sweep with that same value, so the sweep's subset draws and the graph's
@@ -72,7 +127,8 @@ def build_depth1(
             for j in rng.sample(range(m, m + n), degree):
                 edges.append((i, j))
         net = Network(m + n, edges, inputs, outputs)
-        report = verify_concentrator(net, k, budget, rng_seed + attempt)
+        report = (_hall_search(net, k, budget)
+                  or verify_concentrator(net, k, budget, rng_seed + attempt))
         if report.verdict != "refuted":
             return net, report
         last_report = report

@@ -254,8 +254,9 @@ class PathMatrix:
 class VerificationReport:
     """Outcome of a connectivity sweep.
 
-    verdict is "proved" only when the sweep was exhaustive over the
-    property's quantifier; sampled sweeps report "sampled_pass".
+    verdict is "proved" only when the check was exhaustive over the
+    property's quantifier: a complete sweep, or the complete Hall search of
+    `concentrator.build_depth1`; sampled sweeps report "sampled_pass".
     """
 
     property: str

@@ -373,6 +373,26 @@ def test_gen_concentrator_roundtrip(capsys, tmp_path):
     assert code in (0, 2)
 
 
+def test_gen_concentrator_samples_only_where_the_search_runs_past_its_budget(capsys, tmp_path):
+    # The Hall search proves README's concentrator in 65 nodes.
+    code, out, _ = run(capsys, "gen-concentrator", "--m", "64", "--n", "32", "--k", "8",
+                       "--budget", "2000")
+    assert code == 0 and out.endswith("RESULT verdict=proved checked=65 witness=none\n")
+    # At budget 0 the search gives up at once, and draws are retried until
+    # one passes its own sampled sweep: here a graph that no degree-1 graph
+    # with 12 inputs and 8 outputs can be, a 4-concentrator.
+    path = tmp_path / "conc.json"
+    argv = ["gen-concentrator", "--m", "12", "--n", "8", "--k", "4", "--degree", "1"]
+    code, out, _ = run(capsys, *argv, "--budget", "0", "--out", str(path))
+    assert code == 0 and out.endswith("RESULT verdict=sampled_pass checked=1 witness=none\n")
+    code, out, _ = run(capsys, "verify-graph", str(path), "--property", "concentrator:4")
+    assert code == 2 and out.endswith("RESULT verdict=refuted checked=1 witness=((0,1,2,3),)\n")
+    # Within its budget the search refutes every draw.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: no (12, 8, 4)-concentrator found in 32 attempts\n"
+
+
 def test_full_secret_sharing_pipeline(capsys, tmp_path):
     graph = tmp_path / "g.json"
     circ = tmp_path / "c.json"
@@ -763,6 +783,7 @@ def test_readme_walkthrough(capsys, tmp_path, monkeypatch):
             assert "secret=424242" in out
         verdicts[(argv[0], argv[-1])] = verdict
     assert verdicts[("verify-ss", "circ.json")] == "proved"
+    assert verdicts[("gen-concentrator", "conc.json")] == "proved"
     assert ("reconstruct", "shares.json") in verdicts
     small = verdicts[("verify-ss", "small.json")]
     assert small == verdicts[("entropy-verify", "small.json")]
