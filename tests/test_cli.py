@@ -219,6 +219,85 @@ def test_every_proved_corpus_circuit_deals_and_reconstructs(capsys, tmp_path):
     assert proved == 9
 
 
+# (t, outputs, modulus or None for the default prime, synth-ss seeds): circuits
+# that deal and reconstruct, and GF(7) ones on which some coalitions are
+# singular.
+DEAL_CORPUS = [
+    (3, 8, None, range(2)), (4, 12, None, range(1)), (2, 4, 7, range(4)), (3, 6, 7, range(3)),
+]
+DEAL_SEED = 20261020
+# sha256 over every share file's bytes and every reconstruct's
+# "stdout|stderr|exit code" on that corpus, in corpus order.
+DEAL_DIGEST = "d4b61410394180c58867c20f9627080d5bd5528968a1298da55324129c3eadb9"
+
+
+def faulty_share_docs(doc, t, n):
+    """Copies of a share document that reconstruct must refuse."""
+    p, entries = doc["modulus"], doc["shares"]
+    (i, y), (j, z) = entries[:2]
+    return [
+        {"shares": entries},
+        dict(doc, modulus=float(p)),
+        dict(doc, modulus=p + 1),  # not a prime
+        dict(doc, modulus=101 if p != 101 else 103),  # a prime, but another field
+        dict(doc, modulus=True),
+        dict(doc, shares=entries[: t - 1]),
+        dict(doc, shares=[[i, y], [i, y], *entries[1:]]),
+        dict(doc, shares=[[i, y], [i, z], *entries[1:]]),
+        dict(doc, shares=[*entries, [n, 0]]),
+        dict(doc, shares=[[-1, 0], *entries]),
+        dict(doc, shares=[[True, y], *entries[1:]]),
+        dict(doc, shares=[[i, p], *entries[1:]]),
+        dict(doc, shares=[[i, -1], *entries[1:]]),
+        dict(doc, shares=[[i, float(y)], *entries[1:]]),
+        dict(doc, shares=[[i, y, 0], *entries[1:]]),
+        dict(doc, shares=[i, *entries[1:]]),
+        dict(doc, shares={str(i): y}),
+    ]
+
+
+def test_deal_path_output_is_pinned(capsys, tmp_path):
+    # Every share file's bytes, and every reconstruct's output on coalitions
+    # of exactly t shares, of more and of all n, each listed in shuffled
+    # order. A faulty share file is pinned only to exit 1 with an error line.
+    rng = random.Random(DEAL_SEED)
+    digest, outcomes = hashlib.sha256(), set()
+    graph, circ, shares, part = (tmp_path / f"{name}.json" for name in "gcsT")
+    for t, n, modulus, seeds in DEAL_CORPUS:
+        run(capsys, "gen-sc", "--inputs", str(t), "--outputs", str(n), "--seed", "1",
+            "--out", str(graph))
+        field = () if modulus is None else ("--modulus", str(modulus))
+        for seed in seeds:
+            code, _, _ = run(capsys, "synth-ss", "--graph", str(graph), "--t", str(t), *field,
+                             "--seed", str(seed), "--out", str(circ))
+            assert code == 0
+            for secret in (0, rng.randrange(modulus or 2**61 - 1)):
+                code, _, _ = run(capsys, "share", "--circuit", str(circ), "--secret",
+                                 str(secret), "--seed", str(rng.randrange(100)),
+                                 "--out", str(shares))
+                assert code == 0
+                digest.update(shares.read_bytes())
+                doc = json.loads(shares.read_text())
+                coalitions = [rng.sample(doc["shares"], t) for _ in range(3)]
+                coalitions += [rng.sample(doc["shares"], rng.randint(t + 1, n)) for _ in range(2)]
+                coalitions.append(rng.sample(doc["shares"], n))
+                for entries in coalitions:
+                    part.write_text(json.dumps(dict(doc, shares=entries)))
+                    code, out, err = run(capsys, "reconstruct", "--circuit", str(circ),
+                                         "--shares", str(part))
+                    assert (code, bool(err)) in {(0, False), (1, True)}, (out, err)
+                    outcomes.add(code)
+                    digest.update(f"{out}|{err}|{code}\n".encode())
+                for bad in faulty_share_docs(doc, t, n):
+                    part.write_text(json.dumps(bad))
+                    code, out, err = run(capsys, "reconstruct", "--circuit", str(circ),
+                                         "--shares", str(part))
+                    assert (code, out) == (1, "") and err.startswith("error:"), (bad, err)
+    # Some coalitions reconstruct and some are singular.
+    assert outcomes == {0, 1}
+    assert digest.hexdigest() == DEAL_DIGEST
+
+
 def write_wide_circuit(path):
     """A GF(7) circuit file on K_{3,3} whose rows are (1, 1, 0), (1, 2, 0)
     and (1, 3, 0), with threshold 2: three inputs, one of them unused. Its
