@@ -10,7 +10,7 @@ from math import comb
 
 from . import _kernels
 from .errors import InvalidArguments, SingularSubmatrix, quote
-from .field import FieldModulus, Matrix, check_indices
+from .field import FieldModulus, Matrix
 from .network import (
     DEFAULT_BUDGET,
     Network,
@@ -74,12 +74,6 @@ class LinearCircuit:
 
 
 @dataclass
-class ShareVector:
-    values: tuple
-    modulus: FieldModulus
-
-
-@dataclass
 class SchemeReport:
     """Outcome of the rank sweep over coalitions."""
 
@@ -123,15 +117,16 @@ def transfer_matrix(circ: LinearCircuit, rows=None) -> Matrix:
     one pass over its gate schedule, `network.input_rows`, in which each
     vertex's row is one packed integer: one big-int multiply-add per edge.
 
-    Given `rows`, a strictly increasing sequence of output indices, returns
-    only those rows, and the pass visits only the ancestors of those outputs.
+    Given `rows`, output indices in any order that pass
+    `check_share_indices`, returns only those rows, in that order, and the
+    pass visits only the ancestors of those outputs.
     """
     net = circ.net
     if rows is None:
         rows = range(len(net.outputs))
     else:
         rows = list(rows)
-        check_indices("row", rows, len(net.outputs))
+        check_share_indices(circ, rows)
     found = input_rows(net, circ.schedule, circ.modulus.p, [net.outputs[i] for i in rows])
     return Matrix(len(rows), len(net.inputs), tuple(x for row in found for x in row))
 
@@ -258,18 +253,18 @@ def validate_scheme(
     return SchemeReport(checks[t], checks[t - 1], "sampled", "sampled_pass")
 
 
-def share(circ: LinearCircuit, s: int, rng_seed: int = 0) -> ShareVector:
-    """y = M (s, r_1, ..., r_{t-1})^T with fresh uniform randomness, by one
-    forward evaluation of the circuit. The secret s is a field element, an
-    int in [0, p): InvalidArguments otherwise, as reduction mod p would hand
-    back another secret than the one dealt."""
+def share(circ: LinearCircuit, s: int, rng_seed: int = 0) -> tuple:
+    """The share values y = M (s, r_1, ..., r_{t-1})^T with fresh uniform
+    randomness, by one forward evaluation of the circuit. The secret s is a
+    field element, an int in [0, p): InvalidArguments otherwise, as
+    reduction mod p would hand back another secret than the one dealt."""
     p = circ.modulus.p
     # bool is an int subclass but no field element.
     if type(s) is not int or not 0 <= s < p:
         raise InvalidArguments(f"the secret must be an integer in [0, {p}), got {quote(s)}")
     rng = random.Random(rng_seed)
     x = [s] + [rng.randrange(p) for _ in range(circ.threshold - 1)]
-    return ShareVector(tuple(evaluate(circ, x)), circ.modulus)
+    return tuple(evaluate(circ, x))
 
 
 def check_share_indices(circ: LinearCircuit, indices) -> None:
@@ -294,19 +289,16 @@ def reconstruct(circ: LinearCircuit, T, y_T) -> int:
     M_T, the randomness columns 1..t-1 first and the secret's column 0 last.
     M_T is invertible iff that gives t pivots; then the last pivot row, on
     the secret column, is (a, 0, ..., 0, a*s) mod p, and the secret costs
-    one field inverse. T must pass `check_share_indices`."""
+    one field inverse. `transfer_matrix` checks T."""
     t = circ.threshold
     if len(T) != t or len(y_T) != t:
         raise InvalidArguments(f"need exactly t = {t} shares")
-    check_share_indices(circ, T)
-    shares = sorted(zip(T, y_T))  # T in increasing order, each share kept with its index
-    T = [i for i, _ in shares]
     M_T = transfer_matrix(circ, T)
     p = circ.modulus.p
-    rows = [_kernels.pack([*M_T.row(i), y % p], p) for i, (_, y) in enumerate(shares)]
+    rows = [_kernels.pack([*M_T.row(i), y % p], p) for i, y in enumerate(y_T)]
     pivots = _kernels.eliminate(rows, [*range(1, t), 0], p)
     if len(pivots) < t:
-        raise SingularSubmatrix(f"M_T singular for coalition {T}; circuit not validated?")
+        raise SingularSubmatrix(f"M_T singular for coalition {sorted(T)}; circuit not validated?")
     a, *_, b = _kernels.unpack(pivots[-1][1], t + 1, p)
     return b * pow(a, -1, p) % p
 
@@ -362,18 +354,20 @@ def read_circuit(path) -> LinearCircuit:
     return circuit_from_dict(read_json(path))
 
 
-def write_shares(shares: ShareVector, path) -> None:
-    doc = {"modulus": shares.modulus.p, "shares": [[i, v] for i, v in enumerate(shares.values)]}
-    write_json(doc, path)
+def write_shares(circ: LinearCircuit, values, path) -> None:
+    write_json({"modulus": circ.modulus.p, "shares": [[i, v] for i, v in enumerate(values)]}, path)
 
 
-def read_shares(path) -> tuple:
-    """Returns (modulus, list of (index, value)); every value is a field
-    element, an int in [0, modulus), and no index is listed twice."""
+def read_shares(path, circ: LinearCircuit) -> list:
+    """The (index, value) pairs of a share file for `circ`: its modulus must
+    be the circuit's, every value a field element, an int in [0, p), and
+    every index pass `check_share_indices`."""
     doc = read_json(path)
     check_fields(doc, "share file", modulus=int, shares=list)
-    modulus = FieldModulus(doc["modulus"])
-    seen = set()
+    p = circ.modulus.p
+    if doc["modulus"] != p:
+        raise InvalidArguments(
+            f"share file modulus {quote(doc['modulus'])} differs from the circuit's {p}")
     for entry in doc["shares"]:
         # Indices and values are ints; bool is an int subclass but neither.
         if not (type(entry) is list and len(entry) == 2
@@ -381,11 +375,10 @@ def read_shares(path) -> tuple:
             raise InvalidArguments(
                 f"share file entries must be [index, value] pairs of integers, got {quote(entry)}"
             )
-        if not 0 <= entry[1] < modulus.p:
+        if not 0 <= entry[1] < p:
             raise InvalidArguments(
-                f"share values must lie in [0, modulus) = [0, {modulus.p}), got {quote(entry)}"
+                f"share values must lie in [0, modulus) = [0, {p}), got {quote(entry)}"
             )
-        if entry[0] in seen:
-            raise InvalidArguments(f"share file lists index {quote(entry[0])} twice")
-        seen.add(entry[0])
-    return modulus, [tuple(entry) for entry in doc["shares"]]
+    entries = [tuple(entry) for entry in doc["shares"]]
+    check_share_indices(circ, [i for i, _ in entries])
+    return entries

@@ -99,7 +99,7 @@ def test_criterion_1_end_to_end_threshold_correctness():
             s = rng.randrange(10007)
             shares = share(circ, s, rng_seed=rng.randrange(2**32))
             for T in itertools.combinations(range(n), t):
-                got = reconstruct(circ, T, [shares.values[i] for i in T])
+                got = reconstruct(circ, T, [shares[i] for i in T])
                 ok &= got == s
     _verdict(1, "end-to-end threshold correctness", ok)
 

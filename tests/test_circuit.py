@@ -265,7 +265,7 @@ def test_schedule_pass_matches_column_oracle(p):
         assert (M_rows.rows, M_rows.cols) == (len(rows), t)
         assert [list(M_rows.row(k)) for k in range(len(rows))] == [M[i] for i in rows]
         s = rng.randrange(p)
-        y = share(circ, s, rng_seed=trial).values
+        y = share(circ, s, rng_seed=trial)
         assert list(y) == share_by_matrix(circ, s, trial)
         T = sorted(rng.sample(range(n), t))
         y_T = [y[i] for i in T]
@@ -308,7 +308,7 @@ def test_reconstruct_matches_the_inverse_oracle_at_deal_size():
     rng = random.Random(16)
     for trial in range(200):
         s = rng.randrange(p)
-        y = share(circ, s, rng_seed=trial).values
+        y = share(circ, s, rng_seed=trial)
         T = sorted(rng.sample(range(64), 16))
         y_T = [y[i] for i in T]
         assert reconstruct(circ, T, y_T) == reconstruct_by_matrix(circ, T, y_T, M) == s
@@ -816,7 +816,7 @@ def test_share_reconstruct_round_trip_random():
         s = rng.randrange(10007)
         shares = share(circ, s, rng_seed=trial)
         T = sorted(rng.sample(range(4), 2))
-        assert reconstruct(circ, T, [shares.values[i] for i in T]) == s
+        assert reconstruct(circ, T, [shares[i] for i in T]) == s
 
 
 @pytest.mark.parametrize("secret", [-1, 7, 8, 7 * 10**20 + 4, True, False, 4.0],
@@ -826,7 +826,7 @@ def test_share_refuses_a_secret_outside_the_field(secret):
     circ = shamir_like_circuit([1, 2, 3])
     with pytest.raises(InvalidArguments, match=r"secret must be an integer in \[0, 7\)"):
         share(circ, secret)
-    assert [reconstruct(circ, [0, 1], share(circ, s).values[:2]) for s in (0, 6)] == [0, 6]
+    assert [reconstruct(circ, [0, 1], share(circ, s)[:2]) for s in (0, 6)] == [0, 6]
 
 
 def test_reconstruct_errors():
@@ -852,14 +852,14 @@ NOT_AN_OUTPUT = "share index {} is not an output of the circuit, whose 5 outputs
 def test_reconstruct_names_a_bad_share_index(T, error):
     # The repeated and the out-of-range index were once reported as "row
     # indices must be strictly increasing" and "row index 9 out of range".
+    # `transfer_matrix` makes the check that `reconstruct` relies on.
     circ = synthesize(complete_bipartite(3, 5), GF101, rng_seed=1)
-    with pytest.raises(InvalidArguments) as refused:
-        reconstruct(circ, T, [1, 2, 3])
-    assert str(refused.value) == error
-    with pytest.raises(InvalidArguments) as refused:
-        check_share_indices(circ, [*T, 3])
-    assert str(refused.value) == error
-    y = share(circ, 42, rng_seed=2).values
+    for refuse in (lambda: reconstruct(circ, T, [1, 2, 3]), lambda: transfer_matrix(circ, T),
+                   lambda: check_share_indices(circ, [*T, 3])):
+        with pytest.raises(InvalidArguments) as refused:
+            refuse()
+        assert str(refused.value) == error
+    y = share(circ, 42, rng_seed=2)
     assert reconstruct(circ, [4, 0, 2], [y[4], y[0], y[2]]) == 42
 
 
@@ -899,11 +899,60 @@ def test_circuit_json_round_trip(tmp_path):
 
 def test_shares_json_round_trip(tmp_path):
     circ = shamir_like_circuit([1, 2, 3])
-    sh = share(circ, 4, rng_seed=0)
+    values = share(circ, 4, rng_seed=0)
     path = tmp_path / "shares.json"
-    write_shares(sh, path)
+    write_shares(circ, values, path)
     doc = json.loads(path.read_text())
     assert doc["modulus"] == 7
-    mod, entries = read_shares(path)
-    assert mod.p == 7
-    assert entries == [(i, v) for i, v in enumerate(sh.values)]
+    assert read_shares(path, circ) == list(enumerate(values))
+
+
+@pytest.mark.parametrize("modulus", [101, 8, 2**61 - 1, True],
+                         ids=["another_prime", "not_prime", "large_prime", "bool"])
+def test_read_shares_refuses_a_modulus_other_than_the_circuits(tmp_path, modulus):
+    # The file's modulus is compared with the circuit's proved prime, so a
+    # composite one is refused as any other, without a primality test of its own.
+    circ = shamir_like_circuit([1, 2, 3])
+    path = tmp_path / "shares.json"
+    write_shares(circ, share(circ, 4), path)
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), modulus=modulus)))
+    with pytest.raises(InvalidArguments) as refused:
+        read_shares(path, circ)
+    assert str(refused.value) == f"share file modulus {modulus} differs from the circuit's 7"
+
+
+def test_transfer_matrix_takes_rows_in_any_order():
+    rng = random.Random(30)
+    for trial in range(40):
+        circ = random_dag_circuit(rng, 101)
+        n = len(circ.net.outputs)
+        full = transfer_matrix(circ)
+        rows = rng.sample(range(n), rng.randrange(n + 1))
+        got = transfer_matrix(circ, rows)
+        assert (got.rows, got.cols) == (len(rows), circ.threshold)
+        assert [got.row(k) for k in range(len(rows))] == [full.row(i) for i in rows]
+
+
+def test_reconstruct_takes_a_coalition_in_any_order():
+    # Each order of a coalition recovers the dealt secret, or each is refused
+    # as singular, naming the coalition in increasing order.
+    net = build_sc(4, 12, 1, 0.5, 1, 200)
+    kinds = Counter()
+    for p in (7, 2**61 - 1):
+        circ = synthesize(net, FieldModulus(p), rng_seed=3)
+        rng = random.Random(p)
+        for trial in range(30):
+            s = rng.randrange(p)
+            y = share(circ, s, rng_seed=trial)
+            T = sorted(rng.sample(range(12), 4))
+            outcomes = set()
+            for _ in range(4):
+                order = rng.sample(T, 4)
+                try:
+                    outcomes.add(reconstruct(circ, order, [y[i] for i in order]))
+                except SingularSubmatrix as singular:
+                    outcomes.add(str(singular))
+            assert outcomes == {s} or outcomes == {
+                f"M_T singular for coalition {T}; circuit not validated?"}, (p, trial, outcomes)
+            kinds[p, outcomes == {s}] += 1
+    assert kinds[7, True] and kinds[7, False] and kinds[2**61 - 1, True] == 30

@@ -794,8 +794,9 @@ def test_error_lines_quote_a_huge_integer_briefly(capsys, tmp_path):
 
 @pytest.mark.parametrize("field, value, error", [
     ("modulus", 103, "share file modulus 103 differs from the circuit's 101"),
+    ("modulus", 100, "share file modulus 100 differs from the circuit's 101"),
     ("shares", 2, "need at least t = 3 shares, got 2"),
-], ids=["another_modulus", "too_few"])
+], ids=["another_modulus", "not_prime", "too_few"])
 def test_reconstruct_refuses_a_share_file_it_cannot_use(capsys, tmp_path, field, value, error):
     # A (3, 5) circuit over GF(101), whose shares are valid over GF(103) too;
     # `value` is the share file's modulus or the number of shares it keeps.
@@ -816,8 +817,8 @@ NOT_AN_OUTPUT = "share index {} is not an output of the circuit, whose 4 outputs
 
 
 @pytest.mark.parametrize("entries, error", [
-    ([(0, 0), (0, 0), (1, 0)], "share file lists index 0 twice"),
-    ([(0, 1), (0, 0), (1, 0), (2, 0)], "share file lists index 0 twice"),
+    ([(0, 0), (0, 0), (1, 0)], "share index 0 is listed twice"),
+    ([(0, 1), (0, 0), (1, 0), (2, 0)], "share index 0 is listed twice"),
     ([(0, 0), (9, 0)], NOT_AN_OUTPUT.format(9)),
     ([(-1, 0), (0, 0)], NOT_AN_OUTPUT.format(-1)),
     ([(0, 0), (1, 0), (4, 0)], NOT_AN_OUTPUT.format(4)),
