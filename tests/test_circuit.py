@@ -936,7 +936,7 @@ def test_transfer_matrix_takes_rows_in_any_order():
 def test_reconstruct_takes_a_coalition_in_any_order():
     # Each order of a coalition recovers the dealt secret, or each is refused
     # as singular, naming the coalition in increasing order.
-    net = build_sc(4, 12, 1, 0.5, 1, 200)
+    net = complete_bipartite(4, 12)
     kinds = Counter()
     for p in (7, 2**61 - 1):
         circ = synthesize(net, FieldModulus(p), rng_seed=3)
