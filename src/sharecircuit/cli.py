@@ -54,7 +54,8 @@ def _cmd_gen_sc(args):
                 f"--depth {args.depth!r} must have the form --depth auto|<int>") from None
     net = superconcentrator.build_sc(n, m, depth, args.epsilon, args.seed, args.budget)
     network.write_network(net, args.out)
-    print(f"target_depth={depth} built_depth={net.depth} edges={len(net.edges)}")
+    row = superconcentrator.sc_row(n, m, depth, args.epsilon)
+    print(f"target_depth={depth} built_depth={net.depth} edges={len(net.edges)} row={row}")
     return _print_result("ok", len(net.edges))
 
 
@@ -168,21 +169,30 @@ def _cmd_alpha(args):
 
 def _cmd_bench(args):
     sizes = [int(s) for s in args.sizes.split(",")]
-    # sc-depth2's edge ratio divides by log2 n, which is 0 at n = 1
-    least = 2 if args.builder == "sc-depth2" else 1
+    # sc-depth2's edge ratio divides by log2 n, and the m of sc-depth3-linear
+    # and sc-general is below n, at n = 1
+    least = 1 if args.builder == "sc-depth2-linear" else 2
     if min(sizes) < least:
         raise ShareCircuitError(f"{args.builder} needs sizes >= {least}, got {min(sizes)}")
+    sc, seed, budget = superconcentrator, args.seed, args.budget
     writer = csv.writer(sys.stdout)
     writer.writerow(["builder", "n", "m", "edges", "ratio"])
     for n in sizes:
+        # Each builder but sc-depth2 at the least m its precondition admits
+        # at epsilon = 0.5, and sc-general at d = 3.
         if args.builder == "sc-depth2":
             m = n
-            net = superconcentrator.build_sc_depth2(n, m, args.seed, args.budget)
-            denom = m * math.log2(m) * math.log2(n)
-        else:  # sc-depth2-linear, the only other choice
+            net = sc.build_sc_depth2(n, m, seed, budget)
+        elif args.builder == "sc-depth2-linear":
             m = math.ceil(n**2.5)
-            net = superconcentrator.build_sc_depth2_linear(n, m, 0.5, args.seed, args.budget)
-            denom = m
+            net = sc.build_sc_depth2_linear(n, m, 0.5, seed, budget)
+        elif args.builder == "sc-depth3-linear":
+            m = math.ceil(n * math.log2(n) ** 2.5)
+            net = sc.build_sc_depth3_linear(n, m, 0.5, seed, budget)
+        else:  # sc-general, the only other choice
+            m = math.ceil(n * ackermann.lam(3, n) ** 1.5)
+            net = sc.build_sc_general(n, m, 3, 0.5, seed, budget)
+        denom = m * math.log2(m) * math.log2(n) if args.builder == "sc-depth2" else m
         writer.writerow([args.builder, n, m, len(net.edges), f"{len(net.edges) / denom:.4f}"])
     return 0
 
@@ -203,7 +213,10 @@ COMMANDS = {
     ]),
     "gen-sc": (_cmd_gen_sc, [
         ("--inputs", _REQUIRED_INT), ("--outputs", _REQUIRED_INT),
-        ("--depth", {"default": "auto"}), ("--epsilon", {"type": float, "default": 0.5}),
+        ("--depth", {"default": "auto", "help": "auto | <int>: the most depth the graph may "
+                     "have. The graph is the row with the fewest edges within it; auto "
+                     "caps it at alpha(m, n) + 3 and does not pick the row"}),
+        ("--epsilon", {"type": float, "default": 0.5}),
         _SEED, _BUDGET, ("--out", _REQUIRED),
     ]),
     "verify-graph": (_cmd_verify_graph, [
@@ -229,7 +242,8 @@ COMMANDS = {
     "lambda": (_cmd_lambda, [("d", {"type": int}), ("n", {"type": int})]),
     "alpha": (_cmd_alpha, [("m", {"type": int}), ("n", {"type": int})]),
     "bench": (_cmd_bench, [
-        ("--builder", {"default": "sc-depth2", "choices": ["sc-depth2", "sc-depth2-linear"]}),
+        ("--builder", {"default": "sc-depth2", "choices": [
+            "sc-depth2", "sc-depth2-linear", "sc-depth3-linear", "sc-general"]}),
         ("--sizes", {"default": "8,16,32,64"}), _SEED, ("--budget", {"type": int, "default": 500}),
     ]),
 }

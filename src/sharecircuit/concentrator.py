@@ -3,9 +3,9 @@ bipartite graphs with post-construction verification and seeded retry.
 
 As in the paper's notation, m is the input side and n the output side: every
 k-subset of the m inputs has a matching into the n outputs. Each drawn graph
-is decided first by an exact search for a Hall violator, capped at the
-budget in nodes; only a graph whose search runs past the cap goes to the
-sampled matching sweep of `network.verify_concentrator`."""
+is decided first by an exact search for a Hall violator, capped at
+max(budget, SEARCH_NODES) nodes; only a graph whose search runs past the cap
+goes to the matching sweep of `network.verify_concentrator`."""
 
 import math
 import random
@@ -21,6 +21,11 @@ from .network import (
 )
 
 MAX_RETRIES = 32  # seeded attempts before build_depth1 gives up
+# The Hall search's node cap when the budget is below it. Deal's funnel
+# bottom, a (64, 26, 16)-concentrator built at budget 100, needs 2,912 nodes
+# in the median and at most 3,664 over seeds 1-400; 20,000 leaves over 5x
+# headroom, and a search on 64 inputs that gives up there costs about 40 ms.
+SEARCH_NODES = 20_000
 
 
 def _default_degree(m: int, n: int, k: int) -> int:
@@ -36,6 +41,13 @@ def _default_degree(m: int, n: int, k: int) -> int:
     # degenerates; a logarithmic degree suffices and verification backstops
     # the choice.
     return math.ceil(2 * math.log2(max(n, 2))) + 2
+
+
+def depth1_degree(m: int, n: int, k: int, degree: int | None = None) -> int:
+    """The per-input degree `build_depth1(m, n, k, degree)` draws at: `degree`,
+    or `_default_degree(m, n, k)` when None, at most n. Its graph has m
+    times this many edges, whichever attempt is kept."""
+    return min(n, degree if degree is not None else _default_degree(m, n, k))
 
 
 def _hall_search(net: Network, k: int, budget: int) -> VerificationReport | None:
@@ -91,9 +103,10 @@ def build_depth1(
     reaches k outputs; resample with the next seed on refutation.
 
     Each draw is verified by `_hall_search` first, which is exact and visits
-    at most `budget` nodes: its report is "proved" or "refuted", with the
-    nodes visited as `subsets_checked` and no sample seed. When it runs past
-    the budget, `verify_concentrator(net, k, budget, rng_seed + a)` decides,
+    at most max(budget, SEARCH_NODES) nodes: its report is "proved" or
+    "refuted", with the nodes visited as `subsets_checked` and no sample
+    seed. When it runs past that cap,
+    `verify_concentrator(net, k, budget, rng_seed + a)` decides,
     exhaustive when C(m, k) fits the budget and sampled otherwise. So a
     "sampled_pass" arises only from that fallback, and it is weaker than one
     sampled sweep's: the draws are retried until one passes its own sweep.
@@ -114,7 +127,7 @@ def build_depth1(
     if degree is not None and degree < 1:
         raise InvalidArguments("degree must be >= 1")
     check_budget(budget)
-    degree = min(n, degree if degree is not None else _default_degree(m, n, k))
+    degree = depth1_degree(m, n, k, degree)
     check_size("vertices", m + n)
     check_size("edges", m * degree)
     inputs = tuple(range(m))
@@ -127,7 +140,7 @@ def build_depth1(
             for j in rng.sample(range(m, m + n), degree):
                 edges.append((i, j))
         net = Network(m + n, edges, inputs, outputs)
-        report = (_hall_search(net, k, budget)
+        report = (_hall_search(net, k, max(budget, SEARCH_NODES))
                   or verify_concentrator(net, k, budget, rng_seed + attempt))
         if report.verdict != "refuted":
             return net, report

@@ -342,7 +342,7 @@ def _sweep(net, name, lo, hi, slack, budget, rng_seed, all_outputs=False):
     3): 4 ms, 173 ms by flow); one check per input does not repay the
     matrix. The all-outputs sweep certifies nothing: each of its rank tests
     eliminates every output's row (a sampled concentrator(8) sweep of
-    build_sc(16, 64, 4, 0.5, 1, 100): 60 ms by flow, 1.3 s certified)."""
+    build_sc_depth2(16, 64, 1, 100): 60 ms by flow, 1.3 s certified)."""
     check_budget(budget)
     xs, ys = sorted(net.inputs), sorted(net.outputs)
     limit = len(xs) if all_outputs else min(len(xs), len(ys))

@@ -36,7 +36,7 @@ from sharecircuit.errors import (
 )
 from sharecircuit.field import FieldModulus, Matrix, mat_inverse, mat_vec, submatrix
 from sharecircuit.network import Network, complete_bipartite, topological_order
-from sharecircuit.superconcentrator import _bipartite_block, build_sc, recommended_depth
+from sharecircuit.superconcentrator import _bipartite_block, build_sc_depth2
 
 GF7 = FieldModulus(7)
 GF101 = FieldModulus(101)
@@ -300,8 +300,9 @@ def test_packed_rows_hold_the_slot_bound_at_its_worst_case(p):
 
 
 def test_reconstruct_matches_the_inverse_oracle_at_deal_size():
-    # The deal benchmark's shape: t = 16 inputs, n = 64 outputs.
-    net = build_sc(16, 64, recommended_depth(64, 16), 0.5, 1, 100)
+    # The deal benchmark's shape, t = 16 inputs and n = 64 outputs, on the
+    # 4,080-edge depth-2 union.
+    net = build_sc_depth2(16, 64, 1, 100)
     circ = synthesize(net, FieldModulus(2**61 - 1), rng_seed=2)
     p = circ.modulus.p
     M = transfer_by_columns(circ)

@@ -15,12 +15,12 @@ from pathlib import Path
 
 import pytest
 
-from sharecircuit import cli
+from sharecircuit import cli, concentrator
 from sharecircuit.circuit import LinearCircuit, write_circuit
 from sharecircuit.cli import COMMANDS, build_parser, main
 from sharecircuit.field import FieldModulus
 from sharecircuit.network import MAX_SIZE, complete_bipartite, write_network
-from sharecircuit.superconcentrator import build_partial_sc_depth2
+from sharecircuit.superconcentrator import build_partial_sc_depth2, build_sc_depth2
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -65,28 +65,34 @@ def test_gen_sc_reruns_are_byte_identical(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-# sha256 of gen-sc's output, seed 1, for the graphs the benchmark's workloads
-# build (perfbench/workloads.py): a builder change that moves one fails here.
+# The first line and the sha256 of gen-sc's output, seed 1, for the graphs
+# the benchmark's workloads build (perfbench/workloads.py): a builder change
+# that moves one fails here.
 BENCHMARK_GRAPHS = [
     (("--inputs", "8", "--outputs", "32", "--budget", "200"),
-     "70d61291ecefafd8de88290578de78d0d43607e8a0de71878603ea8b0c4bf044"),
+     "target_depth=4 built_depth=1 edges=256 row=complete",
+     "a792b8c50004713c841e91aed349c18f7f46e9dc181b6b439a2c90f6ede69521"),
     (("--inputs", "16", "--outputs", "64", "--budget", "100"),
-     "cecae2d3cd67bd83b4f1052487f6549c87fce8b4a88f43bd50508c9b03a062f5"),
+     "target_depth=4 built_depth=2 edges=928 row=funnel",
+     "20785ef5f19e0c0c2e13c14e150908fbcc4788c86c110a0ea1f9cba26cb50426"),
     (("--inputs", "5", "--outputs", "10"),
-     "1b63907fc8df9d0d6bc30de5daa2aa5f5ac905d96d26c3bf050d42d0e911f00c"),
+     "target_depth=4 built_depth=1 edges=50 row=complete",
+     "76565d029df60fbd097ef7876a0a08f61733512cdbe2901e7559021f6bf29f30"),
     (("--inputs", "3", "--outputs", "6"),
+     "target_depth=4 built_depth=1 edges=18 row=complete",
      "00a2161656ed0114134ddb6160c946e36628f85ef7385aac5f7acef0dcb13c73"),
     (("--inputs", "5", "--outputs", "5", "--depth", "2"),
-     "0e67858f2218626f496a2754ad74a4d46a982d8ec2239e607e14969b2e0b840e"),
+     "target_depth=2 built_depth=1 edges=25 row=complete",
+     "af88a5a0b0173c7470cd5eca668e667b13c3256c60fe7f73a094258ad5c4b2f3"),
 ]
 
 
-@pytest.mark.parametrize("args, digest", BENCHMARK_GRAPHS,
+@pytest.mark.parametrize("args, line, digest", BENCHMARK_GRAPHS,
                          ids=["pipeline", "deal", "scheme-verify", "small", "graph-verify"])
-def test_gen_sc_benchmark_graphs_are_pinned(capsys, tmp_path, args, digest):
+def test_gen_sc_benchmark_graphs_are_pinned(capsys, tmp_path, args, line, digest):
     path = tmp_path / "sc.json"
-    code, _, _ = run(capsys, "gen-sc", *args, "--seed", "1", "--out", str(path))
-    assert code == 0
+    code, out, _ = run(capsys, "gen-sc", *args, "--seed", "1", "--out", str(path))
+    assert code == 0 and out.splitlines()[0] == line
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
@@ -129,10 +135,10 @@ def test_verify_ss_output_is_pinned(capsys, tmp_path):
 
 
 # (graph, properties, budgets): each graph made by a command's argument list,
-# or written from build_partial_sc_depth2(n, m, r, seed), and each property
-# verified exhaustively and at each budget. The graphs are the depth-1
-# complete graphs of gen-sc (n <= 4), depth-2 unions, depth-2 partial graphs
-# and gen-concentrator's graphs. `sc` and `partial:5,0` on a partial graph
+# or written from a builder's network, and each property verified
+# exhaustively and at each budget. The graphs are the depth-1 complete
+# graphs of gen-sc, depth-2 unions, depth-2 partial graphs and
+# gen-concentrator's graphs. `sc` and `partial:5,0` on a partial graph
 # with a 4-vertex middle, and `concentrator:4` on a degree-2 concentrator,
 # refute. A sampled sweep draws max(1, budget // sizes) pairs per size, so on
 # the partial graphs the low budget makes fewer checks than the graph has
@@ -144,13 +150,12 @@ VERIFY_GRAPH_CORPUS = [
      (2, 12)),
     (("gen-sc", "--inputs", "4", "--outputs", "8"), ("sc", "partial:4,2", "concentrator:3"),
      (2, 24)),
-    (("gen-sc", "--inputs", "5", "--outputs", "5", "--depth", "2"),
-     ("sc", "partial:5,3", "concentrator:5"), (2, 40)),
-    (("gen-sc", "--inputs", "5", "--outputs", "7", "--depth", "2"), ("sc", "partial:5,2"),
-     (2, 40)),
-    ((6, 6, 1.0, 3), ("partial:6,4", "sc"), (3, 24)),
-    ((6, 6, 2.0, 0), ("partial:3,0", "partial:5,0", "sc"), (3, 24)),
-    ((9, 9, 1.5, 1), ("partial:6,4",), (3, 40)),
+    (lambda: build_sc_depth2(5, 5, 1), ("sc", "partial:5,3", "concentrator:5"), (2, 40)),
+    (lambda: build_sc_depth2(5, 7, 1), ("sc", "partial:5,2"), (2, 40)),
+    (lambda: build_partial_sc_depth2(6, 6, 1.0, 3), ("partial:6,4", "sc"), (3, 24)),
+    (lambda: build_partial_sc_depth2(6, 6, 2.0, 0), ("partial:3,0", "partial:5,0", "sc"),
+     (3, 24)),
+    (lambda: build_partial_sc_depth2(9, 9, 1.5, 1), ("partial:6,4",), (3, 40)),
     (("gen-concentrator", "--m", "12", "--n", "8", "--k", "4"),
      ("concentrator:4", "concentrator:6", "partial:3,1"), (2, 40)),
     (("gen-concentrator", "--m", "10", "--n", "6", "--k", "2", "--degree", "2", "--seed", "4"),
@@ -168,11 +173,11 @@ def test_verify_graph_output_is_pinned(capsys, tmp_path):
     digest, verdicts = hashlib.sha256(), set()
     graph = tmp_path / "g.json"
     for source, properties, budgets in VERIFY_GRAPH_CORPUS:
-        if isinstance(source[0], str):
+        if callable(source):
+            write_network(source(), graph)
+        else:
             code, _, _ = run(capsys, *source, "--out", str(graph))
             assert code == 0
-        else:
-            write_network(build_partial_sc_depth2(*source), graph)
         for prop in properties:
             for budget in [()] + [("--budget", str(b)) for b in budgets]:
                 code, out, err = run(capsys, "verify-graph", str(graph), "--property", prop,
@@ -381,7 +386,7 @@ def test_no_input_ends_in_a_traceback(capsys, tmp_path, argv):
     if composite:
         assert code == 1 and f"is at least {PSEUDOPRIME}" in err
     if "1e300" in argv:
-        assert code == 0 and "built_depth=2" in out
+        assert code == 0 and "built_depth=1 edges=30 row=complete" in out
     if too_large:
         assert code == 1 and "exceed the maximum of" in err, err
     if argv[0] == "lambda":
@@ -389,7 +394,7 @@ def test_no_input_ends_in_a_traceback(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize("args", [
-    ("--depth", "0"), ("--depth", "1"), ("--depth", "-3"),
+    ("--depth", "0"), ("--depth", "1.5"), ("--depth", "-3"),
     ("--epsilon", "nan"), ("--epsilon", "inf"), ("--epsilon", "0"), ("--epsilon", "-1"),
 ])
 def test_gen_sc_rejects_bad_depth_and_epsilon(capsys, tmp_path, args):
@@ -402,17 +407,22 @@ def test_gen_sc_rejects_bad_depth_and_epsilon(capsys, tmp_path, args):
 
 def test_gen_sc_depth_limits(capsys, tmp_path):
     path = tmp_path / "sc.json"
-    # n <= 4 builds K_{n,m}, so depth 1 is enough there and depth 0 is not.
-    code, out, _ = run(capsys, "gen-sc", "--inputs", "3", "--outputs", "6",
-                       "--depth", "1", "--out", str(path))
-    assert code == 0 and "built_depth=1" in out
-    code, _, err = run(capsys, "gen-sc", "--inputs", "3", "--outputs", "6",
-                       "--depth", "0", "--out", str(path))
-    assert code == 1 and err.startswith("error:")
-    # A depth far past every recursion row ends at the last resort.
-    code, out, _ = run(capsys, "gen-sc", "--inputs", "8", "--outputs", "12",
-                       "--depth", str(10**9), "--budget", "50", "--out", str(path))
-    assert code == 0 and "built_depth=2" in out
+    # K_{n,m} is the depth-1 row for every n, so depth 1 is enough and depth
+    # 0 is not.
+    for n, m in ((3, 6), (8, 32)):
+        code, out, _ = run(capsys, "gen-sc", "--inputs", str(n), "--outputs", str(m),
+                           "--depth", "1", "--out", str(path))
+        assert code == 0 and f"built_depth=1 edges={n * m} row=complete" in out
+        code, _, err = run(capsys, "gen-sc", "--inputs", str(n), "--outputs", str(m),
+                           "--depth", "0", "--out", str(path))
+        assert code == 1 and err.startswith("error:")
+    # A depth far past every useful one is counted at once: K_{8,12} and
+    # deal's depth-2 funnel are the picks there.
+    for n, m, row in ((8, 12, "built_depth=1 edges=96 row=complete"),
+                      (16, 64, "built_depth=2 edges=928 row=funnel")):
+        code, out, _ = run(capsys, "gen-sc", "--inputs", str(n), "--outputs", str(m),
+                           "--depth", str(10**9), "--budget", "50", "--out", str(path))
+        assert code == 0 and f"target_depth={10**9} {row}\n" in out
 
 
 def test_verify_graph_refuted_exit_code(capsys, tmp_path):
@@ -452,16 +462,22 @@ def test_gen_concentrator_roundtrip(capsys, tmp_path):
     assert code in (0, 2)
 
 
-def test_gen_concentrator_samples_only_where_the_search_runs_past_its_budget(capsys, tmp_path):
+def test_gen_concentrator_samples_only_where_the_search_runs_past_its_budget(
+        capsys, tmp_path, monkeypatch):
     # The Hall search proves README's concentrator in 65 nodes.
     code, out, _ = run(capsys, "gen-concentrator", "--m", "64", "--n", "32", "--k", "8",
                        "--budget", "2000")
     assert code == 0 and out.endswith("RESULT verdict=proved checked=65 witness=none\n")
-    # At budget 0 the search gives up at once, and draws are retried until
-    # one passes its own sampled sweep: here a graph that no degree-1 graph
-    # with 12 inputs and 8 outputs can be, a 4-concentrator.
+    # At budget 0 the search still visits up to SEARCH_NODES nodes, and
+    # refutes every draw of a graph that no degree-1 graph with 12 inputs
+    # and 8 outputs can be, a 4-concentrator.
     path = tmp_path / "conc.json"
     argv = ["gen-concentrator", "--m", "12", "--n", "8", "--k", "4", "--degree", "1"]
+    code, out, err = run(capsys, *argv, "--budget", "0")
+    assert (code, out) == (1, "") and "no (12, 8, 4)-concentrator found" in err
+    # With no nodes of its own the search gives up at once, and draws are
+    # retried until one passes its own sampled sweep.
+    monkeypatch.setattr(concentrator, "SEARCH_NODES", 0)
     code, out, _ = run(capsys, *argv, "--budget", "0", "--out", str(path))
     assert code == 0 and out.endswith("RESULT verdict=sampled_pass checked=1 witness=none\n")
     code, out, _ = run(capsys, "verify-graph", str(path), "--property", "concentrator:4")
@@ -599,6 +615,13 @@ def test_bench_csv(capsys):
     assert code == 0
     assert out.splitlines() == ["builder,n,m,edges,ratio", "sc-depth2-linear,2,6,24,4.0000",
                                 "sc-depth2-linear,3,16,114,7.1250"]
+    # The depth-3 builder and the recursion at the least m their
+    # preconditions admit: 5 * log2(5)^2.5 and 5 * lambda_3(5)^1.5.
+    for builder, row in (("sc-depth3-linear", "5,42,536,12.7619"),
+                         ("sc-general", "5,15,145,9.6667")):
+        code, out, _ = run(capsys, "bench", "--builder", builder, "--sizes", "5",
+                           "--budget", "50")
+        assert code == 0 and out.splitlines()[1] == f"{builder},{row}"
 
 
 def test_error_exit_code(capsys, tmp_path):
@@ -703,6 +726,7 @@ def test_malformed_input_files_are_errors(capsys, tmp_path):
         ("reconstruct", "--circuit", str(circ), "--shares", edited(shares, "shares")),
         ("bench", "--sizes", "1"),
         ("bench", "--builder", "sc-depth2-linear", "--sizes", "0"),
+        ("bench", "--builder", "sc-general", "--sizes", "1"),
         *typed,
         *too_deep,
         *out_of_field,

@@ -192,8 +192,9 @@ def sweep_only_build(m, n, k, degree=None, rng_seed=0, budget=DEFAULT_BUDGET):
 
 
 def test_a_search_past_its_budget_leaves_the_sampled_sweeps_graph_and_report(monkeypatch):
-    # Deal's graph: the search of about a fifth of its (16, 64, 4) builds'
-    # concentrators needs more than their budget of 100 nodes.
+    # Deal's graph, with the search capped at the budget of 100 nodes alone:
+    # the search of its (64, 26, 16) bottom concentrator needs more.
+    monkeypatch.setattr(concentrator, "SEARCH_NODES", 0)
     calls, fell = record_builds(monkeypatch)
     for seed in range(1, 11):
         build_sc(16, 64, 4, 0.5, seed, 100)
@@ -206,8 +207,21 @@ def test_a_search_past_its_budget_leaves_the_sampled_sweeps_graph_and_report(mon
         assert result[1].verdict == "sampled_pass" and result[1].sample_seed is not None
 
 
-@pytest.mark.parametrize("n, m, depth", [(8, 182, 2), (8, 32, 4)])
+def test_deals_graph_proves_every_concentrator_within_the_search_cap(monkeypatch):
+    # At deal's budget of 100 the search still visits up to SEARCH_NODES
+    # nodes, and its bottom concentrators need at most 3,664 at seeds 1-40.
+    calls, fell = record_builds(monkeypatch)
+    for seed in range(1, 41):
+        build_sc(16, 64, 4, 0.5, seed, 100)
+    assert len(calls) >= 40 and not fell
+    assert all(report.verdict == "proved" for _, (_, report) in calls)
+    assert max(report.subsets_checked for _, (_, report) in calls) < concentrator.SEARCH_NODES
+
+
+@pytest.mark.parametrize("n, m, depth", [(12, 64, 2), (16, 64, 4), (15, 523, 3)])
 def test_wide_builds_prove_every_concentrator_at_the_default_budget(monkeypatch, n, m, depth):
+    # Shapes where build_sc picks a funnel: of depth 2, and of depth 3 at
+    # (15, 523), whose inner network is a funnel too.
     calls, fell = record_builds(monkeypatch)
     build_sc(n, m, depth, 0.5, 1)
     assert calls and not fell
