@@ -3,14 +3,13 @@ network, transfer-matrix extraction, threshold-scheme rank validation, and
 the share / reconstruct protocol."""
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import cached_property
 from math import comb
 
 from . import _kernels
 from .errors import InvalidArguments, SingularSubmatrix, quote
-from .field import FieldModulus, Matrix
+from .field import FieldModulus, Frozen, Matrix
 from .network import (
     DEFAULT_BUDGET,
     Network,
@@ -25,8 +24,7 @@ from .network import (
 )
 
 
-@dataclass(frozen=True)
-class LinearCircuit:
+class LinearCircuit(Frozen):
     """A network with a field modulus and one coefficient per edge.
 
     Input 0 carries the secret; the remaining inputs carry randomness, so
@@ -38,28 +36,27 @@ class LinearCircuit:
 
     Every non-input vertex is an addition gate. The gate schedule lists them
     in topological order, each with its (predecessor, coefficient) pairs; it
-    is built on first use, and the circuit is frozen so that it never goes
-    stale.
+    is built on first use, and the circuit is frozen (see `field.Frozen`) so
+    that it never goes stale.
     """
 
-    net: Network
-    modulus: FieldModulus
-    coefficients: tuple
+    _fields = ("net", "modulus", "coefficients")
 
-    def __post_init__(self):
-        if len(self.coefficients) != len(self.net.edges):
+    def __init__(self, net: Network, modulus: FieldModulus, coefficients: tuple):
+        super().__init__(net, modulus, coefficients)
+        if len(coefficients) != len(net.edges):
             raise InvalidArguments("one coefficient per edge required")
         # Field elements are ints in [0, p); bool is an int subclass but no element.
-        p, coefficients = self.modulus.p, self.coefficients
+        p = modulus.p
         if not set(map(type, coefficients)) <= {int} or (
             coefficients and not 0 <= min(coefficients) <= max(coefficients) < p
         ):
             bad = next(c for c in coefficients if type(c) is not int or not 0 <= c < p)
             raise InvalidArguments(f"coefficients must be integers in [0, {p}), got {quote(bad)}")
-        if not 1 <= len(self.net.inputs) <= len(self.net.outputs):
+        if not 1 <= len(net.inputs) <= len(net.outputs):
             raise InvalidArguments(
-                f"need 1 <= inputs <= outputs, got {len(self.net.inputs)} inputs "
-                f"and {len(self.net.outputs)} outputs"
+                f"need 1 <= inputs <= outputs, got {len(net.inputs)} inputs "
+                f"and {len(net.outputs)} outputs"
             )
 
     @property
@@ -73,15 +70,13 @@ class LinearCircuit:
         return self.net.gates(self.coefficients)
 
 
-@dataclass
-class SchemeReport:
-    """Outcome of the rank sweep over coalitions."""
+class SchemeReport(namedtuple("SchemeReport", "recover_checks privacy_checks mode verdict witness",
+                              defaults=(None,))):
+    """Outcome of the rank sweep over coalitions: recover_checks,
+    privacy_checks, mode ("exhaustive" | "sampled"), verdict ("proved" |
+    "sampled_pass" | "refuted") and witness (None)."""
 
-    recover_checks: int
-    privacy_checks: int
-    mode: str  # "exhaustive" | "sampled"
-    verdict: str  # "proved" | "sampled_pass" | "refuted"
-    witness: tuple | None = None
+    __slots__ = ()
 
 
 def synthesize(net: Network, modulus: FieldModulus, rng_seed: int = 0) -> LinearCircuit:
@@ -313,8 +308,9 @@ def failure_bound(depth: int, n: int, t: int, modulus: FieldModulus) -> float:
     from the inputs to every coalition). The bound assumes them and does not
     check them: on a graph without them every draw fails, whatever it reads.
     """
-    bound = Fraction(depth * (comb(n, t) + comb(n, t - 1)), modulus.p)
-    return float(min(bound, Fraction(1)))
+    # Int true division rounds correctly, as the float of the exact fraction does.
+    p = modulus.p
+    return min(depth * (comb(n, t) + comb(n, t - 1)), p) / p
 
 
 def circuit_to_dict(circ: LinearCircuit) -> dict:

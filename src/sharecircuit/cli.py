@@ -13,7 +13,6 @@ printed) or on a usage error, 1 on an input or I/O error.
 """
 
 import argparse
-import csv
 import functools
 import itertools
 import math
@@ -174,6 +173,8 @@ def _cmd_bench(args):
     least = 1 if args.builder == "sc-depth2-linear" else 2
     if min(sizes) < least:
         raise ShareCircuitError(f"{args.builder} needs sizes >= {least}, got {min(sizes)}")
+    import csv  # only `bench` writes CSV, so no other command pays for the import
+
     sc, seed, budget = superconcentrator, args.seed, args.budget
     writer = csv.writer(sys.stdout)
     writer.writerow(["builder", "n", "m", "edges", "ratio"])

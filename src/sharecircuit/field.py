@@ -1,6 +1,5 @@
 """Exact arithmetic and dense linear algebra over a prime field GF(p)."""
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernels
@@ -63,30 +62,61 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldModulus:
-    p: int
+class Frozen:
+    """Base of the frozen value classes. A subclass names its fields in
+    `_fields`, and its `__init__` sets them once by `Frozen.__init__`; after
+    that, assigning or deleting any attribute raises AttributeError.
+    Equality, hashing and repr see the fields only, and a value equals only
+    a value of its own class. A `cached_property` writes the instance dict
+    directly, so it still caches on a frozen value."""
 
-    def __post_init__(self):
-        if self.p < 3:
-            raise InvalidArguments(f"modulus must be >= 3, got {quote(self.p)}")
-        if not is_prime(self.p):
-            raise InvalidArguments(f"modulus {quote(self.p)} is not prime")
+    _fields = ()
+
+    def __init__(self, *values):
+        vars(self).update(zip(self._fields, values, strict=True))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
-class Matrix:
+class FieldModulus(Frozen):
+    _fields = ("p",)
+
+    def __init__(self, p: int):
+        super().__init__(p)
+        if p < 3:
+            raise InvalidArguments(f"modulus must be >= 3, got {quote(p)}")
+        if not is_prime(p):
+            raise InvalidArguments(f"modulus {quote(p)} is not prime")
+
+
+class Matrix(Frozen):
     """Dense row-major matrix with entries in [0, p)."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise InvalidArguments(
-                f"entry count {len(self.entries)} != {self.rows}x{self.cols}"
-            )
+    def __init__(self, rows: int, cols: int, entries: tuple):
+        super().__init__(rows, cols, entries)
+        if len(entries) != rows * cols:
+            raise InvalidArguments(f"entry count {len(entries)} != {rows}x{cols}")
 
     def at(self, r: int, c: int) -> int:
         return self.entries[r * self.cols + c]

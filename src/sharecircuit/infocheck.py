@@ -10,7 +10,6 @@ H(all variables): such supersets are not counted again. The enumeration
 evaluates each gate once per block of input assignments, over a column."""
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, combinations, islice, product, repeat
 from math import gcd, inf, log
@@ -24,7 +23,6 @@ MAX_STATES = 10**7
 BLOCK_CELLS = 1 << 18  # column entries live at once while enumerating or packing
 
 
-@dataclass
 class JointDistribution:
     """Exact distribution over tuples (S, Y_1, ..., Y_n), S being variable 0:
     the positive integer count of each tuple that occurs, a probability
@@ -44,17 +42,11 @@ class JointDistribution:
     masks of the sets whose marginal has one key per tuple; the counts are
     not to be changed once the distribution is built."""
 
-    variable_count: int
-    alphabet: int
-    counts: dict  # tuple -> positive int
-    total: int = field(init=False, repr=False, compare=False)
-    outcomes: list = field(init=False, repr=False, compare=False)
-    _width: int = field(init=False, repr=False, compare=False)
-    _entropies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _injective: list = field(default_factory=list, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        v, q, counts = self.variable_count, self.alphabet, self.counts
+    def __init__(self, variable_count: int, alphabet: int, counts: dict):
+        self.variable_count = v = variable_count
+        self.alphabet = q = alphabet
+        self.counts = counts  # tuple -> positive int
+        self._entropies, self._injective = {}, []
         # bool is an int subclass but no count, variable or symbol.
         if type(v) is not int or type(q) is not int or v < 1 or q < 2:
             raise InvalidArguments(

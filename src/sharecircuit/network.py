@@ -10,8 +10,7 @@ the parallel union of networks on shared terminals."""
 
 import json
 import random
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -26,7 +25,7 @@ from .errors import (
     TerminalNotInNetwork,
     quote,
 )
-from .field import DEFAULT_PRIME
+from .field import DEFAULT_PRIME, Frozen
 
 DEFAULT_BUDGET = 200_000
 
@@ -54,8 +53,7 @@ CERTIFICATE_PRIME = DEFAULT_PRIME
 CERTIFICATE_SEED = 0
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(Frozen):
     """DAG with designated ordered input and output vertices.
 
     Multi-edges are allowed (parallel composition can create them);
@@ -73,31 +71,27 @@ class Network:
 
     The successor lists, the terminal sets and the topological order are
     computed at construction, the depth and the path matrix of the pair
-    sweeps on first use, and all are cached; the network is frozen so that
-    they never go stale, and equality and hashing see only its fields.
+    sweeps on first use, and all are cached; the network is frozen (see
+    `field.Frozen`) so that they never go stale, and equality and hashing
+    see only its fields.
     """
 
-    vertex_count: int
-    edges: tuple
-    inputs: tuple
-    outputs: tuple
+    _fields = ("vertex_count", "edges", "inputs", "outputs")
 
-    def __post_init__(self):
+    def __init__(self, vertex_count: int, edges, inputs, outputs):
         # Vertices are ints; bool is an int subclass but no vertex.
-        n = self.vertex_count
+        n = vertex_count
         if type(n) is not int:
             raise InvalidArguments(f"vertex_count must be an integer, got {quote(n)}")
         if n < 0:
             raise InvalidArguments(f"vertex_count must be at least 0, got {quote(n)}")
         check_size("vertices", n)
         try:
-            edges = tuple((u, v) for u, v in self.edges)
+            pairs = tuple((u, v) for u, v in edges)
         except (TypeError, ValueError):
-            bad = next(e for e in self.edges if type(e) not in (list, tuple) or len(e) != 2)
+            bad = next(e for e in edges if type(e) not in (list, tuple) or len(e) != 2)
             raise InvalidArguments(f"edges must be [tail, head] pairs, got {quote(bad)}") from None
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
+        super().__init__(n, pairs, tuple(inputs), tuple(outputs))
         for u, v in self.edges:
             if type(u) is not int or type(v) is not int:
                 raise InvalidArguments(f"edge endpoints must be integers, got {quote([u, v])}")
@@ -250,20 +244,17 @@ class PathMatrix:
         return len(eliminate([rows[y] for y in Y], cols, self.p, r)) == r
 
 
-@dataclass
-class VerificationReport:
-    """Outcome of a connectivity sweep.
+class VerificationReport(namedtuple("VerificationReport", "property verdict subsets_checked "
+                                    "witness sample_seed", defaults=(None, None))):
+    """Outcome of a connectivity sweep: property, verdict, subsets_checked,
+    witness (None) and sample_seed (None).
 
     verdict is "proved" only when the check was exhaustive over the
     property's quantifier: a complete sweep, or the complete Hall search of
     `concentrator.build_depth1`; sampled sweeps report "sampled_pass".
     """
 
-    property: str
-    verdict: str
-    subsets_checked: int
-    witness: tuple | None = None
-    sample_seed: int | None = None
+    __slots__ = ()
 
 
 def topological_order(net: Network) -> list:

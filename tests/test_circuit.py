@@ -1,7 +1,7 @@
-import dataclasses
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -384,7 +384,7 @@ def test_linear_circuit_is_frozen():
     circ = shamir_like_circuit([1, 2, 3])
     for name, value in (("threshold", 1), ("coefficients", (0,) * 6),
                         ("net", circ.net), ("schedule", ())):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(circ, name, value)
 
 
@@ -870,6 +870,23 @@ def test_failure_bound_examples():
     assert failure_bound(5, 10, 5, FieldModulus(3)) == 1.0
     big = FieldModulus(2**61 - 1)
     assert failure_bound(3, 20, 10, big) < 1e-12
+
+
+def test_failure_bound_is_the_float_of_the_exact_fraction():
+    # The oracle rounds the exact fraction, capped at 1, once; 2^1279 - 1
+    # puts p beyond the float range.
+    capped = uncapped = 0
+    for p in (3, 7, 101, 1009, 2**61 - 1, 2**1279 - 1):
+        modulus = FieldModulus(p)
+        for depth in range(1, 6):
+            for n in range(1, 41):
+                for t in range(1, n + 1):
+                    exact = min(Fraction(depth * (comb(n, t) + comb(n, t - 1)), p), 1)
+                    got = failure_bound(depth, n, t, modulus)
+                    assert got == float(exact), (depth, n, t, p)
+                    capped += exact == 1
+                    uncapped += exact < 1
+    assert capped and uncapped
 
 
 def test_failure_bound_assumes_the_connection_properties():

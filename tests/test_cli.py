@@ -1056,6 +1056,23 @@ def test_the_module_runs_as_a_script():
     assert (done.stdout, done.stderr) == ("3\n", "")
 
 
+# Standard modules that the library does without, so that no CLI process
+# pays to import them: dataclasses (which imports inspect), fractions (which
+# imports decimal), and csv, which only `bench` imports, when it runs.
+UNUSED_MODULES = {"dataclasses", "inspect", "fractions", "decimal", "csv"}
+
+
+def test_importing_the_cli_loads_no_unused_standard_module():
+    # Modules the interpreter loaded before the import do not count.
+    code = ("import sys; before = set(sys.modules); import sharecircuit.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = set(done.stdout.split())
+    assert "sharecircuit.cli" in loaded and not loaded & UNUSED_MODULES, loaded & UNUSED_MODULES
+
+
 # A seeded fuzz of every command, in one process through main: boundary
 # argument values, and graph, circuit and share files mutated from valid
 # ones. Every call must end in exit code 0, 1 or 2, with no traceback, and

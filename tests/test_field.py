@@ -25,6 +25,20 @@ def test_matrix_refuses_an_entry_count_off_its_shape():
         Matrix(2, 2, (1, 2, 3))
 
 
+def test_field_values_are_frozen_and_compare_by_their_fields():
+    for value, name in ((FieldModulus(7), "p"), (Matrix(1, 2, (3, 4)), "entries")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    for a, b in ((FieldModulus(7), FieldModulus(7)), (Matrix(1, 2, (3, 4)), Matrix(1, 2, (3, 4)))):
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert FieldModulus(7) != (7,) and (7,) != FieldModulus(7) and FieldModulus(7) != 7
+    assert FieldModulus(7) != FieldModulus(11) and Matrix(1, 2, (3, 4)) != Matrix(2, 1, (3, 4))
+    assert repr(FieldModulus(7)) == "FieldModulus(p=7)"
+    assert repr(Matrix(1, 2, (3, 4))) == "Matrix(rows=1, cols=2, entries=(3, 4))"
+
+
 def identity(n):
     return Matrix(n, n, tuple(int(r == c) for r in range(n) for c in range(n)))
 
